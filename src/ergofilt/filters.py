@@ -5,7 +5,11 @@ mean: the running (Birkhoff) average, plus three degree-``K`` designs that
 pass the zero frequency with unit gain while damping everything above a known
 positive frequency bound ``lambda_low`` — Bernstein smoothing of an ideal
 triangular low-pass response, a sup-norm-optimal normalized Chebyshev design,
-and an L2-optimal Legendre design. Each vector recursion has a scalar
+and an L2-optimal Legendre design. Each filter's vector recursion is one
+generator that yields its output at every degree up to K, one product with
+the chain's operator per degree (per carried basis signal for Bernstein):
+``*_apply`` returns the last output, and ``*_errors`` the max-abs error at
+each degree of one sweep. Each vector recursion has a scalar
 evaluator mirroring it for spectral-domain testing, and two exact references
 ship alongside: a frequency-zeroing projector (with the explicit coefficients
 of its annihilating polynomial) and an exact-rational constrained
@@ -28,9 +32,13 @@ _BAND_SLOP = 1e-9
 _ORACLE_DEGREE_CAP = 20
 
 
-def _check_context(k: int, lambda_low: float):
+def _check_degree(k: int):
     if int(k) != k or k < 0:
         raise ValueError(f"filter degree must be a nonnegative integer, got {k}")
+
+
+def _check_context(k: int, lambda_low: float):
+    _check_degree(k)
     if not 0.0 < lambda_low < 2.0:
         raise ValueError(f"lambda_low must lie in (0, 2), got {lambda_low}")
 
@@ -43,10 +51,10 @@ def _band_values(z) -> np.ndarray:
     return np.clip(values, 0.0, 2.0)
 
 
-def _mapped_operator(laplacian: np.ndarray, lambda_low: float) -> np.ndarray:
-    """Affine map sending the stopband [lambda_low, 2] onto [-1, 1]."""
-    n = laplacian.shape[0]
-    return (2.0 * laplacian - (2.0 + lambda_low) * np.eye(n)) / (2.0 - lambda_low)
+def _mapped_product(chain: markov.ChainModel, v: np.ndarray, lambda_low: float) -> np.ndarray:
+    """``M v`` for the affine map ``M = (2L - (2 + lambda_low) I) / (2 - lambda_low)``,
+    which sends the stopband [lambda_low, 2] onto [-1, 1]; one product with L."""
+    return (2.0 * (chain.laplacian @ v) - (2.0 + lambda_low) * v) / (2.0 - lambda_low)
 
 
 def _m0(lambda_low: float) -> float:
@@ -54,16 +62,53 @@ def _m0(lambda_low: float) -> float:
     return -(2.0 + lambda_low) / (2.0 - lambda_low)
 
 
+def _first_overflow(normalizers: np.ndarray, name: str):
+    """Raise ``FloatingPointError`` naming the first degree whose normalizer
+    is not finite; past it the filter would silently return zero."""
+    bad = np.flatnonzero(~np.isfinite(normalizers))
+    if bad.size:
+        raise FloatingPointError(
+            f"{name} is not finite at degree {int(bad[0])}; lower the degree or raise lambda_low"
+        )
+
+
 def _signal_for(chain: markov.ChainModel, f) -> np.ndarray:
     values = np.asarray(f, dtype=float)
     if values.shape != (chain.n,):
         raise ValueError(f"signal has shape {values.shape}, expected ({chain.n},)")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("signal values must be finite")
     return values
+
+
+def _last(steps):
+    for out in steps:
+        pass
+    return out
+
+
+def _errors(chain: markov.ChainModel, f, steps) -> list[float]:
+    """Max-abs errors of the outputs at degrees 1, 2, ... (degree 0 skipped)."""
+    next(steps)
+    return [max_abs_error(out, f, chain.pi) for out in steps]
 
 
 # ---------------------------------------------------------------------------
 # running (Birkhoff) average
 # ---------------------------------------------------------------------------
+
+
+def _ergodic_steps(chain: markov.ChainModel, f, K: int):
+    """Running averages at degrees 0..K (horizons 1..K+1), one product with P each."""
+    _check_degree(K)
+    values = _signal_for(chain, f)
+    acc = values.copy()
+    power = values
+    yield values.copy()
+    for k in range(1, K + 1):
+        power = chain.transition @ power
+        acc += power
+        yield acc / (k + 1)
 
 
 def ergodic_apply(chain: markov.ChainModel, f, t: int) -> np.ndarray:
@@ -79,13 +124,13 @@ def ergodic_apply(chain: markov.ChainModel, f, t: int) -> np.ndarray:
     """
     if int(t) != t or t < 1:
         raise ValueError(f"averaging horizon must be a positive integer, got {t}")
-    values = _signal_for(chain, f)
-    acc = values.copy()
-    power = values
-    for _ in range(t - 1):
-        power = chain.transition @ power
-        acc += power
-    return acc / t
+    return _last(_ergodic_steps(chain, f, t - 1))
+
+
+def ergodic_errors(chain: markov.ChainModel, f, k_max: int) -> list[float]:
+    """Max-abs errors of the running average at degrees ``1..k_max``, where
+    degree K is horizon ``t = K + 1``; ``k_max`` products with P in all."""
+    return _errors(chain, f, _ergodic_steps(chain, f, k_max))
 
 
 def ergodic_scalar(z, t: int) -> np.ndarray:
@@ -150,24 +195,47 @@ def bernstein_scalar(z, K: int, lambda_low: float):
     return float(result[0]) if np.ndim(z) == 0 else result
 
 
-def bernstein_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> np.ndarray:
-    """Apply the Bernstein filter by the de Casteljau vector recursion.
+def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
+    """Bernstein outputs at degrees 0..K from the Pascal recurrence.
 
-    Starts from the control signals ``g(2l/K) f`` and repeatedly blends
-    neighbors with ``(I - L/2)`` and ``L/2``; numerically stable for any
-    degree, unlike expanding the binomial coefficients.
+    Carries the basis signals ``b_{k,l} = C(k,l) (L/2)^l (I - L/2)^(k-l) f``
+    up in degree by ``b_{k,l} = b_{k-1,l} - (L/2)(b_{k-1,l} - b_{k-1,l-1})``;
+    every basis response lies in [0, 1], so no binomial is ever formed. Only
+    ``l <= c`` is carried, ``c`` the last control point the triangle weights
+    at degree K leave nonzero: since ``2l/k >= 2l/K``, no lower degree has a
+    nonzero weight beyond it. Step k takes ``min(k, c) + 1`` products with L,
+    one per basis signal, so each output is the same whatever K the sweep
+    runs to.
     """
     _check_context(K, lambda_low)
     values = _signal_for(chain, f)
+    yield values.copy()
     if K == 0:
-        return values.copy()
-    blend_lo = np.eye(chain.n) - chain.laplacian / 2.0
-    blend_hi = chain.laplacian / 2.0
-    weights = triangle(2.0 * np.arange(K + 1) / K, lambda_low)
-    columns = values[:, None] * weights[None, :]
-    for _ in range(K):
-        columns = blend_lo @ columns[:, :-1] + blend_hi @ columns[:, 1:]
-    return columns[:, 0]
+        return
+    cap = np.count_nonzero(triangle(2.0 * np.arange(K + 1) / K, lambda_low)) - 1
+    basis = [values]
+    for k in range(1, K + 1):
+        if k <= cap:
+            basis.append(np.zeros(chain.n))
+        for l in range(len(basis) - 1, -1, -1):
+            below = basis[l - 1] if l else 0.0
+            basis[l] = basis[l] - 0.5 * (chain.laplacian @ (basis[l] - below))
+        weights = triangle(2.0 * np.arange(len(basis)) / k, lambda_low)
+        yield sum(weights[l] * basis[l] for l in range(np.count_nonzero(weights)))
+
+
+def bernstein_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> np.ndarray:
+    """Apply the degree-``K`` Bernstein filter of the triangle target ``g``:
+    ``sum_l g(2l/K) b_{K,l}`` over the basis signals of ``_bernstein_steps``.
+    Takes ``sum_{k<=K} (min(k, c) + 1)`` products with L, where
+    ``c < K lambda_low / 2`` is the last nonzero control point."""
+    return _last(_bernstein_steps(chain, f, K, lambda_low))
+
+
+def bernstein_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> list[float]:
+    """Max-abs errors of the Bernstein filter at degrees ``1..k_max`` from one
+    sweep of ``sum_{k<=k_max} (min(k, c) + 1)`` products with L."""
+    return _errors(chain, f, _bernstein_steps(chain, f, k_max, lambda_low))
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +253,10 @@ def chebyshev_scalar_at_zero(K: int, lambda_low: float) -> np.ndarray:
     seq[0] = 1.0
     if K >= 1:
         seq[1] = m0
-    for k in range(1, K):
-        seq[k + 1] = 2.0 * m0 * seq[k] - seq[k - 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, K):
+            seq[k + 1] = 2.0 * m0 * seq[k] - seq[k - 1]
+    _first_overflow(seq, "Chebyshev normalizer T_k(m0)")
     return seq
 
 
@@ -206,27 +276,40 @@ def chebyshev_scalar(z, K: int, lambda_low: float):
     return float(result[0]) if np.ndim(z) == 0 else result
 
 
+def _chebyshev_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
+    """Chebyshev outputs at degrees 0..K, one product with L each."""
+    _check_context(K, lambda_low)
+    values = _signal_for(chain, f)
+    at_zero = chebyshev_scalar_at_zero(K, lambda_low)
+    prev = values.copy()
+    yield prev
+    if K == 0:
+        return
+    curr = _mapped_product(chain, values, lambda_low) / at_zero[1]
+    yield curr
+    for k in range(1, K):
+        alpha = at_zero[k] / at_zero[k + 1]
+        beta = at_zero[k - 1] / at_zero[k + 1]
+        prev, curr = curr, 2.0 * alpha * _mapped_product(chain, curr, lambda_low) - beta * prev
+        yield curr
+
+
 def chebyshev_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> np.ndarray:
     """Apply the normalized Chebyshev filter by its three-term vector recursion.
 
     With ``u_k`` the degree-``k`` filtered signal and ``T_k`` the values from
     ``chebyshev_scalar_at_zero``:
     ``u_{k+1} = 2 (T_k/T_{k+1}) M u_k - (T_{k-1}/T_{k+1}) u_{k-1}``
-    where ``M`` is the stopband-mapped Laplacian.
+    where ``M`` is the stopband-mapped Laplacian. The ``T_k`` do not depend
+    on K, so ``u_k`` is also the degree-k output.
     """
-    _check_context(K, lambda_low)
-    values = _signal_for(chain, f)
-    if K == 0:
-        return values.copy()
-    mapped = _mapped_operator(chain.laplacian, lambda_low)
-    at_zero = chebyshev_scalar_at_zero(K, lambda_low)
-    prev = values.copy()
-    curr = (mapped @ values) / at_zero[1]
-    for k in range(1, K):
-        alpha = at_zero[k] / at_zero[k + 1]
-        beta = at_zero[k - 1] / at_zero[k + 1]
-        prev, curr = curr, 2.0 * alpha * (mapped @ curr) - beta * prev
-    return curr
+    return _last(_chebyshev_steps(chain, f, K, lambda_low))
+
+
+def chebyshev_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> list[float]:
+    """Max-abs errors of the Chebyshev filter at degrees ``1..k_max`` from one
+    run of the recursion: ``k_max`` products with L."""
+    return _errors(chain, f, _chebyshev_steps(chain, f, k_max, lambda_low))
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +353,12 @@ def legendre_scalar_at_zero(K: int, lambda_low: float) -> LegendreScalars:
     seq[0] = scale * np.sqrt(0.5)
     if K >= 1:
         seq[1] = scale * np.sqrt(1.5) * m0
-    for n in range(1, K):
-        a_next, b, a = _legendre_recursion_factors(n)
-        seq[n + 1] = (b * m0 * seq[n] - a * seq[n - 1]) / a_next
-    partial = np.cumsum(seq * seq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, K):
+            a_next, b, a = _legendre_recursion_factors(n)
+            seq[n + 1] = (b * m0 * seq[n] - a * seq[n - 1]) / a_next
+        partial = np.cumsum(seq * seq)
+    _first_overflow(partial, "Legendre normalizer S_k")
     gamma = partial[:-1] / partial[1:] if K >= 1 else np.empty(0)
     return LegendreScalars(
         values_at_zero=seq, partial_sums=partial, xi=seq / partial[K], gamma=gamma
@@ -300,31 +385,44 @@ def legendre_scalar(z, K: int, lambda_low: float):
     return float(result[0]) if np.ndim(z) == 0 else result
 
 
-def legendre_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> np.ndarray:
-    """Apply the L2-optimal filter by the coupled vector recursion.
-
-    Carries the running filtered signal together with the last two basis
-    signals: ``q_{k+1} = gamma_k q_k + xi_{k+1}^{(k+1)} v_{k+1}`` where the
-    ``v`` sequence follows the same three-term recursion as the scalars.
-    """
+def _legendre_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
+    """Legendre outputs at degrees 0..K, one product with L each."""
     _check_context(K, lambda_low)
     values = _signal_for(chain, f)
     scalars = legendre_scalar_at_zero(K, lambda_low)
     scale = np.sqrt(2.0 / (2.0 - lambda_low))
     prev = scale * np.sqrt(0.5) * values
     result = (scalars.values_at_zero[0] / scalars.partial_sums[0]) * prev
+    yield result
     if K == 0:
-        return result
-    mapped = _mapped_operator(chain.laplacian, lambda_low)
-    curr = scale * np.sqrt(1.5) * (mapped @ values)
+        return
+    curr = scale * np.sqrt(1.5) * _mapped_product(chain, values, lambda_low)
     for k in range(K):
         if k >= 1:
             a_next, b, a = _legendre_recursion_factors(k)
-            prev, curr = curr, (b * (mapped @ curr) - a * prev) / a_next
+            prev, curr = curr, (b * _mapped_product(chain, curr, lambda_low) - a * prev) / a_next
         carry = scalars.partial_sums[k] / scalars.partial_sums[k + 1]
         weight = scalars.values_at_zero[k + 1] / scalars.partial_sums[k + 1]
         result = carry * result + weight * curr
-    return result
+        yield result
+
+
+def legendre_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> np.ndarray:
+    """Apply the L2-optimal filter by the coupled vector recursion.
+
+    Carries the running filtered signal together with the last two basis
+    signals: ``q_{k+1} = gamma_k q_k + xi_{k+1}^{(k+1)} v_{k+1}`` where the
+    ``v`` sequence follows the same three-term recursion as the scalars.
+    The carry and weight use only ``L~_j(0)`` and ``S_j`` for ``j <= k + 1``,
+    so ``q_k`` is also the degree-k output.
+    """
+    return _last(_legendre_steps(chain, f, K, lambda_low))
+
+
+def legendre_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> list[float]:
+    """Max-abs errors of the Legendre filter at degrees ``1..k_max`` from one
+    run of the recursion: ``k_max`` products with L."""
+    return _errors(chain, f, _legendre_steps(chain, f, k_max, lambda_low))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 For degrees ``1..k_max`` the runner applies the running average (with horizon
 ``t = K + 1``, so its polynomial degree matches the other filters) and the
 three polynomial designs, records each one's maximum absolute deviation from
-the stationary mean, and serializes the table as CSV (or JSON) with
+the stationary mean (one sweep per filter yields every degree), and serializes the table as CSV (or JSON) with
 12-significant-digit formatting. Identical configurations produce
 byte-identical output.
 """
@@ -138,17 +138,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[FilterResult], RunMet
         if not 0.0 < lambda_low < 2.0:
             raise ValueError(f"lambda_low override must lie in (0, 2), got {lambda_low}")
 
+    columns = {
+        "ergodic": filters.ergodic_errors(chain, signal, config.k_max),
+        "bernstein": filters.bernstein_errors(chain, signal, config.k_max, lambda_low),
+        "chebyshev": filters.chebyshev_errors(chain, signal, config.k_max, lambda_low),
+        "legendre": filters.legendre_errors(chain, signal, config.k_max, lambda_low),
+    }
     results = []
     for degree in range(1, config.k_max + 1):
-        outputs = {
-            "ergodic": filters.ergodic_apply(chain, signal, degree + 1),
-            "bernstein": filters.bernstein_apply(chain, signal, degree, lambda_low),
-            "chebyshev": filters.chebyshev_apply(chain, signal, degree, lambda_low),
-            "legendre": filters.legendre_apply(chain, signal, degree, lambda_low),
-        }
-        errors = {
-            name: filters.max_abs_error(out, signal, chain.pi) for name, out in outputs.items()
-        }
+        errors = {name: column[degree - 1] for name, column in columns.items()}
         bad = [name for name, err in errors.items() if not np.isfinite(err)]
         if bad:
             raise FloatingPointError(f"non-finite filter error at degree {degree}: {bad}")

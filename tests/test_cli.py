@@ -129,6 +129,19 @@ def test_lambda_low_flag(capsys):
     assert lam == pytest.approx(0.5)
 
 
+def test_normalizer_overflow_exits_two(capsys):
+    # at lambda_low = 1.9 the Legendre normalizer S_k overflows at degree 82
+    argv = ["cycle-walk", "--p", "11", "--paper-defaults", "--lambda-low", "1.9"]
+    code = cli_main(argv + ["--k-max", "82"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("numerical failure:")
+    assert cli_main(argv + ["--k-max", "81"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 83
+
+
 def test_negative_seed_rejected(capsys):
     code = cli_main(["cycle-walk", "--seed", "-1"])
     captured = capsys.readouterr()

@@ -6,6 +6,7 @@ contract: a uniform grid of 10^4 points (10^4 subintervals for quadrature) on
 the stopband, with composite Simpson integration for squared norms.
 """
 
+import warnings
 from math import comb
 
 import numpy as np
@@ -442,6 +443,40 @@ def test_max_abs_error_at_t1(cycle_chain):
 def test_max_abs_error_shape_check(cycle_chain):
     with pytest.raises(ValueError):
         filters.max_abs_error(np.ones(5), np.ones(11), cycle_chain.pi)
+
+
+@pytest.mark.parametrize(
+    "scalars, apply, lam, last_finite",
+    [
+        (filters.chebyshev_scalar_at_zero, filters.chebyshev_apply, CYCLE_LAM, 1831),
+        (filters.legendre_scalar_at_zero, filters.legendre_apply, CYCLE_LAM, 915),
+        (filters.legendre_scalar_at_zero, filters.legendre_apply, 1.9, 81),
+    ],
+    ids=["chebyshev-cycle", "legendre-cycle", "legendre-1.9"],
+)
+def test_normalizer_overflow_raises(scalars, apply, lam, last_finite, cycle_chain):
+    # past the overflow the carry and weights would be 0 and the filter would
+    # return the zero vector; it must raise instead, with no numpy warning
+    f = harness.CYCLE_REFERENCE_SIGNAL
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalars(last_finite, lam)
+        assert np.isfinite(apply(cycle_chain, f, last_finite, lam)).all()
+        with pytest.raises(FloatingPointError, match=f"at degree {last_finite + 1};"):
+            scalars(last_finite + 1, lam)
+        with pytest.raises(FloatingPointError, match=f"at degree {last_finite + 1};"):
+            apply(cycle_chain, f, last_finite + 1, lam)
+
+
+def test_non_finite_signal_rejected(cycle_chain):
+    for bad in (np.nan, np.inf, -np.inf):
+        f = np.ones(11)
+        f[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            filters.ergodic_apply(cycle_chain, f, 3)
+        for apply in (filters.bernstein_apply, filters.chebyshev_apply, filters.legendre_apply):
+            with pytest.raises(ValueError, match="finite"):
+                apply(cycle_chain, f, 3, 0.5)
 
 
 def test_context_validation(cycle_chain):

@@ -1,0 +1,202 @@
+"""Tests for the one-pass degree sweep: every filter's ``*_errors`` equals its
+per-degree ``*_apply``, Bernstein matches the dense de Casteljau recursion, and
+a sweep to ``k_max`` costs the stated number of products with the chain's
+operators."""
+
+import dataclasses
+from math import ceil
+
+import numpy as np
+import pytest
+
+from ergofilt import chains, filters, harness, markov
+
+K_SWEEP = 30
+K_BERNSTEIN = 200
+BERNSTEIN_DEGREES = (1, 2, 3, 5, 8, 13, 30, 64, 100, 155, 199, 200)
+
+
+def _signal(chain):
+    return harness.CYCLE_REFERENCE_SIGNAL if chain.n == 11 else harness.GLAUBER_REFERENCE_SIGNAL
+
+
+def _lambdas(chain):
+    return (chain.lambda_low, 0.5, 1.9)
+
+
+def _spread(chain, f):
+    return float(np.abs(f - markov.pi_expectation(f, chain.pi)).max())
+
+
+def de_casteljau_bernstein(chain, f, K, lambda_low):
+    """Reference: the dense de Casteljau recursion over all K + 1 control
+    signals, blending neighbors with the n-by-n ``I - L/2`` and ``L/2``."""
+    values = np.asarray(f, dtype=float)
+    if K == 0:
+        return values.copy()
+    blend_lo = np.eye(chain.n) - chain.laplacian / 2.0
+    blend_hi = chain.laplacian / 2.0
+    weights = filters.triangle(2.0 * np.arange(K + 1) / K, lambda_low)
+    columns = values[:, None] * weights[None, :]
+    for _ in range(K):
+        columns = blend_lo @ columns[:, :-1] + blend_hi @ columns[:, 1:]
+    return columns[:, 0]
+
+
+class CountingMatrix(np.ndarray):
+    """A chain operator that adds the columns of every product it enters to
+    ``tally[0]``. Elementwise results of its own shape stay counting, so an
+    n-by-n operator derived from it (``I - L/2``) is counted too."""
+
+    def __array_finalize__(self, obj):
+        self.tally = getattr(obj, "tally", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, CountingMatrix) else x for x in inputs]
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if ufunc is np.matmul:
+            left, right = inputs
+            if isinstance(left, CountingMatrix):
+                self.tally[0] += 1 if np.ndim(right) == 1 else np.shape(right)[-1]
+            else:
+                self.tally[0] += 1 if np.ndim(left) == 1 else np.shape(left)[0]
+            return result
+        if isinstance(result, np.ndarray) and result.shape == self.shape:
+            result = result.view(CountingMatrix)
+            result.tally = self.tally
+        return result
+
+
+def _counting(chain):
+    """The chain with counting ``transition`` and ``laplacian``, and their shared tally."""
+    tally = [0]
+
+    def view(array):
+        counted = array.view(CountingMatrix)
+        counted.tally = tally
+        return counted
+
+    return dataclasses.replace(
+        chain, transition=view(chain.transition), laplacian=view(chain.laplacian)
+    ), tally
+
+
+def _bernstein_products(k_max, lambda_low):
+    cap = ceil(k_max * lambda_low / 2.0) - 1
+    return sum(min(k, cap) + 1 for k in range(1, k_max + 1))
+
+
+# ---------------------------------------------------------------------------
+# the sweep equals per-degree apply
+# ---------------------------------------------------------------------------
+
+
+def test_ergodic_sweep_equals_apply(cycle_chain, glauber_chain):
+    for chain in (cycle_chain, glauber_chain):
+        f = _signal(chain)
+        errors = filters.ergodic_errors(chain, f, K_SWEEP)
+        assert len(errors) == K_SWEEP
+        for k in range(1, K_SWEEP + 1):
+            out = filters.ergodic_apply(chain, f, k + 1)
+            assert errors[k - 1] == filters.max_abs_error(out, f, chain.pi)
+
+
+@pytest.mark.parametrize("name", ["bernstein", "chebyshev", "legendre"])
+def test_polynomial_sweep_equals_apply(name, cycle_chain, glauber_chain):
+    sweep = getattr(filters, f"{name}_errors")
+    apply = getattr(filters, f"{name}_apply")
+    for chain in (cycle_chain, glauber_chain):
+        f = _signal(chain)
+        for lam in _lambdas(chain):
+            errors = sweep(chain, f, K_SWEEP, lam)
+            assert len(errors) == K_SWEEP
+            for k in range(1, K_SWEEP + 1):
+                out = apply(chain, f, k, lam)
+                assert errors[k - 1] == filters.max_abs_error(out, f, chain.pi), (lam, k)
+
+
+def test_bernstein_matches_de_casteljau(cycle_chain, glauber_chain):
+    for chain in (cycle_chain, glauber_chain):
+        f = _signal(chain)
+        tol = 1e-13 * _spread(chain, f)
+        for lam in _lambdas(chain):
+            errors = filters.bernstein_errors(chain, f, K_BERNSTEIN, lam)
+            for K in range(1, K_BERNSTEIN + 1):
+                want = filters.max_abs_error(de_casteljau_bernstein(chain, f, K, lam), f, chain.pi)
+                assert abs(errors[K - 1] - want) <= tol, (lam, K)
+            for K in BERNSTEIN_DEGREES:
+                got = filters.bernstein_apply(chain, f, K, lam)
+                assert np.abs(got - de_casteljau_bernstein(chain, f, K, lam)).max() <= tol, (lam, K)
+
+
+def test_sweeps_reject_bad_input(cycle_chain):
+    f = harness.CYCLE_REFERENCE_SIGNAL
+    with pytest.raises(ValueError):
+        filters.ergodic_errors(cycle_chain, f, -1)
+    for sweep in (filters.bernstein_errors, filters.chebyshev_errors, filters.legendre_errors):
+        with pytest.raises(ValueError):
+            sweep(cycle_chain, f, 3, 2.0)
+        with pytest.raises(ValueError):
+            sweep(cycle_chain, np.ones(4), 3, 0.5)
+        assert sweep(cycle_chain, f, 0, 0.5) == []
+
+
+# ---------------------------------------------------------------------------
+# products with the chain's operators
+# ---------------------------------------------------------------------------
+
+
+def test_sweep_matvec_counts(cycle_chain, glauber_chain):
+    for fixture in (cycle_chain, glauber_chain):
+        chain, tally = _counting(fixture)
+        f = _signal(chain)
+        filters.ergodic_errors(chain, f, K_SWEEP)
+        assert tally[0] == K_SWEEP
+        for lam in _lambdas(chain):
+            for sweep, products in (
+                (filters.chebyshev_errors, K_SWEEP),
+                (filters.legendre_errors, K_SWEEP),
+                (filters.bernstein_errors, _bernstein_products(K_SWEEP, lam)),
+            ):
+                tally[0] = 0
+                sweep(chain, f, K_SWEEP, lam)
+                assert tally[0] == products, (sweep.__name__, lam)
+
+
+def test_apply_matvec_counts(cycle_chain):
+    chain, tally = _counting(cycle_chain)
+    f = harness.CYCLE_REFERENCE_SIGNAL
+    for K in (0, 1, 7, 20):
+        for apply, products in (
+            (lambda: filters.ergodic_apply(chain, f, K + 1), K),
+            (lambda: filters.chebyshev_apply(chain, f, K, 0.5), K),
+            (lambda: filters.legendre_apply(chain, f, K, 0.5), K),
+            (lambda: filters.bernstein_apply(chain, f, K, 0.5), _bernstein_products(K, 0.5)),
+        ):
+            tally[0] = 0
+            apply()
+            assert tally[0] == products, K
+
+
+def test_cycle_deep_run_takes_k_max_products_per_filter(monkeypatch):
+    # cycle-walk --p 101 --k-max 100: the last nonzero control point is c = 0
+    chain, tally = _counting(chains.build_cycle_walk(101))
+    f = harness.generate_signal(1, chain.n)
+    lam = chain.lambda_low
+    assert _bernstein_products(100, lam) == 100
+    for run in (
+        lambda: filters.ergodic_errors(chain, f, 100),
+        lambda: filters.bernstein_errors(chain, f, 100, lam),
+        lambda: filters.chebyshev_errors(chain, f, 100, lam),
+        lambda: filters.legendre_errors(chain, f, 100, lam),
+    ):
+        tally[0] = 0
+        run()
+        assert tally[0] == 100
+
+    monkeypatch.setattr(harness, "_build_chain", lambda config: chain)
+    tally[0] = 0
+    harness.run_experiment(
+        harness.ExperimentConfig(experiment="cycle-walk", p=101, k_max=100, seed=1)
+    )
+    assert tally[0] == 4 * 100
