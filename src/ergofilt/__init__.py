@@ -1,9 +1,9 @@
 """Polynomial spectral filters that accelerate ergodic averaging of
 reversible Markov chains.
 
-The package splits into five small modules: ``densela`` (dense linear-algebra
-kernels), ``markov`` (reversible-chain geometry and the Laplacian
-eigenfunction transform), ``chains`` (the two bundled chain constructors),
+The package splits into five small modules: ``densela`` (typed numerical
+errors and the symmetric eigensolver, numpy ``eigh``), ``markov``
+(reversible-chain geometry and the Laplacian eigenfunction transform), ``chains`` (the two bundled chain constructors),
 ``filters`` (the running average and the Bernstein / Chebyshev / Legendre
 designs plus exact references), and ``harness`` (the experiment runner behind
 the ``ergofilt`` command-line tool).

@@ -1,173 +1,49 @@
-"""Small dense linear-algebra kernels used by the rest of the package.
+"""Typed numerical errors and the symmetric eigensolver (numpy ``eigh``).
 
-Everything operates on plain float64 numpy arrays, runs a fixed deterministic
-sequence of operations (identical input bits give identical output bits), and
-targets the desk-scale matrices this package works with (at most a few dozen
-rows), not BLAS-level throughput.
+The CLI maps every ``DenseLAError`` to exit code 2, so numerical failures
+from here and from the filters' exact references share one error family.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_SWEEP_CAP = 100
-_PIVOT_FLOOR = 1e-12
-
 
 class DenseLAError(Exception):
-    """Base class for numerical failures in this module."""
+    """Base class for numerical failures in this package."""
 
 
 class AsymmetricMatrixError(DenseLAError):
     """Input to the symmetric eigensolver was not symmetric to tolerance."""
 
 
-class ConvergenceError(DenseLAError):
-    """An iteration hit its cap; ``residual`` holds the last measured error."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 class SingularMatrixError(DenseLAError):
-    """Linear solve met a pivot at or below the singularity floor."""
+    """An exact elimination met a zero or non-positive pivot."""
 
 
-def _as_matrix(m) -> np.ndarray:
+def symmetric_eigen(m) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition of a symmetric matrix.
+
+    Rejects a non-square matrix, or asymmetry above ``1e-10 * max|m|``, with
+    ``AsymmetricMatrixError``; folds the remaining round-off as
+    ``(m + m^T) / 2`` and returns ``numpy.linalg.eigh`` of the result:
+    ascending eigenvalues and Euclidean-orthonormal eigenvector columns.
+    Raises ``DenseLAError`` for non-finite input or when LAPACK fails.
+    """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    return a
-
-
-def _as_vector(v) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
-    if a.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got ndim={a.ndim}")
-    return a
-
-
-def mat_vec(m, v) -> np.ndarray:
-    """Matrix-vector product with explicit dimension checking."""
-    a = _as_matrix(m)
-    x = _as_vector(v)
-    if a.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {x.shape}")
-    return a @ x
-
-
-def _offdiag_frobenius(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(off * off)))
-
-
-def symmetric_eigen(m, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Parameters
-    ----------
-    m : array_like, shape (n, n)
-        Symmetric matrix; asymmetry above ``1e-10 * max|m|`` is rejected.
-    tol : float
-        Convergence threshold on the off-diagonal Frobenius mass.
-
-    Returns
-    -------
-    eigenvalues : ndarray, shape (n,)
-        Ascending (stable order for ties).
-    eigenvectors : ndarray, shape (n, n)
-        Euclidean-orthonormal columns, ``m @ v[:, i] ~= w[i] * v[:, i]``.
-
-    Raises
-    ------
-    AsymmetricMatrixError
-        If the input is not square-symmetric to tolerance.
-    ConvergenceError
-        If the off-diagonal mass is still above ``tol`` after 100 sweeps.
-    """
-    a = np.array(_as_matrix(m), dtype=float)
-    n, ncols = a.shape
-    if n != ncols:
+    if a.shape[0] != a.shape[1]:
         raise AsymmetricMatrixError(f"matrix is not square: {a.shape}")
-    scale = float(np.abs(a).max()) if a.size else 0.0
+    if not np.all(np.isfinite(a)):
+        raise DenseLAError("matrix has non-finite entries")
+    scale = float(np.abs(a).max())
     asym = float(np.abs(a - a.T).max())
     if asym > 1e-10 * max(scale, 1e-300):
         raise AsymmetricMatrixError(
             f"asymmetry {asym:.3e} exceeds 1e-10 * max|m| = {1e-10 * scale:.3e}"
         )
-    a = 0.5 * (a + a.T)  # fold round-off so rotations see an exactly symmetric matrix
-    v = np.eye(n)
-    if n == 1:
-        return np.array([a[0, 0]]), v
-
-    skip_floor = 1e-300 if scale == 0.0 else 1e-20 * scale
-    converged = False
-    for _ in range(_SWEEP_CAP):
-        if _offdiag_frobenius(a) <= tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip_floor:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    if not converged:
-        residual = _offdiag_frobenius(a)
-        if residual > tol:
-            raise ConvergenceError(
-                f"Jacobi sweeps did not converge: off-diagonal mass {residual:.3e} > {tol:.3e}",
-                residual,
-            )
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return eigenvalues[order], v[:, order]
-
-
-def solve_linear(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` by LU factorization with partial pivoting.
-
-    Raises ``SingularMatrixError`` when the best available pivot has magnitude
-    at or below 1e-12.
-    """
-    lu = np.array(_as_matrix(a), dtype=float)
-    rhs = np.array(_as_vector(b), dtype=float)
-    n, ncols = lu.shape
-    if n != ncols:
-        raise ValueError(f"matrix is not square: {lu.shape}")
-    if rhs.shape[0] != n:
-        raise ValueError(f"dimension mismatch: {lu.shape} vs rhs {rhs.shape}")
-
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[piv, k]) <= _PIVOT_FLOOR:
-            raise SingularMatrixError(
-                f"pivot {abs(lu[piv, k]):.3e} at column {k} is at or below {_PIVOT_FLOOR:.0e}"
-            )
-        if piv != k:
-            lu[[k, piv], :] = lu[[piv, k], :]
-            rhs[[k, piv]] = rhs[[piv, k]]
-        factors = lu[k + 1 :, k] / lu[k, k]
-        lu[k + 1 :, k:] -= np.outer(factors, lu[k, k:])
-        rhs[k + 1 :] -= factors * rhs[k]
-
-    x = np.zeros(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (rhs[k] - lu[k, k + 1 :] @ x[k + 1 :]) / lu[k, k]
-    return x
+    try:
+        return np.linalg.eigh(0.5 * (a + a.T))
+    except np.linalg.LinAlgError as exc:
+        raise DenseLAError(f"symmetric eigensolve failed: {exc}") from exc

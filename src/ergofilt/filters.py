@@ -90,7 +90,8 @@ def _last(steps):
 def _errors(chain: markov.ChainModel, f, steps) -> list[float]:
     """Max-abs errors of the outputs at degrees 1, 2, ... (degree 0 skipped)."""
     next(steps)
-    return [max_abs_error(out, f, chain.pi) for out in steps]
+    target = markov.pi_expectation(f, chain.pi)
+    return [float(np.abs(out - target).max()) for out in steps]
 
 
 # ---------------------------------------------------------------------------

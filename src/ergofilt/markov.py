@@ -119,27 +119,6 @@ def make_chain(transition, pi, lambda_low: float) -> ChainModel:
     )
 
 
-def stationary_distribution(transition, tol: float = 1e-12, max_iter: int = 10**6) -> np.ndarray:
-    """Stationary law by power iteration on the transpose.
-
-    Intended as the generic numeric route; the bundled chain constructors use
-    their closed forms instead. Raises ``densela.ConvergenceError`` when the
-    residual ``max|pi P - pi|`` is still above ``tol`` after ``max_iter`` steps.
-    """
-    p = np.asarray(transition, dtype=float)
-    n = p.shape[0]
-    dist = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = dist @ p
-        residual = float(np.abs(nxt - dist).max())
-        dist = nxt / nxt.sum()
-        if residual <= tol:
-            return dist
-    raise densela.ConvergenceError(
-        f"power iteration residual {residual:.3e} > {tol:.3e} after {max_iter} steps", residual
-    )
-
-
 def laplacian(transition) -> np.ndarray:
     """``I - P``, entrywise."""
     p = np.asarray(transition, dtype=float)
@@ -203,7 +182,7 @@ def spectral_decomposition(chain: ChainModel) -> SpectralDecomposition:
     asym = float(np.abs(s - s.T).max())
     if asym > DETAILED_BALANCE_TOL * max(1.0, float(np.abs(s).max())):
         raise DetailedBalanceViolation("symmetrized Laplacian is not symmetric", (), asym)
-    eigenvalues, vectors = densela.symmetric_eigen(s, tol=1e-12)
+    eigenvalues, vectors = densela.symmetric_eigen(s)
     funcs = vectors / d[:, None]
     if abs(eigenvalues[0]) > ZERO_EIGENVALUE_TOL:
         raise densela.DenseLAError(

@@ -41,27 +41,6 @@ def test_cycle_lambda_low_below_true_gap():
         assert chains.cycle_lambda_low(p) <= 1.0 - np.cos(2.0 * np.pi / p) + 1e-12
 
 
-def test_random_walk_stationary_on_cycle(cycle_chain):
-    adjacency = (cycle_chain.transition > 0).astype(float)
-    assert chains.random_walk_stationary(adjacency) == pytest.approx(np.full(11, 1.0 / 11.0))
-
-
-def test_random_walk_stationary_star_graph():
-    # hub has degree 4, leaves degree 1, total degree 8
-    adjacency = np.zeros((5, 5))
-    adjacency[0, 1:] = 1.0
-    adjacency[1:, 0] = 1.0
-    pi = chains.random_walk_stationary(adjacency)
-    assert pi == pytest.approx([0.5, 0.125, 0.125, 0.125, 0.125])
-
-
-def test_random_walk_stationary_rejects_bad_input():
-    with pytest.raises(ValueError):
-        chains.random_walk_stationary(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        chains.random_walk_stationary(np.zeros((2, 2)))
-
-
 def test_glauber_params_validation():
     with pytest.raises(ValueError):
         chains.GlauberParams.uniform(2, 0.2)
@@ -164,6 +143,11 @@ def test_glauber_lambda_low_value():
     lam = chains.glauber_lambda_low(chains.GlauberParams.uniform(4, 0.2, 1.0))
     assert lam == pytest.approx((1.0 - np.tanh(0.4)) / 4.0, abs=1e-12)
     assert lam == pytest.approx(0.1550127, abs=1e-7)
+    # uniform couplings: the top band eigenvalue is tanh(2 beta) for every p
+    for p in range(3, 21):
+        for beta in (0.05, 0.2, 0.7, 1.5):
+            lam = chains.glauber_lambda_low(chains.GlauberParams.uniform(p, beta, 1.0))
+            assert abs(1.0 - p * lam - np.tanh(2.0 * beta)) <= 2e-15, (p, beta)
 
 
 def test_glauber_lambda_low_small_beta():
@@ -193,3 +177,12 @@ def test_glauber_zero_coupling_rejected_for_gap():
     params = chains.GlauberParams(p=4, beta=0.3, couplings=np.array([1.0, 0.0, 1.0, 0.5]))
     with pytest.raises(ValueError):
         chains.glauber_lambda_low(params)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", [80.0, 400.0])
+def test_glauber_low_temperature_gap_degenerates(beta):
+    params = chains.GlauberParams.uniform(10, beta, 1.0)
+    for build in (chains.glauber_lambda_low, chains.build_glauber_cycle):
+        with pytest.raises(ValueError, match="gap bound degenerates"):
+            build(params)

@@ -142,6 +142,16 @@ def test_normalizer_overflow_exits_two(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 83
 
 
+@pytest.mark.filterwarnings("error")
+def test_low_temperature_glauber_exits_one(capsys):
+    code = cli_main(["glauber", "--p", "10", "--beta", "400", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: gap bound degenerates")
+
+
 def test_negative_seed_rejected(capsys):
     code = cli_main(["cycle-walk", "--seed", "-1"])
     captured = capsys.readouterr()

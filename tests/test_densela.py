@@ -1,27 +1,9 @@
-"""Tests for the dense linear-algebra kernels."""
+"""Tests for the symmetric eigensolver and its typed errors."""
 
 import numpy as np
 import pytest
 
 from ergofilt import densela
-
-
-def test_mat_vec_identity():
-    assert densela.mat_vec(np.eye(3), [1.0, 2.0, 3.0]) == pytest.approx([1.0, 2.0, 3.0])
-
-
-def test_mat_vec_zero():
-    assert densela.mat_vec(np.zeros((2, 2)), [5.0, 7.0]) == pytest.approx([0.0, 0.0])
-
-
-def test_mat_vec_permutation():
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert densela.mat_vec(swap, [3.0, 4.0]) == pytest.approx([4.0, 3.0])
-
-
-def test_mat_vec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        densela.mat_vec(np.eye(3), [1.0, 2.0])
 
 
 def test_eigen_diagonal():
@@ -84,45 +66,9 @@ def test_eigen_residual_and_determinism():
     assert residual <= 1e-10 * max(1.0, float(np.abs(m).max()))
 
 
-def test_eigen_unreachable_tolerance_raises():
-    rng = np.random.default_rng(3)
-    base = rng.standard_normal((4, 4))
-    m = (base + base.T) / 2.0
-    # a negative threshold can never be met, so the sweep cap must trip
-    with pytest.raises(densela.ConvergenceError) as err:
-        densela.symmetric_eigen(m, tol=-1.0)
-    assert err.value.residual >= 0.0
-
-
-def test_solve_identity():
-    b = np.array([3.0, -1.0, 2.0])
-    assert densela.solve_linear(np.eye(3), b) == pytest.approx(b)
-
-
-def test_solve_diagonal():
-    assert densela.solve_linear(np.diag([2.0, 4.0]), [2.0, 8.0]) == pytest.approx([1.0, 2.0])
-
-
-def test_solve_needs_row_swap():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert densela.solve_linear(a, [2.0, 3.0]) == pytest.approx([3.0, 2.0])
-
-
-def test_solve_residual_random_systems():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        a = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
-        b = rng.standard_normal(5)
-        x = densela.solve_linear(a, b)
-        residual = np.abs(densela.mat_vec(a, x) - b).max()
-        assert residual <= 1e-8 * (1.0 + np.abs(b).max())
-
-
-def test_solve_singular_raises():
-    with pytest.raises(densela.SingularMatrixError):
-        densela.solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), [1.0, 1.0])
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        densela.solve_linear(np.eye(2), [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigen_rejects_non_finite(bad):
+    m = np.eye(3)
+    m[1, 1] = bad
+    with pytest.raises(densela.DenseLAError):
+        densela.symmetric_eigen(m)

@@ -4,7 +4,7 @@ and the eigenfunction transform."""
 import numpy as np
 import pytest
 
-from ergofilt import chains, densela, harness, markov
+from ergofilt import chains, harness, markov
 
 
 def test_validate_cycle_walk_pair(cycle_chain):
@@ -50,25 +50,9 @@ def test_chain_model_is_frozen(cycle_chain):
         cycle_chain.transition[0, 0] = 1.0
 
 
-def test_stationary_doubly_stochastic():
-    p = np.array([[0.5, 0.5], [0.5, 0.5]])
-    assert markov.stationary_distribution(p) == pytest.approx([0.5, 0.5], abs=1e-10)
-
-
-def test_stationary_cycle_uniform(cycle_chain):
-    pi = markov.stationary_distribution(cycle_chain.transition)
-    assert pi == pytest.approx(np.full(11, 1.0 / 11.0), abs=1e-10)
-
-
-def test_stationary_matches_gibbs(glauber_chain):
-    pi = markov.stationary_distribution(glauber_chain.transition)
-    assert np.abs(pi - glauber_chain.pi).max() <= 1e-10
-
-
-def test_stationary_iteration_cap_raises():
-    p = np.array([[0.9, 0.1], [0.05, 0.95]])
-    with pytest.raises(densela.ConvergenceError):
-        markov.stationary_distribution(p, tol=1e-15, max_iter=5)
+def test_bundled_chains_pi_is_stationary(cycle_chain, glauber_chain):
+    for chain in (cycle_chain, glauber_chain):
+        assert np.abs(chain.pi @ chain.transition - chain.pi).max() <= 1e-12
 
 
 def test_laplacian_identity_chain():
