@@ -2,8 +2,10 @@
 reversible Markov chains.
 
 The package splits into five small modules: ``densela`` (typed numerical
-errors and the symmetric eigensolver, numpy ``eigh``), ``markov``
-(reversible-chain geometry and the Laplacian eigenfunction transform), ``chains`` (the two bundled chain constructors),
+errors and the symmetric eigensolver, numpy ``eigh``), ``markov`` (the
+neighbour-table chain model and its ``aL + bI`` operators, reversible-chain
+geometry, and the Laplacian eigenfunction transform), ``chains`` (the two
+bundled chain constructors, built as neighbour tables),
 ``filters`` (the running average and the Bernstein / Chebyshev / Legendre
 designs plus exact references), and ``harness`` (the experiment runner behind
 the ``ergofilt`` command-line tool).

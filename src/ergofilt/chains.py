@@ -6,9 +6,10 @@
 each with its analytic stationary distribution and a positive lower bound
 ``lambda_low`` on the smallest nonzero eigenvalue of ``L = I - P``.
 
-Ising states are encoded as bitmasks: state index ``x`` has spin ``+1`` at
-site ``w`` iff bit ``w`` of ``x`` is set, and the 2^p x 2^p transition matrix
-is ordered by that integer index.
+Both are built directly as neighbour tables (see ``markov.ChainModel``),
+vectorised over the states. Ising states are encoded as bitmasks: state index
+``x`` has spin ``+1`` at site ``w`` iff bit ``w`` of ``x`` is set, and its
+table row lists ``x`` and then the single-spin flips ``x ^ 2^w``.
 """
 
 from __future__ import annotations
@@ -59,12 +60,11 @@ def build_cycle_walk(p: int) -> markov.ChainModel:
         raise ValueError(f"cycle length must be at least 3, got {p}")
     if p % 2 == 0:
         raise ValueError(f"cycle length must be odd, got {p}")
-    transition = np.zeros((p, p))
-    for i in range(p):
-        transition[i, (i + 1) % p] = 0.5
-        transition[i, (i - 1) % p] = 0.5
+    neighbors = (np.arange(p)[:, None] + np.array([0, 1, -1])) % p
+    weights = np.full((p, 3), 0.5)
+    weights[:, 0] = 0.0
     pi = np.full(p, 1.0 / p)
-    return markov.make_chain(transition, pi, cycle_lambda_low(p))
+    return markov.make_chain(neighbors, weights, pi, cycle_lambda_low(p))
 
 
 def cycle_lambda_low(p: int) -> float:
@@ -74,63 +74,61 @@ def cycle_lambda_low(p: int) -> float:
     return 8.0 * p / ((p - 1) ** 2 * (p + 1))
 
 
-def _spin(x: int, w: int, p: int) -> float:
-    return 1.0 if (x >> (w % p)) & 1 else -1.0
+def _spins(states: np.ndarray, p: int) -> np.ndarray:
+    """The (len(states), p) array of spins: ``+1`` where bit ``w`` is set."""
+    return np.where((states[:, None] >> np.arange(p)) & 1, 1.0, -1.0)
+
+
+def _energies(spins: np.ndarray, params: GlauberParams) -> np.ndarray:
+    # couplings[i] sits on the edge (i, i+1), the right neighbour of site i
+    return -(params.couplings * spins * np.roll(spins, -1, axis=1)).sum(axis=1)
 
 
 def glauber_energy(x: int, params: GlauberParams) -> float:
     """Ising ring energy ``-sum_i J_i s(i) s(i+1)``, each edge counted once."""
-    p = params.p
-    total = 0.0
-    for i in range(p):
-        total += params.couplings[i] * _spin(x, i, p) * _spin(x, i + 1, p)
-    return -total
+    return float(_energies(_spins(np.array([x]), params.p), params)[0])
+
+
+def _check_enumeration(params: GlauberParams):
+    if params.p > MAX_SPIN_SITES:
+        raise ValueError(f"enumeration capped at 2^{MAX_SPIN_SITES} states, got p={params.p}")
 
 
 def gibbs_distribution(params: GlauberParams) -> np.ndarray:
     """Boltzmann law ``exp(-beta H(x)) / Z`` by full enumeration of 2^p states."""
-    if params.p > MAX_SPIN_SITES:
-        raise ValueError(f"enumeration capped at 2^{MAX_SPIN_SITES} states, got p={params.p}")
-    n = 1 << params.p
-    energies = np.array([glauber_energy(x, params) for x in range(n)])
+    _check_enumeration(params)
+    energies = _energies(_spins(np.arange(1 << params.p), params.p), params)
     weights = np.exp(-params.beta * energies)
     return weights / weights.sum()
-
-
-def _local_field(x: int, w: int, params: GlauberParams) -> float:
-    # couplings[i] sits on the edge (i, i+1), so site w couples to w-1 via
-    # couplings[w-1] and to w+1 via couplings[w]
-    p = params.p
-    return params.couplings[(w - 1) % p] * _spin(x, w - 1, p) + params.couplings[w] * _spin(
-        x, w + 1, p
-    )
 
 
 def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
     """Heat-bath single-spin-flip dynamics on the Ising ring.
 
     A step picks a site uniformly and resamples its spin from the conditional
-    Boltzmann law given the neighbors, so each row mixes single-flip moves
-    with a lazy diagonal part and rows sum to 1 exactly.
+    Boltzmann law given the neighbors. Row ``x`` of the table holds the lazy
+    part ``P(x, x)``, the sum of the keep probabilities, and then the flip
+    probability of each site ``w`` at ``x ^ 2^w``, so rows sum to 1.
     """
-    if params.p > MAX_SPIN_SITES:
-        raise ValueError(f"enumeration capped at 2^{MAX_SPIN_SITES} states, got p={params.p}")
+    _check_enumeration(params)
     # the gap bound is cheap and fails first when the temperature is so low
     # that the Gibbs weights would overflow in the O(n p) build below
     lambda_low = glauber_lambda_low(params)
     p = params.p
-    n = 1 << p
-    transition = np.zeros((n, n))
-    for x in range(n):
-        for w in range(p):
-            field_w = _local_field(x, w, params)
-            y = x ^ (1 << w)
-            # e^a / (e^a + e^-a) written as a sigmoid so large fields cannot overflow
-            flip = params.beta * _spin(y, w, p) * field_w
-            keep = params.beta * _spin(x, w, p) * field_w
-            transition[x, y] += 1.0 / (p * (1.0 + np.exp(-2.0 * flip)))
-            transition[x, x] += 1.0 / (p * (1.0 + np.exp(-2.0 * keep)))
-    return markov.make_chain(transition, gibbs_distribution(params), lambda_low)
+    states = np.arange(1 << p)
+    spins = _spins(states, p)
+    # site w couples to w-1 via couplings[w-1] and to w+1 via couplings[w]
+    field = np.roll(params.couplings, 1) * np.roll(spins, 1, axis=1) + params.couplings * np.roll(
+        spins, -1, axis=1
+    )
+    # e^a / (e^a + e^-a) written as a sigmoid so large fields cannot overflow;
+    # the flipped spin sees the same field with the opposite sign
+    aligned = params.beta * spins * field
+    keep = 1.0 / (p * (1.0 + np.exp(-2.0 * aligned)))
+    flip = 1.0 / (p * (1.0 + np.exp(2.0 * aligned)))
+    neighbors = np.concatenate([states[:, None], states[:, None] ^ (1 << np.arange(p))], axis=1)
+    weights = np.concatenate([keep.sum(axis=1, keepdims=True), flip], axis=1)
+    return markov.make_chain(neighbors, weights, gibbs_distribution(params), lambda_low)
 
 
 def glauber_m_matrix(params: GlauberParams) -> np.ndarray:

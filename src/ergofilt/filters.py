@@ -6,8 +6,9 @@ pass the zero frequency with unit gain while damping everything above a known
 positive frequency bound ``lambda_low`` — Bernstein smoothing of an ideal
 triangular low-pass response, a sup-norm-optimal normalized Chebyshev design,
 and an L2-optimal Legendre design. Each filter's vector recursion is one
-generator that yields its output at every degree up to K, one product with
-the chain's operator per degree (per carried basis signal for Bernstein):
+generator that yields its output at every degree up to K, one application of
+an affine Laplacian operator from ``ChainModel.affine`` per degree (per
+carried basis signal for Bernstein):
 ``*_apply`` returns the last output, and ``*_errors`` the max-abs error at
 each degree of one sweep. Each vector recursion has a scalar
 evaluator mirroring it for spectral-domain testing, and two exact references
@@ -51,15 +52,15 @@ def _band_values(z) -> np.ndarray:
     return np.clip(values, 0.0, 2.0)
 
 
-def _mapped_product(chain: markov.ChainModel, v: np.ndarray, lambda_low: float) -> np.ndarray:
-    """``M v`` for the affine map ``M = (2L - (2 + lambda_low) I) / (2 - lambda_low)``,
-    which sends the stopband [lambda_low, 2] onto [-1, 1]; one product with L."""
-    return (2.0 * (chain.laplacian @ v) - (2.0 + lambda_low) * v) / (2.0 - lambda_low)
-
-
 def _m0(lambda_low: float) -> float:
     """Image of frequency 0 under the stopband map; always < -1."""
     return -(2.0 + lambda_low) / (2.0 - lambda_low)
+
+
+def _stopband_map(chain: markov.ChainModel, lambda_low: float):
+    """The operator ``M = (2L - (2 + lambda_low) I) / (2 - lambda_low)``, which
+    sends the stopband [lambda_low, 2] onto [-1, 1]."""
+    return chain.affine(2.0 / (2.0 - lambda_low), _m0(lambda_low))
 
 
 def _first_overflow(normalizers: np.ndarray, name: str):
@@ -103,11 +104,12 @@ def _ergodic_steps(chain: markov.ChainModel, f, K: int):
     """Running averages at degrees 0..K (horizons 1..K+1), one product with P each."""
     _check_degree(K)
     values = _signal_for(chain, f)
+    transition = chain.affine(-1.0, 1.0)
     acc = values.copy()
     power = values
     yield values.copy()
     for k in range(1, K + 1):
-        power = chain.transition @ power
+        power = transition(power)
         acc += power
         yield acc / (k + 1)
 
@@ -214,13 +216,14 @@ def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     if K == 0:
         return
     cap = np.count_nonzero(triangle(2.0 * np.arange(K + 1) / K, lambda_low)) - 1
+    half_laplacian = chain.affine(0.5, 0.0)
     basis = [values]
     for k in range(1, K + 1):
         if k <= cap:
             basis.append(np.zeros(chain.n))
         for l in range(len(basis) - 1, -1, -1):
             below = basis[l - 1] if l else 0.0
-            basis[l] = basis[l] - 0.5 * (chain.laplacian @ (basis[l] - below))
+            basis[l] = basis[l] - half_laplacian(basis[l] - below)
         weights = triangle(2.0 * np.arange(len(basis)) / k, lambda_low)
         yield sum(weights[l] * basis[l] for l in range(np.count_nonzero(weights)))
 
@@ -286,12 +289,13 @@ def _chebyshev_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     yield prev
     if K == 0:
         return
-    curr = _mapped_product(chain, values, lambda_low) / at_zero[1]
+    mapped = _stopband_map(chain, lambda_low)
+    curr = mapped(values) / at_zero[1]
     yield curr
     for k in range(1, K):
         alpha = at_zero[k] / at_zero[k + 1]
         beta = at_zero[k - 1] / at_zero[k + 1]
-        prev, curr = curr, 2.0 * alpha * _mapped_product(chain, curr, lambda_low) - beta * prev
+        prev, curr = curr, 2.0 * alpha * mapped(curr) - beta * prev
         yield curr
 
 
@@ -397,11 +401,12 @@ def _legendre_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     yield result
     if K == 0:
         return
-    curr = scale * np.sqrt(1.5) * _mapped_product(chain, values, lambda_low)
+    mapped = _stopband_map(chain, lambda_low)
+    curr = scale * np.sqrt(1.5) * mapped(values)
     for k in range(K):
         if k >= 1:
             a_next, b, a = _legendre_recursion_factors(k)
-            prev, curr = curr, (b * _mapped_product(chain, curr, lambda_low) - a * prev) / a_next
+            prev, curr = curr, (b * mapped(curr) - a * prev) / a_next
         carry = scalars.partial_sums[k] / scalars.partial_sums[k + 1]
         weight = scalars.values_at_zero[k + 1] / scalars.partial_sums[k + 1]
         result = carry * result + weight * curr

@@ -31,6 +31,10 @@ CYCLE_REFERENCE_SIGNAL.setflags(write=False)
 GLAUBER_REFERENCE_SIGNAL.setflags(write=False)
 
 _MASK64 = (1 << 64) - 1
+# splitmix64: the state increment and the two multipliers of its mixer
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 @dataclass(frozen=True)
@@ -67,14 +71,6 @@ class RunMetadata:
     pi_f: float
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, z ^ (z >> 31)
-
-
 def generate_signal(seed: int, count: int) -> np.ndarray:
     """Deterministic pseudo-random signal: splitmix64 outputs mapped to
     uniform [0, 10] and rounded to 2 decimals.
@@ -82,13 +78,18 @@ def generate_signal(seed: int, count: int) -> np.ndarray:
     The generator is part of the external contract — a given seed must keep
     producing the same values in future versions. Each draw takes the top 53
     bits of one splitmix64 output as a uniform value in [0, 1).
+
+    The i-th state (from 1) is ``seed + i * gamma mod 2^64``, so every state
+    and both mixing rounds are computed at once in wrapping ``uint64``
+    arithmetic; rounding stays Python's correctly rounded ``round`` per value.
     """
-    state = int(seed) & _MASK64
-    values = np.empty(count)
-    for i in range(count):
-        state, word = _splitmix64(state)
-        values[i] = round((word >> 11) * 2.0**-53 * 10.0, 2)
-    return values
+    steps = np.arange(1, count + 1, dtype=np.uint64)
+    z = steps * _GAMMA + np.uint64(int(seed) & _MASK64)
+    z = (z ^ (z >> 30)) * _MIX1
+    z = (z ^ (z >> 27)) * _MIX2
+    z ^= z >> 31
+    scaled = (z >> 11) * 2.0**-53 * 10.0
+    return np.array([round(value, 2) for value in scaled.tolist()])
 
 
 def _build_chain(config: ExperimentConfig) -> markov.ChainModel:

@@ -1,9 +1,11 @@
 """Reversible-Markov-chain core.
 
-Validates transition/stationary pairs, derives the Laplacian ``L = I - P``,
-provides the stationary-weighted geometry (inner product, norm, expectation,
-signal variation), and computes the Laplacian eigenfunction basis together
-with the forward/inverse Fourier transform it induces on graph signals.
+Stores a chain as a neighbour table and validates it, applies the affine
+Laplacian operators ``a L + b I`` (``L = I - P``) that every filter is built
+from, provides the stationary-weighted geometry (inner product, norm,
+expectation, signal variation), and computes the Laplacian eigenfunction
+basis together with the forward/inverse Fourier transform it induces on
+graph signals.
 """
 
 from __future__ import annotations
@@ -42,20 +44,51 @@ class DetailedBalanceViolation(ChainValidationError):
 
 @dataclass(frozen=True)
 class ChainModel:
-    """A validated reversible chain: P, its stationary law, L = I - P, and a
-    positive lower bound on the smallest nonzero Laplacian eigenvalue."""
+    """A validated reversible chain as a neighbour table, its stationary law,
+    and a positive lower bound on the smallest nonzero Laplacian eigenvalue.
 
-    n: int
-    transition: np.ndarray
+    Row ``x`` of ``neighbors`` lists the states ``x`` can move to, itself
+    first; ``weights[x, j] = P(x, neighbors[x, j])``. Storage is O(n d) for
+    ``d`` table columns, and P is never formed on the run path.
+    """
+
+    neighbors: np.ndarray
+    weights: np.ndarray
     pi: np.ndarray
-    laplacian: np.ndarray
     lambda_low: float
 
     def __post_init__(self):
         if not 0.0 < self.lambda_low <= 2.0:
             raise ValueError(f"lambda_low must lie in (0, 2], got {self.lambda_low}")
-        for arr in (self.transition, self.pi, self.laplacian):
+        for arr in (self.neighbors, self.weights, self.pi):
             arr.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return self.pi.shape[0]
+
+    def affine(self, a: float, b: float):
+        """The operator ``v -> a L v + b v``: one gather and one row-wise dot.
+
+        The table ``-a weights``, with ``a + b`` added to column 0 (the state
+        itself), is folded once here, so each application is one product with
+        the table and nothing else. P is ``affine(-1, 1)``, L is
+        ``affine(1, 0)``.
+        """
+        table = -a * self.weights
+        table[:, 0] += a + b
+        neighbors = self.neighbors
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            return np.vecdot(table, v[neighbors])
+
+        return apply
+
+    def dense_transition(self) -> np.ndarray:
+        """P as an n-by-n array, for small-n spectral references only."""
+        p = np.zeros((self.n, self.n))
+        np.add.at(p, (np.arange(self.n)[:, None], self.neighbors), self.weights)
+        return p
 
 
 @dataclass(frozen=True)
@@ -71,23 +104,60 @@ class SpectralDecomposition:
         self.eigenfunctions.setflags(write=False)
 
 
-def validate_chain(transition, pi) -> tuple[np.ndarray, np.ndarray]:
-    """Check row-stochasticity, positivity of pi, and detailed balance.
+def _reverse_entries(neighbors: np.ndarray) -> np.ndarray:
+    """For each entry ``(x, j)`` with ``y = neighbors[x, j]``, the flat
+    position ``y * d + k`` of the first entry with ``neighbors[y, k] == x``,
+    or ``n * d``, one past the table, if row ``y`` does not list ``x``.
 
-    Returns the validated ``(P, pi)`` pair as float arrays; raises a
-    ``ChainValidationError`` subclass naming the worst offending entry.
+    Column ``k = j`` is tried first, which finds every reverse entry of a
+    table whose reverse edges share their column (bit flips) in O(n d). The
+    m entries left (a cycle's ``x + 1`` and ``x - 1``) search all of row ``y``
+    at once, in O(m d).
     """
-    p = np.asarray(transition, dtype=float)
-    dist = np.asarray(pi, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError(f"transition matrix must be square, got {p.shape}")
-    if dist.shape != (p.shape[0],):
-        raise ValueError(f"pi has shape {dist.shape}, expected ({p.shape[0]},)")
+    n, d = neighbors.shape
+    flat = neighbors.ravel()
+    candidate = neighbors * d + np.arange(d)
+    reverse = np.where(flat.take(candidate) == np.arange(n)[:, None], candidate, flat.size)
+    rows, cols = np.nonzero(reverse == flat.size)
+    if rows.size:
+        starts = flat.take(rows * d + cols) * d
+        hit = flat.take(starts[:, None] + np.arange(d)) == rows[:, None]
+        reverse[rows, cols] = np.where(hit.any(axis=1), starts + hit.argmax(axis=1), flat.size)
+    return reverse
 
-    if p.size and p.min() < 0.0:
-        idx = np.unravel_index(int(np.argmin(p)), p.shape)
-        raise StochasticityViolation("negative transition probability", idx, float(-p[idx]))
-    row_err = np.abs(p.sum(axis=1) - 1.0)
+
+def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check row-stochasticity, positivity of pi, and detailed balance of a
+    neighbour table in O(n d) time for the bundled chains.
+
+    Returns the validated ``(neighbors, weights, pi)`` as index and float
+    arrays; raises a ``ChainValidationError`` subclass naming the worst
+    offending state or ``(x, y)`` pair. Detailed balance is checked per entry,
+    ``|pi(x) P(x,y) - pi(y) P(y,x)|``, with ``P(y,x) = 0`` where row ``y``
+    does not list ``x``.
+    """
+    nbr = np.asarray(neighbors)
+    w = np.asarray(weights, dtype=float)
+    dist = np.asarray(pi, dtype=float)
+    if nbr.ndim != 2 or nbr.shape[1] == 0 or nbr.dtype.kind not in "iu":
+        raise ValueError(f"neighbour table must be a 2-d integer array, got {nbr.dtype} {nbr.shape}")
+    if w.shape != nbr.shape:
+        raise ValueError(f"weights have shape {w.shape}, expected {nbr.shape}")
+    n, d = nbr.shape
+    if dist.shape != (n,):
+        raise ValueError(f"pi has shape {dist.shape}, expected ({n},)")
+    nbr = nbr.astype(np.intp, copy=False)
+    if nbr.min() < 0 or nbr.max() >= n:
+        raise ValueError(f"neighbour index outside 0..{n - 1}")
+    if (nbr[:, 0] != np.arange(n)).any():
+        raise ValueError("column 0 of the neighbour table must list each state itself")
+
+    if w.min() < 0.0:
+        x, j = np.unravel_index(int(np.argmin(w)), w.shape)
+        raise StochasticityViolation(
+            "negative transition probability", (int(x), int(nbr[x, j])), float(-w[x, j])
+        )
+    row_err = np.abs(w.sum(axis=1) - 1.0)
     if row_err.max() > ROW_SUM_TOL:
         idx = int(np.argmax(row_err))
         raise StochasticityViolation("row sum differs from 1", idx, float(row_err[idx]))
@@ -98,31 +168,32 @@ def validate_chain(transition, pi) -> tuple[np.ndarray, np.ndarray]:
     if abs(dist.sum() - 1.0) > ROW_SUM_TOL:
         raise NonPositivePi("stationary mass does not sum to 1", -1, float(abs(dist.sum() - 1.0)))
 
-    flow = dist[:, None] * p
-    imbalance = np.abs(flow - flow.T)
-    if imbalance.max() > DETAILED_BALANCE_TOL:
-        idx = np.unravel_index(int(np.argmax(imbalance)), imbalance.shape)
-        raise DetailedBalanceViolation("detailed balance violated", idx, float(imbalance[idx]))
-    return p, dist
+    # flat tables with one slot past the end, read by entries with no reverse
+    reverse = _reverse_entries(nbr).ravel()
+    flow = np.append(dist[:, None] * w, 0.0)
+    # each entry must be the reverse of its own reverse, or one state lists
+    # another twice and the per-entry check below would not add up to P(x, y)
+    own = np.arange(nbr.size)
+    unpaired = (np.append(reverse, -1).take(reverse) != own) & (reverse < nbr.size)
+    if unpaired.any():
+        x, j = divmod(int(np.argmax(unpaired)), d)
+        raise ValueError(f"state {x} lists state {nbr[x, j]} more than once")
+    imbalance = np.abs(flow[:-1] - flow.take(reverse))
+    worst = int(np.argmax(imbalance))
+    if imbalance[worst] > DETAILED_BALANCE_TOL:
+        x, j = divmod(worst, d)
+        raise DetailedBalanceViolation(
+            "detailed balance violated", (x, int(nbr[x, j])), float(imbalance[worst])
+        )
+    return nbr, w, dist
 
 
-def make_chain(transition, pi, lambda_low: float) -> ChainModel:
-    """Validate the pair and assemble the chain model with its Laplacian."""
-    p, dist = validate_chain(transition, pi)
-    p, dist = p.copy(), dist.copy()
+def make_chain(neighbors, weights, pi, lambda_low: float) -> ChainModel:
+    """Validate the neighbour table and assemble the chain model."""
+    nbr, w, dist = validate_chain(neighbors, weights, pi)
     return ChainModel(
-        n=p.shape[0],
-        transition=p,
-        pi=dist,
-        laplacian=laplacian(p),
-        lambda_low=float(lambda_low),
+        neighbors=nbr.copy(), weights=w.copy(), pi=dist.copy(), lambda_low=float(lambda_low)
     )
-
-
-def laplacian(transition) -> np.ndarray:
-    """``I - P``, entrywise."""
-    p = np.asarray(transition, dtype=float)
-    return np.eye(p.shape[0]) - p
 
 
 def _check_lengths(f: np.ndarray, g: np.ndarray):
@@ -153,7 +224,8 @@ def pi_norm(f, pi) -> float:
 def total_variation(f, chain: ChainModel) -> float:
     """Edge-weighted roughness of a signal, normalized by its stationary norm.
 
-    Sums ``pi(x) P(x,y) |f(x) - f(y)|^2`` over all directed transitions and
+    Sums ``pi(x) P(x,y) |f(x) - f(y)|^2`` over the entries of the neighbour
+    table (every directed transition, in O(n d)) and
     returns the square root divided by ``||f||_pi``. Zero signals are rejected
     since the normalization is undefined for them.
     """
@@ -162,8 +234,8 @@ def total_variation(f, chain: ChainModel) -> float:
     norm = pi_norm(fv, chain.pi)
     if norm == 0.0:
         raise ValueError("total variation is undefined for the zero signal")
-    diff = fv[:, None] - fv[None, :]
-    rough = float(np.sum(chain.pi[:, None] * chain.transition * diff * diff))
+    diff = fv[:, None] - fv[chain.neighbors]
+    rough = float(np.sum(chain.pi[:, None] * chain.weights * diff * diff))
     return float(np.sqrt(rough) / norm)
 
 
@@ -178,7 +250,7 @@ def spectral_decomposition(chain: ChainModel) -> SpectralDecomposition:
     first non-negligible entry is positive, making the output deterministic.
     """
     d = np.sqrt(chain.pi)
-    s = d[:, None] * chain.laplacian / d[None, :]
+    s = d[:, None] * (np.eye(chain.n) - chain.dense_transition()) / d[None, :]
     asym = float(np.abs(s - s.T).max())
     if asym > DETAILED_BALANCE_TOL * max(1.0, float(np.abs(s).max())):
         raise DetailedBalanceViolation("symmetrized Laplacian is not symmetric", (), asym)

@@ -1,5 +1,7 @@
 """Tests for the two bundled chain constructors and their gap bounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,18 +10,19 @@ from ergofilt import chains, markov
 
 def test_cycle_triangle_case():
     chain = chains.build_cycle_walk(3)
-    off = chain.transition[~np.eye(3, dtype=bool)]
+    off = chain.dense_transition()[~np.eye(3, dtype=bool)]
     assert off == pytest.approx(np.full(6, 0.5))
     assert chain.pi == pytest.approx(np.full(3, 1.0 / 3.0))
 
 
 def test_cycle_p11_structure(cycle_chain):
     assert cycle_chain.pi == pytest.approx(np.full(11, 1.0 / 11.0))
-    assert np.abs(cycle_chain.transition.sum(axis=1) - 1.0).max() == 0.0
-    flow = cycle_chain.pi[:, None] * cycle_chain.transition
+    transition = cycle_chain.dense_transition()
+    assert np.abs(transition.sum(axis=1) - 1.0).max() == 0.0
+    flow = cycle_chain.pi[:, None] * transition
     assert np.abs(flow - flow.T).max() == 0.0
     # re-validation of an already-built model must pass
-    markov.validate_chain(cycle_chain.transition, cycle_chain.pi)
+    markov.validate_chain(cycle_chain.neighbors, cycle_chain.weights, cycle_chain.pi)
 
 
 def test_cycle_rejects_bad_lengths():
@@ -88,26 +91,29 @@ def test_gibbs_flip_symmetry():
 
 
 def test_glauber_rows_and_balance(glauber_chain):
-    assert np.abs(glauber_chain.transition.sum(axis=1) - 1.0).max() <= 1e-12
-    flow = glauber_chain.pi[:, None] * glauber_chain.transition
+    transition = glauber_chain.dense_transition()
+    assert np.abs(transition.sum(axis=1) - 1.0).max() <= 1e-12
+    flow = glauber_chain.pi[:, None] * transition
     assert np.abs(flow - flow.T).max() <= 1e-12
     # off-diagonal mass only on single-spin-flip pairs
     for x in range(16):
         for y in range(16):
             if x != y and bin(x ^ y).count("1") != 1:
-                assert glauber_chain.transition[x, y] == 0.0
+                assert transition[x, y] == 0.0
 
 
 def test_glauber_near_infinite_temperature():
-    chain = chains.build_glauber_cycle(chains.GlauberParams.uniform(4, 1e-12, 1.0))
+    transition = chains.build_glauber_cycle(
+        chains.GlauberParams.uniform(4, 1e-12, 1.0)
+    ).dense_transition()
     for x in range(16):
-        assert chain.transition[x, x] == pytest.approx(0.5, abs=1e-9)
+        assert transition[x, x] == pytest.approx(0.5, abs=1e-9)
         for w in range(4):
-            assert chain.transition[x, x ^ (1 << w)] == pytest.approx(1.0 / 8.0, abs=1e-9)
+            assert transition[x, x ^ (1 << w)] == pytest.approx(1.0 / 8.0, abs=1e-9)
 
 
 def test_glauber_spin_flip_symmetry(glauber_chain):
-    p = glauber_chain.transition
+    p = glauber_chain.dense_transition()
     for x in range(16):
         for y in range(16):
             assert p[x, y] == pytest.approx(p[x ^ 0b1111, y ^ 0b1111], abs=1e-15)
@@ -186,3 +192,78 @@ def test_glauber_low_temperature_gap_degenerates(beta):
     for build in (chains.glauber_lambda_low, chains.build_glauber_cycle):
         with pytest.raises(ValueError, match="gap bound degenerates"):
             build(params)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised table against the scalar double loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_spin(x, w, p):
+    return 1.0 if (x >> (w % p)) & 1 else -1.0
+
+
+def _reference_energy(x, params):
+    p = params.p
+    total = 0.0
+    for i in range(p):
+        total += params.couplings[i] * _reference_spin(x, i, p) * _reference_spin(x, i + 1, p)
+    return -total
+
+
+def _reference_glauber(params):
+    """Dense P and Gibbs law by the per-state Python loops."""
+    p = params.p
+    n = 1 << p
+    transition = np.zeros((n, n))
+    for x in range(n):
+        for w in range(p):
+            field_w = params.couplings[(w - 1) % p] * _reference_spin(x, w - 1, p) + (
+                params.couplings[w] * _reference_spin(x, w + 1, p)
+            )
+            y = x ^ (1 << w)
+            flip = params.beta * _reference_spin(y, w, p) * field_w
+            keep = params.beta * _reference_spin(x, w, p) * field_w
+            transition[x, y] += 1.0 / (p * (1.0 + np.exp(-2.0 * flip)))
+            transition[x, x] += 1.0 / (p * (1.0 + np.exp(-2.0 * keep)))
+    energies = np.array([_reference_energy(x, params) for x in range(n)])
+    weights = np.exp(-params.beta * energies)
+    return transition, weights / weights.sum()
+
+
+def _glauber_cases():
+    for p in range(3, 9):
+        for beta in (0.05, 0.2, 0.7, 1.5):
+            yield chains.GlauberParams.uniform(p, beta, 1.0)
+            yield chains.GlauberParams(p=p, beta=beta, couplings=np.resize([0.3, 1.0, 0.7], p))
+
+
+def test_glauber_table_matches_double_loop():
+    for params in _glauber_cases():
+        chain = chains.build_glauber_cycle(params)
+        transition, pi = _reference_glauber(params)
+        n = 1 << params.p
+        assert chain.neighbors.shape == (n, params.p + 1)
+        assert np.array_equal(chain.neighbors[:, 0], np.arange(n))
+        assert np.abs(chain.dense_transition() - transition).max() <= 1e-15, params
+        assert np.abs(chain.pi - pi).max() <= 1e-15, params
+        assert np.abs(chains.gibbs_distribution(params) - pi).max() <= 1e-15, params
+        for x in (0, 1, n // 3, n - 1):
+            assert abs(chains.glauber_energy(x, params) - _reference_energy(x, params)) <= 1e-15
+
+
+def test_cycle_table_layout():
+    chain = chains.build_cycle_walk(5)
+    assert np.array_equal(chain.neighbors, [[0, 1, 4], [1, 2, 0], [2, 3, 1], [3, 4, 2], [4, 0, 3]])
+    assert np.array_equal(chain.weights, np.tile([0.0, 0.5, 0.5], (5, 1)))
+
+
+def test_operator_storage_is_linear():
+    # a 2^14-state chain holds O(n d) numbers; a dense P would be 2 GiB
+    p = 14
+    chain = chains.build_glauber_cycle(chains.GlauberParams.uniform(p, 0.2, 1.0))
+    n = 1 << p
+    arrays = [getattr(chain, f.name) for f in dataclasses.fields(chain)]
+    stored = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    assert stored <= 64 * n * (p + 1)
+    assert chain.weights.shape == (n, p + 1)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 
 import numpy as np
 import pytest
@@ -134,6 +135,34 @@ def test_generate_signal_shape_and_rounding():
     assert np.abs(cents - np.round(cents)).max() <= 1e-9
     again = harness.generate_signal(123, 500)
     assert np.array_equal(draws, again)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _reference_signal(seed, count):
+    """The generator's contract as a scalar splitmix64 loop on Python ints."""
+    state = seed & _MASK64
+    values = np.empty(count)
+    for i in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        word = z ^ (z >> 31)
+        values[i] = round((word >> 11) * 2.0**-53 * 10.0, 2)
+    return values
+
+
+@pytest.mark.filterwarnings("error")
+def test_generate_signal_bytes_match_scalar_loop():
+    rng = random.Random(2024)
+    seeds = [0, 1, 2**63, 2**64 - 1] + [rng.getrandbits(64) for _ in range(200)]
+    for seed in seeds:
+        for count in (1, 11, 1024):
+            got = harness.generate_signal(seed, count)
+            want = _reference_signal(seed, count)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (seed, count)
 
 
 def test_emit_csv_shape():

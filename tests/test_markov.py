@@ -7,65 +7,163 @@ import pytest
 from ergofilt import chains, harness, markov
 
 
+def _table(transition):
+    """A dense P as a full neighbour table: each state first, then every other
+    state in increasing order."""
+    p = np.asarray(transition, dtype=float)
+    n = p.shape[0]
+    neighbors = np.array([[x] + [y for y in range(n) if y != x] for x in range(n)])
+    return neighbors, p[np.arange(n)[:, None], neighbors]
+
+
+def _dense_laplacian(chain):
+    return np.eye(chain.n) - chain.dense_transition()
+
+
 def test_validate_cycle_walk_pair(cycle_chain):
-    p, pi = markov.validate_chain(cycle_chain.transition, cycle_chain.pi)
-    assert p.shape == (11, 11)
+    neighbors, weights, pi = markov.validate_chain(
+        cycle_chain.neighbors, cycle_chain.weights, cycle_chain.pi
+    )
+    assert neighbors.shape == weights.shape == (11, 3)
     assert pi == pytest.approx(np.full(11, 1.0 / 11.0))
 
 
 def test_validate_two_state_symmetric():
-    markov.validate_chain(np.array([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5])
+    markov.validate_chain(*_table([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5])
 
 
 def test_validate_detects_imbalance():
     p = np.array([[0.9, 0.1], [0.5, 0.5]])
     with pytest.raises(markov.DetailedBalanceViolation):
-        markov.validate_chain(p, [0.5, 0.5])
+        markov.validate_chain(*_table(p), [0.5, 0.5])
 
 
 def test_validate_detects_bad_rows():
     with pytest.raises(markov.StochasticityViolation):
-        markov.validate_chain(np.array([[0.5, 0.4], [0.5, 0.5]]), [0.5, 0.5])
+        markov.validate_chain(*_table([[0.5, 0.4], [0.5, 0.5]]), [0.5, 0.5])
     with pytest.raises(markov.StochasticityViolation):
-        markov.validate_chain(np.array([[1.5, -0.5], [0.5, 0.5]]), [0.5, 0.5])
+        markov.validate_chain(*_table([[1.5, -0.5], [0.5, 0.5]]), [0.5, 0.5])
 
 
 def test_validate_detects_bad_pi():
-    p = np.array([[0.5, 0.5], [0.5, 0.5]])
+    table = _table([[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(markov.NonPositivePi):
-        markov.validate_chain(p, [1.0, 0.0])
+        markov.validate_chain(*table, [1.0, 0.0])
     with pytest.raises(markov.NonPositivePi):
-        markov.validate_chain(p, [0.6, 0.6])
+        markov.validate_chain(*table, [0.6, 0.6])
 
 
 def test_validate_shape_checks():
+    neighbors, weights = _table([[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(ValueError):
-        markov.validate_chain(np.ones((2, 3)), [0.5, 0.5])
+        markov.validate_chain(neighbors, np.ones((2, 3)), [0.5, 0.5])
     with pytest.raises(ValueError):
-        markov.validate_chain(np.array([[0.5, 0.5], [0.5, 0.5]]), [1.0])
+        markov.validate_chain(neighbors, weights, [1.0])
+    with pytest.raises(ValueError):
+        markov.validate_chain(neighbors.astype(float), weights, [0.5, 0.5])
+    with pytest.raises(ValueError):
+        markov.validate_chain(neighbors[:, ::-1], weights, [0.5, 0.5])
+    with pytest.raises(ValueError):
+        markov.validate_chain(np.array([[0, 2], [1, 0]]), weights, [0.5, 0.5])
+
+
+# a 3-state chain with uniform pi: 0 <-> 1 <-> 2, hand-made tables that
+# break exactly one rule each
+_PATH_PI = np.full(3, 1.0 / 3.0)
+_PATH_NEIGHBORS = np.array([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+_PATH_WEIGHTS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.5, 0.0]])
+
+
+def test_validate_hand_made_path_passes():
+    neighbors, weights, pi = markov.validate_chain(_PATH_NEIGHBORS, _PATH_WEIGHTS, _PATH_PI)
+    assert neighbors.dtype == np.intp
+    assert np.array_equal(weights, _PATH_WEIGHTS)
+
+
+def test_validate_names_the_offending_entry():
+    weights = _PATH_WEIGHTS.copy()
+    weights[1, 1], weights[1, 2] = -0.1, 1.1  # P(1, 0) < 0
+    with pytest.raises(markov.StochasticityViolation) as info:
+        markov.validate_chain(_PATH_NEIGHBORS, weights, _PATH_PI)
+    assert info.value.index == (1, 0)
+    assert info.value.magnitude == pytest.approx(0.1)
+
+    weights = _PATH_WEIGHTS.copy()
+    weights[2, 0] = 0.4  # row 2 sums to 0.9
+    with pytest.raises(markov.StochasticityViolation) as info:
+        markov.validate_chain(_PATH_NEIGHBORS, weights, _PATH_PI)
+    assert info.value.index == 2
+
+    with pytest.raises(markov.NonPositivePi) as info:
+        markov.validate_chain(_PATH_NEIGHBORS, _PATH_WEIGHTS, [0.5, 0.5, 0.0])
+    assert info.value.index == 2
+
+    weights = _PATH_WEIGHTS.copy()
+    weights[2, 0], weights[2, 1] = 0.6, 0.4  # P(2, 1) = 0.4 but P(1, 2) = 0.5
+    with pytest.raises(markov.DetailedBalanceViolation) as info:
+        markov.validate_chain(_PATH_NEIGHBORS, weights, _PATH_PI)
+    assert info.value.index in ((1, 2), (2, 1))
+    assert info.value.magnitude == pytest.approx(0.1 / 3.0)
+
+
+def test_validate_missing_reverse_edge():
+    # state 0 moves to 2, but row 2 does not list 0 at all (its last column
+    # is a zero-weight repeat of the state itself)
+    neighbors = np.array([[0, 1, 2], [1, 0, 2], [2, 1, 2]])
+    weights = np.array([[0.4, 0.5, 0.1], [0.0, 0.5, 0.5], [0.5, 0.5, 0.0]])
+    with pytest.raises(markov.DetailedBalanceViolation) as info:
+        markov.validate_chain(neighbors, weights, _PATH_PI)
+    assert info.value.index == (0, 2)
+    assert info.value.magnitude == pytest.approx(0.1 / 3.0)
+
+
+def test_validate_rejects_unpaired_duplicate():
+    # state 0 lists state 1 twice (0.25 + 0.25) and state 1 lists 0 once
+    # (0.5): each entry balances its first reverse, the sums do not
+    neighbors = np.array([[0, 1, 1], [1, 0, 2], [2, 1, 1]])
+    weights = np.array([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5], [0.5, 0.5, 0.0]])
+    with pytest.raises(ValueError, match="more than once"):
+        markov.validate_chain(neighbors, weights, _PATH_PI)
 
 
 def test_chain_model_is_frozen(cycle_chain):
     with pytest.raises(ValueError):
-        cycle_chain.transition[0, 0] = 1.0
+        cycle_chain.weights[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        cycle_chain.neighbors[0, 1] = 0
 
 
 def test_bundled_chains_pi_is_stationary(cycle_chain, glauber_chain):
     for chain in (cycle_chain, glauber_chain):
-        assert np.abs(chain.pi @ chain.transition - chain.pi).max() <= 1e-12
+        assert np.abs(chain.pi @ chain.dense_transition() - chain.pi).max() <= 1e-12
+
+
+def test_affine_matches_dense(cycle_chain, glauber_chain):
+    rng = np.random.default_rng(5)
+    for chain in (cycle_chain, glauber_chain):
+        laplacian = _dense_laplacian(chain)
+        for a, b in ((-1.0, 1.0), (0.5, 0.0), (1.0, 0.0), (2.0 / 1.9, -3.9 / 1.9)):
+            v = rng.standard_normal(chain.n)
+            want = a * (laplacian @ v) + b * v
+            assert np.abs(chain.affine(a, b)(v) - want).max() <= 1e-13 * np.abs(v).max()
 
 
 def test_laplacian_identity_chain():
-    assert markov.laplacian(np.eye(4)) == pytest.approx(np.zeros((4, 4)))
+    chain = markov.make_chain(np.arange(4)[:, None], np.ones((4, 1)), np.full(4, 0.25), 1.0)
+    v = np.random.default_rng(3).standard_normal(4)
+    assert np.array_equal(chain.affine(1.0, 0.0)(v), np.zeros(4))
+    assert chain.dense_transition() == pytest.approx(np.eye(4))
 
 
 def test_laplacian_two_state():
-    expected = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert markov.laplacian([[0.0, 1.0], [1.0, 0.0]]) == pytest.approx(expected)
+    chain = markov.make_chain(*_table([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5], 2.0)
+    laplacian = chain.affine(1.0, 0.0)
+    columns = np.column_stack([laplacian(e) for e in np.eye(2)])
+    assert columns == pytest.approx(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def test_laplacian_rows_sum_to_zero(glauber_chain):
-    assert np.abs(glauber_chain.laplacian.sum(axis=1)).max() <= 1e-12
+    assert np.abs(glauber_chain.affine(1.0, 0.0)(np.ones(glauber_chain.n))).max() <= 1e-12
 
 
 def test_pi_inner_basics(cycle_chain):
@@ -119,16 +217,31 @@ def test_total_variation_matches_quadratic_form(cycle_chain, glauber_chain):
     # to the same number, for signals of any norm
     rng = np.random.default_rng(31)
     for chain in (cycle_chain, glauber_chain):
+        laplacian = _dense_laplacian(chain)
         for _ in range(100):
             f = rng.standard_normal(chain.n)
             direct = markov.total_variation(f, chain)
-            quad = markov.pi_inner(f, chain.laplacian @ f, chain.pi)
+            quad = markov.pi_inner(f, laplacian @ f, chain.pi)
             oracle = np.sqrt(2.0 * quad) / markov.pi_norm(f, chain.pi)
             assert abs(direct - oracle) <= 1e-10
 
 
+def test_total_variation_matches_dense_formula(cycle_chain, glauber_chain):
+    # the table sum against the n-by-n double sum it replaces
+    params = chains.GlauberParams(p=6, beta=0.7, couplings=[0.3, 1.0, 0.7, 0.3, 1.0, 0.7])
+    rng = np.random.default_rng(37)
+    for chain in (cycle_chain, glauber_chain, chains.build_glauber_cycle(params)):
+        transition = chain.dense_transition()
+        for _ in range(20):
+            f = rng.standard_normal(chain.n)
+            diff = f[:, None] - f[None, :]
+            rough = np.sum(chain.pi[:, None] * transition * diff * diff)
+            dense = np.sqrt(rough) / markov.pi_norm(f, chain.pi)
+            assert abs(markov.total_variation(f, chain) - dense) <= 1e-13 * dense
+
+
 def test_spectral_two_state_chain():
-    chain = markov.make_chain(np.array([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5], 2.0)
+    chain = markov.make_chain(*_table([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5], 2.0)
     spec = markov.spectral_decomposition(chain)
     assert spec.eigenvalues == pytest.approx([0.0, 2.0], abs=1e-12)
 
@@ -165,9 +278,9 @@ def test_lambda_low_soundness(cycle_chain, cycle_spec, glauber_chain, glauber_sp
 
 def test_spectral_rejects_imbalanced_chain():
     # bypass make_chain validation to hit the symmetrization check directly
-    p = np.array([[0.9, 0.1], [0.5, 0.5]])
+    neighbors, weights = _table([[0.9, 0.1], [0.5, 0.5]])
     chain = markov.ChainModel(
-        n=2, transition=p, pi=np.array([0.5, 0.5]), laplacian=markov.laplacian(p), lambda_low=1.0
+        neighbors=neighbors, weights=weights, pi=np.array([0.5, 0.5]), lambda_low=1.0
     )
     with pytest.raises(markov.DetailedBalanceViolation):
         markov.spectral_decomposition(chain)

@@ -1,6 +1,6 @@
 """Tests for the one-pass degree sweep: every filter's ``*_errors`` equals its
 per-degree ``*_apply``, Bernstein matches the dense de Casteljau recursion, and
-a sweep to ``k_max`` costs the stated number of products with the chain's
+a sweep to ``k_max`` costs the stated number of applications of the chain's
 operators."""
 
 import dataclasses
@@ -34,8 +34,9 @@ def de_casteljau_bernstein(chain, f, K, lambda_low):
     values = np.asarray(f, dtype=float)
     if K == 0:
         return values.copy()
-    blend_lo = np.eye(chain.n) - chain.laplacian / 2.0
-    blend_hi = chain.laplacian / 2.0
+    laplacian = np.eye(chain.n) - chain.dense_transition()
+    blend_lo = np.eye(chain.n) - laplacian / 2.0
+    blend_hi = laplacian / 2.0
     weights = filters.triangle(2.0 * np.arange(K + 1) / K, lambda_low)
     columns = values[:, None] * weights[None, :]
     for _ in range(K):
@@ -43,42 +44,28 @@ def de_casteljau_bernstein(chain, f, K, lambda_low):
     return columns[:, 0]
 
 
-class CountingMatrix(np.ndarray):
-    """A chain operator that adds the columns of every product it enters to
-    ``tally[0]``. Elementwise results of its own shape stay counting, so an
-    n-by-n operator derived from it (``I - L/2``) is counted too."""
+@dataclasses.dataclass(frozen=True)
+class CountingChain(markov.ChainModel):
+    """A chain whose ``affine`` operators add one to ``tally[0]`` per
+    application: every product a filter takes with P, L or a map of L."""
 
-    def __array_finalize__(self, obj):
-        self.tally = getattr(obj, "tally", None)
+    tally: list = dataclasses.field(default_factory=lambda: [0])
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        plain = [x.view(np.ndarray) if isinstance(x, CountingMatrix) else x for x in inputs]
-        result = getattr(ufunc, method)(*plain, **kwargs)
-        if ufunc is np.matmul:
-            left, right = inputs
-            if isinstance(left, CountingMatrix):
-                self.tally[0] += 1 if np.ndim(right) == 1 else np.shape(right)[-1]
-            else:
-                self.tally[0] += 1 if np.ndim(left) == 1 else np.shape(left)[0]
-            return result
-        if isinstance(result, np.ndarray) and result.shape == self.shape:
-            result = result.view(CountingMatrix)
-            result.tally = self.tally
-        return result
+    def affine(self, a, b):
+        apply = super().affine(a, b)
+
+        def counted(v):
+            self.tally[0] += 1
+            return apply(v)
+
+        return counted
 
 
 def _counting(chain):
-    """The chain with counting ``transition`` and ``laplacian``, and their shared tally."""
-    tally = [0]
-
-    def view(array):
-        counted = array.view(CountingMatrix)
-        counted.tally = tally
-        return counted
-
-    return dataclasses.replace(
-        chain, transition=view(chain.transition), laplacian=view(chain.laplacian)
-    ), tally
+    """The chain with counting operators, and their shared tally."""
+    fields = {f.name: getattr(chain, f.name) for f in dataclasses.fields(chain)}
+    counting = CountingChain(**fields)
+    return counting, counting.tally
 
 
 def _bernstein_products(k_max, lambda_low):
