@@ -7,8 +7,8 @@ neighbour-table chain model and its ``aL + bI`` operators, reversible-chain
 geometry, and the Laplacian eigenfunction transform), ``chains`` (the two
 bundled chain constructors, built as neighbour tables),
 ``filters`` (the running average and the Bernstein / Chebyshev / Legendre
-designs plus exact references), and ``harness`` (the experiment runner behind
-the ``ergofilt`` command-line tool).
+designs plus the exact frequency-zeroing projector), and ``harness`` (the
+experiment runner behind the ``ergofilt`` command-line tool).
 """
 
 from .chains import GlauberParams, build_cycle_walk, build_glauber_cycle, cycle_lambda_low, glauber_lambda_low

@@ -156,6 +156,12 @@ def glauber_lambda_low(params: GlauberParams) -> float:
     """Gap bound ``(1 - gamma_1) / p`` where ``gamma_1`` is the largest
     eigenvalue of the band matrix from ``glauber_m_matrix``.
 
+    For uniform ferromagnetic couplings ``J > 0``, ``gamma_1 = tanh(2 beta J)``
+    and the bound is the closed form ``2 / ((1 + e^(4 beta J)) p)``: it keeps
+    full relative precision at low temperature, where ``1 - gamma_1``
+    cancels. Other couplings are eigensolved; for ``J < 0`` on an odd ring,
+    which is frustrated, the closed form would be wrong.
+
     Non-uniform couplings make the band matrix asymmetric; it is then brought
     to symmetric form by a diagonal similarity before eigensolving. The two
     band entries that face each other share the same sinh factor, so their
@@ -166,8 +172,12 @@ def glauber_lambda_low(params: GlauberParams) -> float:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"gap bound degenerates: band matrix overflows at beta={params.beta}")
     p = params.p
-    if np.abs(m - m.T).max() <= 1e-14 * max(1.0, float(np.abs(m).max())):
-        sym = m
+    coupling = float(params.couplings[0])
+    closed_form = coupling > 0.0 and bool(np.all(params.couplings == coupling))
+    if closed_form:
+        gamma1 = float(np.tanh(2.0 * params.beta * coupling))
+    elif np.abs(m - m.T).max() <= 1e-14 * max(1.0, float(np.abs(m).max())):
+        gamma1 = float(densela.symmetric_eigen(m)[0][-1])
     else:
         if np.any(params.couplings == 0.0):
             raise ValueError("gap bound needs nonzero couplings on every edge")
@@ -176,9 +186,10 @@ def glauber_lambda_low(params: GlauberParams) -> float:
             # geometric-mean scaling: (d_{i+1}/d_i)^2 = M(i,i+1)/M(i+1,i); the
             # cyclic closure ratio telescopes to 1, so the wrap edge symmetrizes too
             d[i + 1] = d[i] * np.sqrt(m[i, i + 1] / m[i + 1, i])
-        sym = d[:, None] * m / d[None, :]
-    eigenvalues, _ = densela.symmetric_eigen(sym)
-    gamma1 = float(eigenvalues[-1])
+        gamma1 = float(densela.symmetric_eigen(d[:, None] * m / d[None, :])[0][-1])
     if gamma1 >= 1.0:
         raise ValueError(f"gap bound degenerates: top band eigenvalue {gamma1} >= 1")
+    if closed_form:
+        # tanh(2 beta J) < 1 here, so 4 beta J < 40 and the exponential is finite
+        return 2.0 / ((1.0 + float(np.exp(4.0 * params.beta * coupling))) * p)
     return (1.0 - gamma1) / p

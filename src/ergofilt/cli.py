@@ -69,6 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse parsers hold no state between calls: each parse_args returns a fresh
+# Namespace, so one parser serves every run in the process
+_PARSER = build_parser()
+
+
 def _parse_signal(raw: str) -> np.ndarray:
     if raw.startswith("@"):
         with open(raw[1:], "r", encoding="utf-8") as handle:
@@ -119,9 +124,8 @@ def _config_from_args(args: argparse.Namespace) -> harness.ExperimentConfig:
 
 def cli_main(argv=None) -> int:
     """Run the CLI; returns 0 on success, 1 on bad input, 2 on numerical failure."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

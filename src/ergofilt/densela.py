@@ -1,7 +1,6 @@
 """Typed numerical errors and the symmetric eigensolver (numpy ``eigh``).
 
-The CLI maps every ``DenseLAError`` to exit code 2, so numerical failures
-from here and from the filters' exact references share one error family.
+The CLI maps every ``DenseLAError`` to exit code 2.
 """
 
 from __future__ import annotations
@@ -15,10 +14,6 @@ class DenseLAError(Exception):
 
 class AsymmetricMatrixError(DenseLAError):
     """Input to the symmetric eigensolver was not symmetric to tolerance."""
-
-
-class SingularMatrixError(DenseLAError):
-    """An exact elimination met a zero or non-positive pivot."""
 
 
 def symmetric_eigen(m) -> tuple[np.ndarray, np.ndarray]:

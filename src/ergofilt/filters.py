@@ -11,10 +11,8 @@ an affine Laplacian operator from ``ChainModel.affine`` per degree (per
 carried basis signal for Bernstein):
 ``*_apply`` returns the last output, and ``*_errors`` the max-abs error at
 each degree of one sweep. Each vector recursion has a scalar
-evaluator mirroring it for spectral-domain testing, and two exact references
-ship alongside: a frequency-zeroing projector (with the explicit coefficients
-of its annihilating polynomial) and an exact-rational constrained
-least-squares oracle for the L2 problem.
+evaluator mirroring it for spectral-domain testing, and an exact reference
+ships alongside: the frequency-zeroing projector ``lagrange_exact_apply``.
 
 Polynomial coefficient vectors are in ascending monomial order.
 """
@@ -22,15 +20,17 @@ Polynomial coefficient vectors are in ascending monomial order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-from . import densela, markov
+from . import markov
 
 _BAND_SLOP = 1e-9
-_ORACLE_DEGREE_CAP = 20
+# Bernstein triangle weights per ``triangle`` call: one call covers a sweep
+# unless it has many degrees and many control points, where a whole (K, c + 1)
+# table could take gigabytes
+_WEIGHT_BLOCK = 1 << 16
 
 
 def _check_degree(k: int):
@@ -149,19 +149,6 @@ def ergodic_scalar(z, t: int) -> np.ndarray:
     return acc / t
 
 
-def ergodic_laplacian_coeffs(t: int) -> np.ndarray:
-    """The running average written as a polynomial in the Laplacian.
-
-    Returns ``a[k] = (1/t) C(t, k+1) (-1)^k`` for ``k = 0..t-1``, i.e. the
-    coefficients with ``sum_k a[k] L^k f`` equal to ``ergodic_apply(f, t)``.
-    The alternating binomial terms lose float precision past t around 15, so
-    this form is for testing the identity, not for applying the filter.
-    """
-    if int(t) != t or t < 1:
-        raise ValueError(f"averaging horizon must be a positive integer, got {t}")
-    return np.array([comb(t, k + 1) * (-1.0) ** k / t for k in range(t)])
-
-
 # ---------------------------------------------------------------------------
 # Bernstein filter
 # ---------------------------------------------------------------------------
@@ -198,6 +185,21 @@ def bernstein_scalar(z, K: int, lambda_low: float):
     return float(result[0]) if np.ndim(z) == 0 else result
 
 
+def _triangle_weights(degrees: range, width: int, lambda_low: float) -> list[list[float]]:
+    """The nonzero triangle weights ``triangle(2l/k)``, ``l < width``, of each
+    degree ``k`` in ``degrees``, from one ``triangle`` call.
+
+    The nonzero weights of a degree are a prefix, since ``2l/k`` grows with
+    ``l``. Entries with ``l > k`` are set to frequency 2 (weight 0): ``2l/k``
+    would lie outside the band there.
+    """
+    k = np.array(degrees)[:, None]
+    l = np.arange(width)
+    table = triangle(np.where(l <= k, 2.0 * l / k, 2.0), lambda_low)
+    counts = np.count_nonzero(table, axis=1).tolist()
+    return [row[:count] for row, count in zip(table.tolist(), counts)]
+
+
 def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     """Bernstein outputs at degrees 0..K from the Pascal recurrence.
 
@@ -208,7 +210,8 @@ def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     at degree K leave nonzero: since ``2l/k >= 2l/K``, no lower degree has a
     nonzero weight beyond it. Step k takes ``min(k, c) + 1`` products with L,
     one per basis signal, so each output is the same whatever K the sweep
-    runs to.
+    runs to. The triangle weights of the degrees come from
+    ``_triangle_weights``, ``_WEIGHT_BLOCK`` or so per call.
     """
     _check_context(K, lambda_low)
     values = _signal_for(chain, f)
@@ -216,6 +219,7 @@ def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     if K == 0:
         return
     cap = np.count_nonzero(triangle(2.0 * np.arange(K + 1) / K, lambda_low)) - 1
+    rows = max(1, _WEIGHT_BLOCK // (cap + 1))
     half_laplacian = chain.affine(0.5, 0.0)
     basis = [values]
     for k in range(1, K + 1):
@@ -224,8 +228,9 @@ def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
         for l in range(len(basis) - 1, -1, -1):
             below = basis[l - 1] if l else 0.0
             basis[l] = basis[l] - half_laplacian(basis[l] - below)
-        weights = triangle(2.0 * np.arange(len(basis)) / k, lambda_low)
-        yield sum(weights[l] * basis[l] for l in range(np.count_nonzero(weights)))
+        if (k - 1) % rows == 0:
+            block = _triangle_weights(range(k, min(k + rows, K + 1)), cap + 1, lambda_low)
+        yield sum(w * b for w, b in zip(block[(k - 1) % rows], basis))
 
 
 def bernstein_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> np.ndarray:
@@ -252,14 +257,13 @@ def chebyshev_scalar_at_zero(K: int, lambda_low: float) -> np.ndarray:
     ``T_k(m0)`` for ``k = 0..K``; strictly growing in magnitude since
     ``|m0| > 1``."""
     _check_context(K, lambda_low)
-    m0 = _m0(lambda_low)
-    seq = np.empty(K + 1)
-    seq[0] = 1.0
-    if K >= 1:
-        seq[1] = m0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, K):
-            seq[k + 1] = 2.0 * m0 * seq[k] - seq[k - 1]
+    # Python floats: the same IEEE arithmetic as numpy scalars, at a fraction
+    # of the cost per step; an overflow yields inf or nan without raising
+    m0 = float(_m0(lambda_low))
+    seq = [1.0, m0][: K + 1]
+    for k in range(1, K):
+        seq.append(2.0 * m0 * seq[k] - seq[k - 1])
+    seq = np.array(seq, dtype=float)
     _first_overflow(seq, "Chebyshev normalizer T_k(m0)")
     return seq
 
@@ -292,10 +296,11 @@ def _chebyshev_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     mapped = _stopband_map(chain, lambda_low)
     curr = mapped(values) / at_zero[1]
     yield curr
-    for k in range(1, K):
-        alpha = at_zero[k] / at_zero[k + 1]
-        beta = at_zero[k - 1] / at_zero[k + 1]
-        prev, curr = curr, 2.0 * alpha * mapped(curr) - beta * prev
+    # step k: 2 T_k / T_{k+1} and T_{k-1} / T_{k+1}, as Python floats
+    two_alpha = (2.0 * (at_zero[1:K] / at_zero[2:])).tolist()
+    beta = (at_zero[: K - 1] / at_zero[2:]).tolist()
+    for a2, b in zip(two_alpha, beta):
+        prev, curr = curr, a2 * mapped(curr) - b * prev
         yield curr
 
 
@@ -335,9 +340,10 @@ class LegendreScalars:
     gamma: np.ndarray
 
 
-def _legendre_recursion_factors(n: int) -> tuple[float, float, float]:
+def _legendre_recursion_factors(n):
     """Coefficients (a_next, b, a) of the orthonormal-Legendre three-term
-    recursion ``a_next P_{n+1} = b x P_n - a P_{n-1}`` on [-1, 1]."""
+    recursion ``a_next P_{n+1} = b x P_n - a P_{n-1}`` on [-1, 1]; elementwise
+    for an array of degrees ``n``."""
     a_next = np.sqrt(2.0 * (n + 1) ** 2 / (2 * n + 3))
     b = np.sqrt(2.0 * (2 * n + 1))
     a = np.sqrt(2.0 * n**2 / (2 * n - 1))
@@ -353,15 +359,14 @@ def legendre_scalar_at_zero(K: int, lambda_low: float) -> LegendreScalars:
     """
     _check_context(K, lambda_low)
     scale = np.sqrt(2.0 / (2.0 - lambda_low))
-    m0 = _m0(lambda_low)
-    seq = np.empty(K + 1)
-    seq[0] = scale * np.sqrt(0.5)
-    if K >= 1:
-        seq[1] = scale * np.sqrt(1.5) * m0
+    # Python floats, as in chebyshev_scalar_at_zero
+    m0 = float(_m0(lambda_low))
+    seq = [float(scale * np.sqrt(0.5)), float(scale * np.sqrt(1.5) * m0)][: K + 1]
+    factors = zip(*(x.tolist() for x in _legendre_recursion_factors(np.arange(1, K))))
+    for n, (a_next, b, a) in enumerate(factors, start=1):
+        seq.append((b * m0 * seq[n] - a * seq[n - 1]) / a_next)
+    seq = np.array(seq, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, K):
-            a_next, b, a = _legendre_recursion_factors(n)
-            seq[n + 1] = (b * m0 * seq[n] - a * seq[n - 1]) / a_next
         partial = np.cumsum(seq * seq)
     _first_overflow(partial, "Legendre normalizer S_k")
     gamma = partial[:-1] / partial[1:] if K >= 1 else np.empty(0)
@@ -403,12 +408,14 @@ def _legendre_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
         return
     mapped = _stopband_map(chain, lambda_low)
     curr = scale * np.sqrt(1.5) * mapped(values)
-    for k in range(K):
+    # step k: the recursion factors of degree k (from k = 1), the carry
+    # S_k / S_{k+1} and the weight L~_{k+1}(0) / S_{k+1}, as Python floats
+    factors = zip(*(x.tolist() for x in _legendre_recursion_factors(np.arange(1, K))))
+    weights = (scalars.values_at_zero[1:] / scalars.partial_sums[1:]).tolist()
+    for k, (carry, weight) in enumerate(zip(scalars.gamma.tolist(), weights)):
         if k >= 1:
-            a_next, b, a = _legendre_recursion_factors(k)
+            a_next, b, a = next(factors)
             prev, curr = curr, (b * mapped(curr) - a * prev) / a_next
-        carry = scalars.partial_sums[k] / scalars.partial_sums[k + 1]
-        weight = scalars.values_at_zero[k + 1] / scalars.partial_sums[k + 1]
         result = carry * result + weight * curr
         yield result
 
@@ -432,29 +439,8 @@ def legendre_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) 
 
 
 # ---------------------------------------------------------------------------
-# exact references
+# exact reference
 # ---------------------------------------------------------------------------
-
-
-def lagrange_coefficients(eigenvalues) -> np.ndarray:
-    """Ascending monomial coefficients of the annihilating polynomial
-    ``q(z) = prod (1 - z/lam)`` over the distinct nonzero eigenvalues.
-
-    ``q`` is 1 at frequency 0 and 0 at every other eigenvalue; eigenvalues
-    closer than 1e-12 collapse to a single node.
-    """
-    ordered = np.sort(np.asarray(eigenvalues, dtype=float))
-    nodes: list[float] = []
-    for lam in ordered:
-        if abs(lam) <= 1e-12:
-            continue
-        if nodes and abs(lam - nodes[-1]) <= 1e-12:
-            continue
-        nodes.append(float(lam))
-    coeffs = np.array([1.0])
-    for lam in nodes:
-        coeffs = np.convolve(coeffs, np.array([1.0, -1.0 / lam]))
-    return coeffs
 
 
 def lagrange_exact_apply(
@@ -468,67 +454,6 @@ def lagrange_exact_apply(
     fhat = markov.gft(f, spec, pi)
     keep = np.abs(spec.eigenvalues) <= markov.ZERO_EIGENVALUE_TOL
     return markov.igft(np.where(keep, fhat, 0.0), spec)
-
-
-@dataclass(frozen=True)
-class L2Oracle:
-    """Solution of the constrained least-squares design problem: ascending
-    monomial coefficients and the attained squared L2 objective."""
-
-    coefficients: np.ndarray
-    objective: float
-
-
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over exact rationals (first-nonzero pivoting)."""
-    n = len(matrix)
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise densela.SingularMatrixError("exact elimination met an all-zero column")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        for r in range(col + 1, n):
-            if aug[r][col] == 0:
-                continue
-            factor = aug[r][col] / aug[col][col]
-            aug[r] = [aug[r][j] - factor * aug[col][j] for j in range(n + 1)]
-    solution = [Fraction(0)] * n
-    for row in range(n - 1, -1, -1):
-        acc = aug[row][n] - sum(aug[row][j] * solution[j] for j in range(row + 1, n))
-        solution[row] = acc / aug[row][row]
-    return solution
-
-
-def l2_optimal_oracle(K: int, lambda_low: float) -> L2Oracle:
-    """Independent reference for the L2 design problem.
-
-    Minimizes the integral of ``p(z)^2`` over ``[lambda_low, 2]`` subject to
-    ``p(0) = 1`` over polynomials of degree at most ``K``, using the exact
-    analytic monomial moments ``(2^(i+j+1) - lambda_low^(i+j+1)) / (i+j+1)``.
-    The stationarity system is solved in exact rational arithmetic — the
-    moment matrix is far too ill-conditioned for float64 beyond degree ~8
-    (floats are dyadic rationals, so converting ``lambda_low`` is lossless).
-    Degrees above 20 are rejected.
-    """
-    _check_context(K, lambda_low)
-    if K > _ORACLE_DEGREE_CAP:
-        raise ValueError(f"oracle degree capped at {_ORACLE_DEGREE_CAP}, got {K}")
-    lam = Fraction(lambda_low)
-    two = Fraction(2)
-    moments = [
-        [(two ** (i + j + 1) - lam ** (i + j + 1)) / (i + j + 1) for j in range(K + 1)]
-        for i in range(K + 1)
-    ]
-    rhs = [Fraction(1)] + [Fraction(0)] * K
-    scaled = _solve_exact(moments, rhs)
-    if scaled[0] <= 0:
-        raise densela.SingularMatrixError("moment system produced a non-positive leading value")
-    coeffs = [value / scaled[0] for value in scaled]
-    return L2Oracle(
-        coefficients=np.array([float(value) for value in coeffs]),
-        objective=float(1 / scaled[0]),
-    )
 
 
 def max_abs_error(filtered, f, pi) -> float:

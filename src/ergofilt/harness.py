@@ -139,19 +139,21 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[FilterResult], RunMet
         if not 0.0 < lambda_low < 2.0:
             raise ValueError(f"lambda_low override must lie in (0, 2), got {lambda_low}")
 
-    columns = {
-        "ergodic": filters.ergodic_errors(chain, signal, config.k_max),
-        "bernstein": filters.bernstein_errors(chain, signal, config.k_max, lambda_low),
-        "chebyshev": filters.chebyshev_errors(chain, signal, config.k_max, lambda_low),
-        "legendre": filters.legendre_errors(chain, signal, config.k_max, lambda_low),
-    }
-    results = []
-    for degree in range(1, config.k_max + 1):
-        errors = {name: column[degree - 1] for name, column in columns.items()}
-        bad = [name for name, err in errors.items() if not np.isfinite(err)]
-        if bad:
-            raise FloatingPointError(f"non-finite filter error at degree {degree}: {bad}")
-        results.append(FilterResult(degree=degree, errors=errors))
+    columns = [
+        filters.ergodic_errors(chain, signal, config.k_max),
+        filters.bernstein_errors(chain, signal, config.k_max, lambda_low),
+        filters.chebyshev_errors(chain, signal, config.k_max, lambda_low),
+        filters.legendre_errors(chain, signal, config.k_max, lambda_low),
+    ]
+    bad = ~np.isfinite(columns)
+    if bad.any():
+        first = int(np.flatnonzero(bad.any(axis=0))[0])
+        names = [name for name, flag in zip(FILTER_ORDER, bad[:, first]) if flag]
+        raise FloatingPointError(f"non-finite filter error at degree {first + 1}: {names}")
+    results = [
+        FilterResult(degree=degree, errors=dict(zip(FILTER_ORDER, row)))
+        for degree, row in enumerate(zip(*columns), start=1)
+    ]
 
     metadata = RunMetadata(
         experiment=config.experiment,

@@ -1,6 +1,7 @@
 """Tests for the two bundled chain constructors and their gap bounds."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -183,6 +184,25 @@ def test_glauber_zero_coupling_rejected_for_gap():
     params = chains.GlauberParams(p=4, beta=0.3, couplings=np.array([1.0, 0.0, 1.0, 0.5]))
     with pytest.raises(ValueError):
         chains.glauber_lambda_low(params)
+
+
+def test_glauber_lambda_low_closed_form():
+    # uniform ferromagnetic couplings: 2 / ((1 + e^(4 beta)) p), which the
+    # subtraction 1 - tanh(2 beta) misses by 28% at p = 4, beta = 9; written
+    # here with e^(-4 beta) so it shares no rounding with the program's form
+    for p in (4, 10, 16):
+        for beta in (0.2, 3.0, 6.0, 9.0):
+            lam = chains.glauber_lambda_low(chains.GlauberParams.uniform(p, beta, 1.0))
+            decay = math.exp(-4.0 * beta)
+            want = 2.0 * decay / ((1.0 + decay) * p)
+            assert abs(lam - want) <= 1e-14 * want, (p, beta)
+    # an odd antiferromagnetic ring is frustrated: its gap is not the closed
+    # form with |J| (0.038 at p = 3, beta = 0.7), so it is eigensolved
+    params = chains.GlauberParams.uniform(3, 0.7, -1.0)
+    gamma_oracle = np.linalg.eigvals(chains.glauber_m_matrix(params)).real.max()
+    lam = chains.glauber_lambda_low(params)
+    assert lam == pytest.approx((1.0 - gamma_oracle) / 3.0, rel=1e-12)
+    assert lam == pytest.approx(0.18577, abs=1e-5)
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,0 +1,236 @@
+"""Tests for the per-run work hoisted out of the degree loops and the CLI.
+
+The filter sweeps compute their per-degree scalars once per sweep: Bernstein
+its triangle weights as one table, Chebyshev and Legendre their step
+factors as Python floats. The per-degree loops they replaced are kept here as
+references, and every output must match them bitwise. The CLI builds its
+argument parser once per process; runs in one process must print what fresh
+processes print.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import ergofilt
+from ergofilt import cli, filters, harness, markov
+from ergofilt.cli import cli_main
+
+K_MAX = 40
+
+
+def _signal(chain):
+    return harness.CYCLE_REFERENCE_SIGNAL if chain.n == 11 else harness.GLAUBER_REFERENCE_SIGNAL
+
+
+def _errors(chain, f, steps):
+    next(steps)
+    target = markov.pi_expectation(f, chain.pi)
+    return [float(np.abs(out - target).max()) for out in steps]
+
+
+# ---------------------------------------------------------------------------
+# references: the per-degree loops
+# ---------------------------------------------------------------------------
+
+
+def reference_bernstein_steps(chain, f, K, lambda_low):
+    """Pascal recurrence with the triangle weights recomputed at every degree."""
+    values = np.asarray(f, dtype=float)
+    yield values.copy()
+    if K == 0:
+        return
+    cap = np.count_nonzero(filters.triangle(2.0 * np.arange(K + 1) / K, lambda_low)) - 1
+    half_laplacian = chain.affine(0.5, 0.0)
+    basis = [values]
+    for k in range(1, K + 1):
+        if k <= cap:
+            basis.append(np.zeros(chain.n))
+        for l in range(len(basis) - 1, -1, -1):
+            below = basis[l - 1] if l else 0.0
+            basis[l] = basis[l] - half_laplacian(basis[l] - below)
+        weights = filters.triangle(2.0 * np.arange(len(basis)) / k, lambda_low)
+        yield sum(weights[l] * basis[l] for l in range(np.count_nonzero(weights)))
+
+
+def _m0(lambda_low):
+    return -(2.0 + lambda_low) / (2.0 - lambda_low)
+
+
+def _legendre_factors(n):
+    a_next = np.sqrt(2.0 * (n + 1) ** 2 / (2 * n + 3))
+    b = np.sqrt(2.0 * (2 * n + 1))
+    a = np.sqrt(2.0 * n**2 / (2 * n - 1))
+    return a_next, b, a
+
+
+def reference_chebyshev_at_zero(K, lambda_low):
+    """``T_k(m0)``, k = 0..K, in numpy scalars one degree at a time."""
+    m0 = _m0(lambda_low)
+    seq = np.empty(K + 1)
+    seq[0] = 1.0
+    if K >= 1:
+        seq[1] = m0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, K):
+            seq[k + 1] = 2.0 * m0 * seq[k] - seq[k - 1]
+    return seq
+
+
+def reference_legendre_at_zero(K, lambda_low):
+    """``L~_k(0)`` and ``S_k``, k = 0..K, in numpy scalars one degree at a time."""
+    scale = np.sqrt(2.0 / (2.0 - lambda_low))
+    m0 = _m0(lambda_low)
+    seq = np.empty(K + 1)
+    seq[0] = scale * np.sqrt(0.5)
+    if K >= 1:
+        seq[1] = scale * np.sqrt(1.5) * m0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, K):
+            a_next, b, a = _legendre_factors(n)
+            seq[n + 1] = (b * m0 * seq[n] - a * seq[n - 1]) / a_next
+        partial = np.cumsum(seq * seq)
+    return seq, partial
+
+
+def reference_chebyshev_steps(chain, f, K, lambda_low):
+    """Three-term recursion with its two ratios recomputed at every step."""
+    values = np.asarray(f, dtype=float)
+    at_zero = reference_chebyshev_at_zero(K, lambda_low)
+    prev = values.copy()
+    yield prev
+    if K == 0:
+        return
+    mapped = chain.affine(2.0 / (2.0 - lambda_low), _m0(lambda_low))
+    curr = mapped(values) / at_zero[1]
+    yield curr
+    for k in range(1, K):
+        alpha = at_zero[k] / at_zero[k + 1]
+        beta = at_zero[k - 1] / at_zero[k + 1]
+        prev, curr = curr, 2.0 * alpha * mapped(curr) - beta * prev
+        yield curr
+
+
+def reference_legendre_steps(chain, f, K, lambda_low):
+    """Coupled recursion with its factors, carry and weight recomputed at
+    every step."""
+    values = np.asarray(f, dtype=float)
+    at_zero, partial = reference_legendre_at_zero(K, lambda_low)
+    scale = np.sqrt(2.0 / (2.0 - lambda_low))
+    prev = scale * np.sqrt(0.5) * values
+    result = (at_zero[0] / partial[0]) * prev
+    yield result
+    if K == 0:
+        return
+    mapped = chain.affine(2.0 / (2.0 - lambda_low), _m0(lambda_low))
+    curr = scale * np.sqrt(1.5) * mapped(values)
+    for k in range(K):
+        if k >= 1:
+            a_next, b, a = _legendre_factors(k)
+            prev, curr = curr, (b * mapped(curr) - a * prev) / a_next
+        carry = partial[k] / partial[k + 1]
+        weight = at_zero[k + 1] / partial[k + 1]
+        result = carry * result + weight * curr
+        yield result
+
+
+REFERENCES = {
+    "bernstein": reference_bernstein_steps,
+    "chebyshev": reference_chebyshev_steps,
+    "legendre": reference_legendre_steps,
+}
+
+
+# ---------------------------------------------------------------------------
+# bitwise equality with the references
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_sweep_errors_bitwise_equal_reference(cycle_chain, glauber_chain, name):
+    # at lambda_low 0.5 and 1.9 the Bernstein weight table has degrees k < c,
+    # whose entries l > k lie outside the band and are masked
+    errors = getattr(filters, f"{name}_errors")
+    for chain in (cycle_chain, glauber_chain):
+        f = _signal(chain)
+        for lam in (chain.lambda_low, 0.5, 1.9):
+            for k_max in range(1, K_MAX + 1):
+                want = _errors(chain, f, REFERENCES[name](chain, f, k_max, lam))
+                assert errors(chain, f, k_max, lam) == want, (chain.n, lam, k_max)
+
+
+@pytest.mark.parametrize("block", [1, 5, 38, 39, 64])
+def test_bernstein_weight_blocks_bitwise_equal(monkeypatch, cycle_chain, block):
+    # small blocks: one triangle call per degree, and blocks that end inside
+    # the sweep, before and after the degree c = 37 of K = 40 at 1.9
+    monkeypatch.setattr(filters, "_WEIGHT_BLOCK", block)
+    f = _signal(cycle_chain)
+    for lam in (0.5, 1.9):
+        want = _errors(cycle_chain, f, reference_bernstein_steps(cycle_chain, f, K_MAX, lam))
+        assert filters.bernstein_errors(cycle_chain, f, K_MAX, lam) == want, lam
+
+
+@pytest.mark.filterwarnings("error")
+def test_scalars_at_zero_bitwise_equal_reference():
+    # up to and past the first overflowing normalizer (Legendre 916, Chebyshev
+    # 1832 at the 11-cycle's lambda_low; Legendre 82 at 1.9), silently also
+    # for a numpy scalar lambda_low
+    for lam in (0.0733, 0.5, 1.9, np.float64(1.9)):
+        for K in (0, 1, 2, 3, 20, 81, 82, 200, 915, 916, 1831, 1832):
+            want = reference_chebyshev_at_zero(K, lam)
+            if np.all(np.isfinite(want)):
+                assert np.array_equal(filters.chebyshev_scalar_at_zero(K, lam), want), (lam, K)
+            else:
+                with pytest.raises(FloatingPointError):
+                    filters.chebyshev_scalar_at_zero(K, lam)
+            seq, partial = reference_legendre_at_zero(K, lam)
+            if np.all(np.isfinite(partial)):
+                scalars = filters.legendre_scalar_at_zero(K, lam)
+                assert np.array_equal(scalars.values_at_zero, seq), (lam, K)
+                assert np.array_equal(scalars.partial_sums, partial), (lam, K)
+            else:
+                with pytest.raises(FloatingPointError):
+                    filters.legendre_scalar_at_zero(K, lam)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def _fresh_process(argv):
+    src = str(Path(ergofilt.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, "COLUMNS": "80"}
+    return subprocess.run(
+        [sys.executable, "-m", "ergofilt.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_runs_in_one_process_match_fresh_processes(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+    sequence = [
+        ["glauber", "--beta", "0.7", "--seed", "3", "--json"],
+        ["cycle-walk", "--k-max", "many", "--seed", "3"],
+        ["cycle-walk", "--seed", "3", "--k-max", "12"],
+    ]
+    for argv in sequence:
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        fresh = _fresh_process(argv)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert [cli_main(argv) for argv in sequence] == [0, 1, 0]
+
+
+def test_parser_returns_fresh_namespace():
+    glauber = cli._PARSER.parse_args(["glauber", "--beta", "0.7", "--seed", "3"])
+    cycle = cli._PARSER.parse_args(["cycle-walk", "--seed", "3"])
+    assert glauber is not cycle
+    assert glauber.beta == 0.7
+    assert not hasattr(cycle, "beta")
+    assert vars(cycle) == vars(cli.build_parser().parse_args(["cycle-walk", "--seed", "3"]))

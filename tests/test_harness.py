@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from ergofilt import chains, harness
+from ergofilt import chains, filters, harness
+from ergofilt.cli import cli_main
 
 
 def _cycle_config(**kw):
@@ -235,3 +236,44 @@ def test_seeded_run_deterministic():
     second, second_meta = harness.run_experiment(config)
     assert harness.emit_csv(first) == harness.emit_csv(second)
     assert first_meta.pi_f == second_meta.pi_f
+
+
+# ---------------------------------------------------------------------------
+# the one-pass finiteness check of the table
+# ---------------------------------------------------------------------------
+
+
+def _poisoned(monkeypatch, name, degrees):
+    """Make ``filters.<name>_errors`` return NaN at the given degrees."""
+    real = getattr(filters, f"{name}_errors")
+
+    def errors(*args):
+        column = real(*args)
+        for degree in degrees:
+            column[degree - 1] = float("nan")
+        return column
+
+    monkeypatch.setattr(filters, f"{name}_errors", errors)
+
+
+@pytest.mark.parametrize(
+    "poison, message",
+    [
+        ({"ergodic": (1,)}, "degree 1: ['ergodic']"),
+        ({"legendre": (20,)}, "degree 20: ['legendre']"),
+        ({"chebyshev": (7, 9)}, "degree 7: ['chebyshev']"),
+        ({"legendre": (5,), "bernstein": (6, 12)}, "degree 5: ['legendre']"),
+        ({"legendre": (4, 8), "bernstein": (4,), "ergodic": (8,)}, "degree 4: ['bernstein', 'legendre']"),
+    ],
+)
+def test_non_finite_cell_names_first_degree(monkeypatch, capsys, poison, message):
+    for name, degrees in poison.items():
+        _poisoned(monkeypatch, name, degrees)
+    with pytest.raises(FloatingPointError) as info:
+        harness.run_experiment(_cycle_config())
+    assert str(info.value) == f"non-finite filter error at {message}"
+    code = cli_main(["cycle-walk", "--paper-defaults"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"numerical failure: non-finite filter error at {message}\n"
