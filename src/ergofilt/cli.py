@@ -61,9 +61,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     glauber = subparsers.add_parser("glauber", help="heat-bath dynamics on an Ising ring")
     add_common(glauber, default_p=4)
-    glauber.add_argument("--beta", type=float, default=0.2, help="inverse temperature (default 0.2)")
     glauber.add_argument(
-        "--coupling", type=float, default=1.0, help="uniform edge coupling (default 1.0)"
+        "--beta",
+        type=float,
+        default=harness.GLAUBER_BETA,
+        help=f"inverse temperature (default {harness.GLAUBER_BETA})",
+    )
+    glauber.add_argument(
+        "--coupling",
+        type=float,
+        default=harness.GLAUBER_COUPLING,
+        help=f"uniform edge coupling (default {harness.GLAUBER_COUPLING})",
     )
 
     return parser

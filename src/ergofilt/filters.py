@@ -10,9 +10,10 @@ generator that yields its output at every degree up to K, one application of
 an affine Laplacian operator from ``ChainModel.affine`` per degree (per
 carried basis signal for Bernstein):
 ``*_apply`` returns the last output, and ``*_errors`` the max-abs error at
-each degree of one sweep. Each vector recursion has a scalar
-evaluator mirroring it for spectral-domain testing, and an exact reference
-ships alongside: the frequency-zeroing projector ``lagrange_exact_apply``.
+each degree of one sweep. The frequency responses ``*_scalar`` run the same
+generators on the diagonal operator of the frequencies, so each filter has one
+definition. An exact reference ships alongside: the frequency-zeroing
+projector ``lagrange_exact_apply``.
 
 Polynomial coefficient vectors are in ascending monomial order.
 """
@@ -20,7 +21,6 @@ Polynomial coefficient vectors are in ascending monomial order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -36,6 +36,11 @@ _WEIGHT_BLOCK = 1 << 16
 def _check_degree(k: int):
     if int(k) != k or k < 0:
         raise ValueError(f"filter degree must be a nonnegative integer, got {k}")
+
+
+def _check_horizon(t: int):
+    if int(t) != t or t < 1:
+        raise ValueError(f"averaging horizon must be a positive integer, got {t}")
 
 
 def _check_context(k: int, lambda_low: float):
@@ -88,6 +93,28 @@ def _last(steps):
     return out
 
 
+class _Spectrum:
+    """The diagonal operator over frequencies ``z``: a stand-in for a chain
+    offering the two things a ``_*_steps`` generator uses, ``n`` and
+    ``affine(a, b)``, here ``v -> (a z + b) v``."""
+
+    def __init__(self, z: np.ndarray):
+        self.z = z
+        self.n = len(z)
+
+    def affine(self, a: float, b: float):
+        scale = a * self.z + b
+        return lambda v: scale * v
+
+
+def _response(steps, z, *args):
+    """Frequency response at ``z`` of the filter whose generator is ``steps``:
+    its last output on the all-ones signal over ``_Spectrum(z)``."""
+    values = _band_values(z)
+    out = _last(steps(_Spectrum(values), np.ones_like(values), *args))
+    return float(out[0]) if np.ndim(z) == 0 else out
+
+
 def _errors(chain: markov.ChainModel, f, steps) -> list[float]:
     """Max-abs errors of the outputs at degrees 1, 2, ... (degree 0 skipped)."""
     next(steps)
@@ -125,8 +152,7 @@ def ergodic_apply(chain: markov.ChainModel, f, t: int) -> np.ndarray:
     rather than by the degree: on the 11-cycle with the reference signal it
     is 0.033658 at t = 500 and first drops below 1e-2 at t = 1683.
     """
-    if int(t) != t or t < 1:
-        raise ValueError(f"averaging horizon must be a positive integer, got {t}")
+    _check_horizon(t)
     return _last(_ergodic_steps(chain, f, t - 1))
 
 
@@ -136,17 +162,10 @@ def ergodic_errors(chain: markov.ChainModel, f, k_max: int) -> list[float]:
     return _errors(chain, f, _ergodic_steps(chain, f, k_max))
 
 
-def ergodic_scalar(z, t: int) -> np.ndarray:
+def ergodic_scalar(z, t: int):
     """Frequency response of the running average: ``(1/t) sum_k (1-z)^k``."""
-    if int(t) != t or t < 1:
-        raise ValueError(f"averaging horizon must be a positive integer, got {t}")
-    values = np.atleast_1d(np.asarray(z, dtype=float))
-    acc = np.zeros_like(values)
-    term = np.ones_like(values)
-    for _ in range(t):
-        acc += term
-        term = term * (1.0 - values)
-    return acc / t
+    _check_horizon(t)
+    return _response(_ergodic_steps, z, t - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -164,25 +183,8 @@ def triangle(z, lambda_low: float):
 
 
 def bernstein_scalar(z, K: int, lambda_low: float):
-    """Degree-``K`` Bernstein polynomial of the triangle target on [0, 2].
-
-    Only coefficients with ``2l/K`` inside the passband contribute (the
-    target vanishes elsewhere), so the sum is short even for large ``K``.
-    """
-    _check_context(K, lambda_low)
-    values = _band_values(z)
-    if K == 0:
-        result = np.ones_like(values)
-    else:
-        half = values / 2.0
-        result = np.zeros_like(values)
-        l_cap = min(K, int(np.ceil(K * lambda_low / 2.0)))
-        for l in range(l_cap + 1):
-            weight = triangle(2.0 * l / K, lambda_low)
-            if weight == 0.0:
-                continue
-            result += weight * comb(K, l) * half**l * (1.0 - half) ** (K - l)
-    return float(result[0]) if np.ndim(z) == 0 else result
+    """Degree-``K`` Bernstein polynomial of the triangle target on [0, 2]."""
+    return _response(_bernstein_steps, z, K, lambda_low)
 
 
 def _triangle_weights(degrees: range, width: int, lambda_low: float) -> list[list[float]]:
@@ -270,18 +272,7 @@ def chebyshev_scalar_at_zero(K: int, lambda_low: float) -> np.ndarray:
 
 def chebyshev_scalar(z, K: int, lambda_low: float):
     """Normalized mapped Chebyshev response ``T_K(m(z)) / T_K(m(0))``."""
-    _check_context(K, lambda_low)
-    values = _band_values(z)
-    if K == 0:
-        result = np.ones_like(values)
-    else:
-        mapped = (2.0 * values - 2.0 - lambda_low) / (2.0 - lambda_low)
-        prev = np.ones_like(mapped)
-        curr = mapped.copy()
-        for _ in range(1, K):
-            prev, curr = curr, 2.0 * mapped * curr - prev
-        result = curr / chebyshev_scalar_at_zero(K, lambda_low)[K]
-    return float(result[0]) if np.ndim(z) == 0 else result
+    return _response(_chebyshev_steps, z, K, lambda_low)
 
 
 def _chebyshev_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
@@ -330,13 +321,11 @@ def chebyshev_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float)
 @dataclass(frozen=True)
 class LegendreScalars:
     """Zero-frequency bookkeeping for the Legendre design at degree ``K``:
-    basis values ``L~_k(0)``, their running squared sums ``S_k``, the final
-    mixing weights ``xi_k = L~_k(0) / S_K``, and the carry factors
-    ``gamma_k = S_k / S_{k+1}`` used by the coupled recursion."""
+    basis values ``L~_k(0)``, their running squared sums ``S_k``, and the
+    carry factors ``gamma_k = S_k / S_{k+1}`` used by the coupled recursion."""
 
     values_at_zero: np.ndarray
     partial_sums: np.ndarray
-    xi: np.ndarray
     gamma: np.ndarray
 
 
@@ -370,29 +359,13 @@ def legendre_scalar_at_zero(K: int, lambda_low: float) -> LegendreScalars:
         partial = np.cumsum(seq * seq)
     _first_overflow(partial, "Legendre normalizer S_k")
     gamma = partial[:-1] / partial[1:] if K >= 1 else np.empty(0)
-    return LegendreScalars(
-        values_at_zero=seq, partial_sums=partial, xi=seq / partial[K], gamma=gamma
-    )
+    return LegendreScalars(values_at_zero=seq, partial_sums=partial, gamma=gamma)
 
 
 def legendre_scalar(z, K: int, lambda_low: float):
-    """L2-optimal response: mix of stopband Legendre basis values with the
-    final weights from ``legendre_scalar_at_zero``; equals 1 at frequency 0."""
-    _check_context(K, lambda_low)
-    values = _band_values(z)
-    scalars = legendre_scalar_at_zero(K, lambda_low)
-    scale = np.sqrt(2.0 / (2.0 - lambda_low))
-    mapped = (2.0 * values - 2.0 - lambda_low) / (2.0 - lambda_low)
-    prev = np.full_like(mapped, scale * np.sqrt(0.5))
-    result = scalars.xi[0] * prev
-    if K >= 1:
-        curr = scale * np.sqrt(1.5) * mapped
-        result = result + scalars.xi[1] * curr
-        for n in range(1, K):
-            a_next, b, a = _legendre_recursion_factors(n)
-            prev, curr = curr, (b * mapped * curr - a * prev) / a_next
-            result = result + scalars.xi[n + 1] * curr
-    return float(result[0]) if np.ndim(z) == 0 else result
+    """L2-optimal response: the mix ``sum_k L~_k(0) L~_k(z) / S_K`` of the
+    stopband Legendre basis; equals 1 at frequency 0."""
+    return _response(_legendre_steps, z, K, lambda_low)
 
 
 def _legendre_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
@@ -424,8 +397,9 @@ def legendre_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> np
     """Apply the L2-optimal filter by the coupled vector recursion.
 
     Carries the running filtered signal together with the last two basis
-    signals: ``q_{k+1} = gamma_k q_k + xi_{k+1}^{(k+1)} v_{k+1}`` where the
-    ``v`` sequence follows the same three-term recursion as the scalars.
+    signals: ``q_{k+1} = gamma_k q_k + (L~_{k+1}(0) / S_{k+1}) v_{k+1}``,
+    where the ``v`` sequence follows the three-term recursion of the
+    zero-frequency values ``L~_k(0)``.
     The carry and weight use only ``L~_j(0)`` and ``S_j`` for ``j <= k + 1``,
     so ``q_k`` is also the degree-k output.
     """

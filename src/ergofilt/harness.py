@@ -4,20 +4,25 @@ For degrees ``1..k_max`` the runner applies the running average (with horizon
 ``t = K + 1``, so its polynomial degree matches the other filters) and the
 three polynomial designs, records each one's maximum absolute deviation from
 the stationary mean (one sweep per filter yields every degree), and serializes the table as CSV (or JSON) with
-12-significant-digit formatting. Identical configurations produce
-byte-identical output.
+12-significant-digit formatting. The table is a (k_max, 4) array: row ``K - 1``
+holds degree K, and the columns follow ``FILTER_ORDER``. Identical
+configurations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import chains, filters, markov
 
 FILTER_ORDER = ("ergodic", "bernstein", "chebyshev", "legendre")
+
+# Glauber inverse temperature and edge coupling when the config leaves them unset
+GLAUBER_BETA = 0.2
+GLAUBER_COUPLING = 1.0
 
 # Reference signals bundled for the two shipped experiments (11 cycle values,
 # 16 ring values in bitmask state order).
@@ -55,14 +60,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class FilterResult:
-    """One table row: the degree and each filter's max absolute error."""
-
-    degree: int
-    errors: dict[str, float] = field(compare=False)
-
-
-@dataclass(frozen=True)
 class RunMetadata:
     experiment: str
     p: int
@@ -96,8 +93,8 @@ def _build_chain(config: ExperimentConfig) -> markov.ChainModel:
     if config.experiment == "cycle-walk":
         return chains.build_cycle_walk(config.p)
     if config.experiment == "glauber":
-        beta = 0.2 if config.beta is None else config.beta
-        coupling = 1.0 if config.coupling is None else config.coupling
+        beta = GLAUBER_BETA if config.beta is None else config.beta
+        coupling = GLAUBER_COUPLING if config.coupling is None else config.coupling
         return chains.build_glauber_cycle(chains.GlauberParams.uniform(config.p, beta, coupling))
     raise ValueError(f"unknown experiment {config.experiment!r}")
 
@@ -127,8 +124,11 @@ def _resolve_signal(config: ExperimentConfig, n: int) -> np.ndarray:
     raise ValueError("no signal source: provide explicit values, the reference signal, or a seed")
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[list[FilterResult], RunMetadata]:
-    """Run one error-vs-degree sweep; deterministic for identical configs."""
+def run_experiment(config: ExperimentConfig) -> tuple[np.ndarray, RunMetadata]:
+    """Run one error-vs-degree sweep; deterministic for identical configs.
+
+    Returns the (k_max, 4) error table, columns in ``FILTER_ORDER``, and the
+    run's metadata."""
     if config.k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {config.k_max}")
     chain = _build_chain(config)
@@ -139,22 +139,17 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[FilterResult], RunMet
         if not 0.0 < lambda_low < 2.0:
             raise ValueError(f"lambda_low override must lie in (0, 2), got {lambda_low}")
 
-    columns = [
+    columns = np.array([
         filters.ergodic_errors(chain, signal, config.k_max),
         filters.bernstein_errors(chain, signal, config.k_max, lambda_low),
         filters.chebyshev_errors(chain, signal, config.k_max, lambda_low),
         filters.legendre_errors(chain, signal, config.k_max, lambda_low),
-    ]
+    ])
     bad = ~np.isfinite(columns)
     if bad.any():
         first = int(np.flatnonzero(bad.any(axis=0))[0])
         names = [name for name, flag in zip(FILTER_ORDER, bad[:, first]) if flag]
         raise FloatingPointError(f"non-finite filter error at degree {first + 1}: {names}")
-    results = [
-        FilterResult(degree=degree, errors=dict(zip(FILTER_ORDER, row)))
-        for degree, row in enumerate(zip(*columns), start=1)
-    ]
-
     metadata = RunMetadata(
         experiment=config.experiment,
         p=config.p,
@@ -162,11 +157,19 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[FilterResult], RunMet
         lambda_low=lambda_low,
         pi_f=markov.pi_expectation(signal, chain.pi),
     )
-    return results, metadata
+    return columns.T, metadata
 
 
 def _fmt(value: float) -> str:
     return format(value, ".12g")
+
+
+def _rows(table) -> list[list[float]]:
+    """The table's rows as Python floats; an empty table is an error."""
+    rows = np.asarray(table, dtype=float).tolist()
+    if not rows:
+        raise ValueError("no results to serialize")
+    return rows
 
 
 def metadata_comment(metadata: RunMetadata) -> str:
@@ -174,32 +177,30 @@ def metadata_comment(metadata: RunMetadata) -> str:
     return f"# lambda_low={_fmt(metadata.lambda_low)}, pi_f={_fmt(metadata.pi_f)}\n"
 
 
-def emit_csv(results: list[FilterResult], destination=None) -> str:
-    """Serialize rows as CSV: a header line plus one line per degree.
+def emit_csv(table, destination=None) -> str:
+    """Serialize a ``run_experiment`` table as CSV: a header line plus one
+    line per degree.
 
     Values carry 12 significant digits; line endings are ``\\n``; identical
     inputs produce byte-identical text. The metadata comment line is emitted
     separately (see ``metadata_comment``) so the table itself stays plain CSV.
     """
-    if not results:
-        raise ValueError("no results to serialize")
     lines = ["degree," + ",".join(FILTER_ORDER)]
-    for row in results:
-        lines.append(f"{row.degree}," + ",".join(_fmt(row.errors[name]) for name in FILTER_ORDER))
+    for degree, row in enumerate(_rows(table), start=1):
+        lines.append(f"{degree}," + ",".join(_fmt(value) for value in row))
     text = "\n".join(lines) + "\n"
     if destination is not None:
         destination.write(text)
     return text
 
 
-def emit_json(results: list[FilterResult], metadata: RunMetadata, destination=None) -> str:
+def emit_json(table, metadata: RunMetadata, destination=None) -> str:
     """Serialize the same table as a JSON run summary.
 
     Numbers are embedded with the same 12-significant-digit formatting as the
     CSV, so the two outputs always agree and stay byte-reproducible.
     """
-    if not results:
-        raise ValueError("no results to serialize")
+    rows = _rows(table)
     buffer = io.StringIO()
     buffer.write("{\n")
     buffer.write(
@@ -210,10 +211,10 @@ def emit_json(results: list[FilterResult], metadata: RunMetadata, destination=No
         "},\n"
     )
     buffer.write('  "rows": [\n')
-    for i, row in enumerate(results):
-        fields = ", ".join(f'"{name}": {_fmt(row.errors[name])}' for name in FILTER_ORDER)
-        comma = "," if i + 1 < len(results) else ""
-        buffer.write(f'    {{"degree": {row.degree}, {fields}}}{comma}\n')
+    for degree, row in enumerate(rows, start=1):
+        fields = ", ".join(f'"{name}": {_fmt(value)}' for name, value in zip(FILTER_ORDER, row))
+        comma = "," if degree < len(rows) else ""
+        buffer.write(f'    {{"degree": {degree}, {fields}}}{comma}\n')
     buffer.write("  ]\n}\n")
     text = buffer.getvalue()
     if destination is not None:

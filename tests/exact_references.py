@@ -2,7 +2,9 @@
 
 None of these is on a run path: the running average written as a polynomial
 in the Laplacian, the coefficients of the annihilating polynomial of a
-spectrum, and an exact-rational solver for the constrained L2 design problem.
+spectrum, an exact-rational solver for the constrained L2 design problem, and
+the whole error table of a run rebuilt from the eigendecomposition of the
+chain with textbook forms of the four frequency responses.
 ``filters.lagrange_exact_apply`` (the frequency-zeroing projector) stays in
 the package.
 
@@ -16,6 +18,7 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
+from numpy.polynomial import chebyshev, legendre
 
 ORACLE_DEGREE_CAP = 20
 
@@ -116,3 +119,58 @@ def l2_optimal_oracle(K: int, lambda_low: float) -> L2Oracle:
         coefficients=np.array([float(value) for value in coeffs]),
         objective=float(1 / scaled[0]),
     )
+
+
+def filter_responses(z, k_max: int, lambda_low: float) -> np.ndarray:
+    """Responses at nonzero frequencies ``z`` of the four filters at degrees
+    ``1..k_max``, shape (len(z), k_max, 4), columns ergodic, Bernstein,
+    Chebyshev, Legendre.
+
+    Written without ``filters``: the closed-form running average
+    ``(1 - (1 - z)^t) / (t z)`` at horizon ``t = K + 1``, the binomial
+    Bernstein sum of the triangle target, ``T_K(m(z)) / T_K(m(0))`` from
+    ``chebvander``, and the L2-optimal mix
+    ``sum_k (2k + 1) P_k(m(0)) P_k(m(z)) / sum_k (2k + 1) P_k(m(0))^2`` from
+    ``legvander``, where ``m`` maps the stopband ``[lambda_low, 2]`` onto
+    ``[-1, 1]``.
+    """
+    z = np.asarray(z, dtype=float)
+    degrees = np.arange(1, k_max + 1)
+    out = np.zeros((z.size, k_max, 4))
+    horizons = degrees + 1
+    out[:, :, 0] = (1.0 - (1.0 - z[:, None]) ** horizons) / (horizons * z[:, None])
+    half = z / 2.0
+    for j, k in enumerate(degrees.tolist()):
+        for l in range(k + 1):
+            weight = max(0.0, 1.0 - (2.0 * l / k) / lambda_low)
+            out[:, j, 1] += weight * comb(k, l) * half**l * (1.0 - half) ** (k - l)
+    mapped = (2.0 * z - 2.0 - lambda_low) / (2.0 - lambda_low)
+    m0 = np.array([-(2.0 + lambda_low) / (2.0 - lambda_low)])
+    cheb_at_zero = chebyshev.chebvander(m0, k_max)[0]
+    out[:, :, 2] = chebyshev.chebvander(mapped, k_max)[:, 1:] / cheb_at_zero[1:]
+    at_zero = legendre.legvander(m0, k_max)[0] * (2.0 * np.arange(k_max + 1) + 1.0)
+    numerators = np.cumsum(legendre.legvander(mapped, k_max) * at_zero, axis=1)
+    denominators = np.cumsum(at_zero * legendre.legvander(m0, k_max)[0])
+    out[:, :, 3] = numerators[:, 1:] / denominators[1:]
+    return out
+
+
+def spectral_error_table(transition, pi, f, k_max: int, lambda_low: float) -> np.ndarray:
+    """The (k_max, 4) table of max-abs errors ``|p(L) f - pi(f)|`` of the four
+    filters, from ``eigh`` of the symmetrised Laplacian
+    ``D (I - P) D^-1``, ``D = diag(sqrt(pi))``.
+
+    Every filter passes frequency 0 with gain 1, so the error lives on the
+    nonzero frequencies; the zero eigenvalue must be simple.
+    """
+    pi = np.asarray(pi, dtype=float)
+    f = np.asarray(f, dtype=float)
+    d = np.sqrt(pi)
+    sym = d[:, None] * (np.eye(pi.size) - transition) / d[None, :]
+    eigenvalues, vectors = np.linalg.eigh(0.5 * (sym + sym.T))
+    if abs(eigenvalues[0]) > 1e-10 or eigenvalues[1] <= 1e-10:
+        raise ValueError("the Laplacian has no simple zero eigenvalue")
+    coefficients = vectors[:, 1:].T @ (d * f)
+    responses = filter_responses(eigenvalues[1:], k_max, lambda_low)
+    deviation = vectors[:, 1:] @ (responses.reshape(pi.size - 1, -1) * coefficients[:, None])
+    return np.abs(deviation / d[:, None]).max(axis=0).reshape(k_max, 4)

@@ -71,7 +71,7 @@ def test_criterion_03_degree20_error_ordering(acceptance):
             experiment=experiment, p=p, k_max=20, use_reference_signal=True
         )
         results, _ = harness.run_experiment(config)
-        first, last = results[0].errors, results[-1].errors
+        first, last = (dict(zip(harness.FILTER_ORDER, row)) for row in results[[0, -1]])
         checks = (
             last["chebyshev"] < last["bernstein"],
             last["legendre"] < last["bernstein"],

@@ -81,6 +81,9 @@ def test_ergodic_scalar_matches_coefficient_polynomial():
     for t in (1, 2, 5, 12):
         coeffs = exact_references.ergodic_laplacian_coeffs(t)
         assert filters.ergodic_scalar(z, t) == pytest.approx(nppoly.polyval(z, coeffs), abs=1e-11)
+    # a scalar frequency gives a float: horizon 3 at z = 0.5 is (1 + 0.5 + 0.25) / 3
+    value = filters.ergodic_scalar(0.5, 3)
+    assert type(value) is float and value == pytest.approx(1.75 / 3.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +113,7 @@ def test_bernstein_scalar_endpoints():
 
 
 def test_bernstein_scalar_matches_full_sum():
-    # the short passband-only sum must agree with the naive full expansion
+    # the Pascal recurrence must agree with the naive full binomial expansion
     lam = 0.155
     grid = np.linspace(0.0, 2.0, 101)
     K = 30
@@ -238,7 +241,8 @@ def test_legendre_scalars_basics():
         scal = filters.legendre_scalar_at_zero(20, lam)
         assert np.all(np.diff(scal.partial_sums) > 0.0)
         assert np.all((scal.gamma > 0.0) & (scal.gamma < 1.0))
-        assert scal.xi @ scal.values_at_zero == pytest.approx(1.0, rel=1e-12)
+        at_zero = scal.values_at_zero
+        assert at_zero @ at_zero / scal.partial_sums[-1] == pytest.approx(1.0, rel=1e-12)
         for K in range(0, 21):
             assert filters.legendre_scalar(0.0, K, lam) == pytest.approx(1.0, abs=1e-10)
 
@@ -493,5 +497,7 @@ def test_context_validation(cycle_chain):
         filters.legendre_apply(cycle_chain, np.ones(11), 3, 2.0)
     with pytest.raises(ValueError):
         filters.chebyshev_scalar(2.5, 3, 0.5)
+    with pytest.raises(ValueError):
+        filters.ergodic_scalar(3.0, 2)
     with pytest.raises(ValueError):
         filters.bernstein_apply(cycle_chain, np.ones(4), 3, 0.5)

@@ -11,6 +11,10 @@ from ergofilt import chains, filters, harness
 from ergofilt.cli import cli_main
 
 
+def _column(table, name):
+    return table[:, harness.FILTER_ORDER.index(name)]
+
+
 def _cycle_config(**kw):
     base = dict(experiment="cycle-walk", p=11, k_max=20, use_reference_signal=True)
     base.update(kw)
@@ -21,7 +25,7 @@ def test_cycle_reference_metadata():
     results, metadata = harness.run_experiment(_cycle_config())
     assert metadata.lambda_low == pytest.approx(88.0 / 1200.0, abs=1e-12)
     assert metadata.pi_f == pytest.approx(3.65, abs=1e-12)
-    assert [r.degree for r in results] == list(range(1, 21))
+    assert results.shape == (20, len(harness.FILTER_ORDER))
 
 
 def test_glauber_reference_metadata():
@@ -52,16 +56,12 @@ def test_constant_signal_zero_errors():
     )
     results, metadata = harness.run_experiment(config)
     assert metadata.pi_f == pytest.approx(2.5)
-    for result in results:
-        for err in result.errors.values():
-            assert err <= 1e-12
+    assert np.all(results <= 1e-12)
 
 
 def test_errors_nonnegative_finite():
     results, _ = harness.run_experiment(_cycle_config(k_max=8))
-    for result in results:
-        for err in result.errors.values():
-            assert np.isfinite(err) and err >= 0.0
+    assert np.all(np.isfinite(results) & (results >= 0.0))
 
 
 def test_bad_config_rejected():
@@ -112,12 +112,8 @@ def test_lambda_low_override():
     )
     assert plain_meta.lambda_low == pytest.approx(88.0 / 1200.0, abs=1e-12)
     assert tuned_meta.lambda_low == 0.5
-    for plain, tuned in zip(plain_results, tuned_results):
-        assert plain.errors["ergodic"] == tuned.errors["ergodic"]
-    assert any(
-        plain.errors["chebyshev"] != tuned.errors["chebyshev"]
-        for plain, tuned in zip(plain_results, tuned_results)
-    )
+    assert np.array_equal(_column(plain_results, "ergodic"), _column(tuned_results, "ergodic"))
+    assert np.any(_column(plain_results, "chebyshev") != _column(tuned_results, "chebyshev"))
 
 
 def test_generate_signal_pinned_values():
@@ -176,8 +172,8 @@ def test_emit_csv_shape():
     assert "\r" not in text
     first = lines[1].split(",")
     assert first[0] == "1"
-    assert float(first[1]) == pytest.approx(results[0].errors["ergodic"], rel=1e-11)
-    assert float(first[4]) == pytest.approx(results[0].errors["legendre"], rel=1e-11)
+    assert float(first[1]) == pytest.approx(_column(results, "ergodic")[0], rel=1e-11)
+    assert float(first[4]) == pytest.approx(_column(results, "legendre")[0], rel=1e-11)
 
 
 def test_emit_csv_destination():
@@ -220,13 +216,13 @@ def test_emit_json_matches():
     assert [row["degree"] for row in payload["rows"]] == [1, 2, 3, 4]
     for row, result in zip(payload["rows"], results):
         for name in harness.FILTER_ORDER:
-            assert row[name] == pytest.approx(result.errors[name], rel=1e-11)
+            assert row[name] == pytest.approx(result[harness.FILTER_ORDER.index(name)], rel=1e-11)
 
 
 def test_emit_json_formatting():
     results, metadata = harness.run_experiment(_cycle_config(k_max=2))
     text = harness.emit_json(results, metadata)
-    token = f"{results[0].errors['ergodic']:.12g}"
+    token = f"{_column(results, 'ergodic')[0]:.12g}"
     assert token in text
 
 

@@ -1,7 +1,7 @@
 """Tests for the one-pass degree sweep: every filter's ``*_errors`` equals its
-per-degree ``*_apply``, Bernstein matches the dense de Casteljau recursion, and
-a sweep to ``k_max`` costs the stated number of applications of the chain's
-operators."""
+per-degree ``*_apply``, Bernstein matches the dense de Casteljau recursion, a
+degree-100 sweep matches an independent spectral reference, and a sweep to
+``k_max`` costs the stated number of applications of the chain's operators."""
 
 import dataclasses
 from math import ceil
@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from ergofilt import chains, filters, harness, markov
+
+import exact_references
 
 K_SWEEP = 30
 K_BERNSTEIN = 200
@@ -126,6 +128,24 @@ def test_sweeps_reject_bad_input(cycle_chain):
         with pytest.raises(ValueError):
             sweep(cycle_chain, np.ones(4), 3, 0.5)
         assert sweep(cycle_chain, f, 0, 0.5) == []
+
+
+def test_cycle_deep_errors_match_spectral_reference():
+    # cycle-walk --p 101 --k-max 100 --seed 1, against responses and an
+    # eigendecomposition computed without ``filters``
+    chain = chains.build_cycle_walk(101)
+    f = harness.generate_signal(1, chain.n)
+    lam = chain.lambda_low
+    want = exact_references.spectral_error_table(chain.dense_transition(), chain.pi, f, 100, lam)
+    columns = (
+        filters.ergodic_errors(chain, f, 100),
+        filters.bernstein_errors(chain, f, 100, lam),
+        filters.chebyshev_errors(chain, f, 100, lam),
+        filters.legendre_errors(chain, f, 100, lam),
+    )
+    limit = 1e-9 * np.abs(want) + 1e-10 * _spread(chain, f)
+    for j, got in enumerate(columns):
+        assert np.all(np.abs(np.array(got) - want[:, j]) <= limit[:, j]), harness.FILTER_ORDER[j]
 
 
 # ---------------------------------------------------------------------------
