@@ -20,8 +20,6 @@ Polynomial coefficient vectors are in ascending monomial order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import markov
@@ -66,16 +64,6 @@ def _stopband_map(chain: markov.ChainModel, lambda_low: float):
     """The operator ``M = (2L - (2 + lambda_low) I) / (2 - lambda_low)``, which
     sends the stopband [lambda_low, 2] onto [-1, 1]."""
     return chain.affine(2.0 / (2.0 - lambda_low), _m0(lambda_low))
-
-
-def _first_overflow(normalizers: np.ndarray, name: str):
-    """Raise ``FloatingPointError`` naming the first degree whose normalizer
-    is not finite; past it the filter would silently return zero."""
-    bad = np.flatnonzero(~np.isfinite(normalizers))
-    if bad.size:
-        raise FloatingPointError(
-            f"{name} is not finite at degree {int(bad[0])}; lower the degree or raise lambda_low"
-        )
 
 
 def _signal_for(chain: markov.ChainModel, f) -> np.ndarray:
@@ -254,55 +242,46 @@ def bernstein_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float)
 # ---------------------------------------------------------------------------
 
 
-def chebyshev_scalar_at_zero(K: int, lambda_low: float) -> np.ndarray:
-    """Values at frequency 0 of the stopband-mapped Chebyshev family,
-    ``T_k(m0)`` for ``k = 0..K``; strictly growing in magnitude since
-    ``|m0| > 1``."""
-    _check_context(K, lambda_low)
-    # Python floats: the same IEEE arithmetic as numpy scalars, at a fraction
-    # of the cost per step; an overflow yields inf or nan without raising
-    m0 = float(_m0(lambda_low))
-    seq = [1.0, m0][: K + 1]
-    for k in range(1, K):
-        seq.append(2.0 * m0 * seq[k] - seq[k - 1])
-    seq = np.array(seq, dtype=float)
-    _first_overflow(seq, "Chebyshev normalizer T_k(m0)")
-    return seq
-
-
 def chebyshev_scalar(z, K: int, lambda_low: float):
     """Normalized mapped Chebyshev response ``T_K(m(z)) / T_K(m(0))``."""
     return _response(_chebyshev_steps, z, K, lambda_low)
 
 
 def _chebyshev_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
-    """Chebyshev outputs at degrees 0..K, one product with L each."""
+    """Chebyshev outputs at degrees 0..K, one product with L each.
+
+    Carries the ratio ``omega_k = T_{k-1}(m0) / T_k(m0)``, which stays in
+    (-1, 0), rather than ``T_k(m0)``, which grows geometrically in k:
+    ``omega_{k+1} = 1 / (2 m0 - omega_k)`` from ``omega_1 = 1 / m0``.
+    """
     _check_context(K, lambda_low)
     values = _signal_for(chain, f)
-    at_zero = chebyshev_scalar_at_zero(K, lambda_low)
     prev = values.copy()
     yield prev
     if K == 0:
         return
     mapped = _stopband_map(chain, lambda_low)
-    curr = mapped(values) / at_zero[1]
+    # Python floats: the same IEEE arithmetic as numpy scalars, at a fraction
+    # of the cost per step
+    m0 = float(_m0(lambda_low))
+    omega = 1.0 / m0
+    curr = mapped(values) / m0
     yield curr
-    # step k: 2 T_k / T_{k+1} and T_{k-1} / T_{k+1}, as Python floats
-    two_alpha = (2.0 * (at_zero[1:K] / at_zero[2:])).tolist()
-    beta = (at_zero[: K - 1] / at_zero[2:]).tolist()
-    for a2, b in zip(two_alpha, beta):
-        prev, curr = curr, a2 * mapped(curr) - b * prev
+    for _ in range(1, K):
+        next_omega = 1.0 / (2.0 * m0 - omega)
+        prev, curr = curr, (2.0 * next_omega) * mapped(curr) - (omega * next_omega) * prev
+        omega = next_omega
         yield curr
 
 
 def chebyshev_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> np.ndarray:
     """Apply the normalized Chebyshev filter by its three-term vector recursion.
 
-    With ``u_k`` the degree-``k`` filtered signal and ``T_k`` the values from
-    ``chebyshev_scalar_at_zero``:
-    ``u_{k+1} = 2 (T_k/T_{k+1}) M u_k - (T_{k-1}/T_{k+1}) u_{k-1}``
-    where ``M`` is the stopband-mapped Laplacian. The ``T_k`` do not depend
-    on K, so ``u_k`` is also the degree-k output.
+    With ``u_k = T_k(M) f / T_k(m0)`` the degree-``k`` filtered signal, ``M``
+    the stopband-mapped Laplacian and ``omega_k = T_{k-1}(m0) / T_k(m0)``:
+    ``u_{k+1} = 2 omega_{k+1} M u_k - omega_k omega_{k+1} u_{k-1}``
+    (Chebyshev semi-iteration). The ratios do not depend on K, so ``u_k`` is
+    also the degree-k output, and none of them grows with k.
     """
     return _last(_chebyshev_steps(chain, f, K, lambda_low))
 
@@ -318,90 +297,52 @@ def chebyshev_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LegendreScalars:
-    """Zero-frequency bookkeeping for the Legendre design at degree ``K``:
-    basis values ``L~_k(0)``, their running squared sums ``S_k``, and the
-    carry factors ``gamma_k = S_k / S_{k+1}`` used by the coupled recursion."""
-
-    values_at_zero: np.ndarray
-    partial_sums: np.ndarray
-    gamma: np.ndarray
-
-
-def _legendre_recursion_factors(n):
-    """Coefficients (a_next, b, a) of the orthonormal-Legendre three-term
-    recursion ``a_next P_{n+1} = b x P_n - a P_{n-1}`` on [-1, 1]; elementwise
-    for an array of degrees ``n``."""
-    a_next = np.sqrt(2.0 * (n + 1) ** 2 / (2 * n + 3))
-    b = np.sqrt(2.0 * (2 * n + 1))
-    a = np.sqrt(2.0 * n**2 / (2 * n - 1))
-    return a_next, b, a
-
-
-def legendre_scalar_at_zero(K: int, lambda_low: float) -> LegendreScalars:
-    """Zero-frequency values of the stopband-orthonormal Legendre basis.
-
-    The basis is the orthonormal Legendre family mapped onto the stopband and
-    rescaled by ``sqrt(2 / (2 - lambda_low))`` so it stays orthonormal under
-    the plain Lebesgue measure on ``[lambda_low, 2]``.
-    """
-    _check_context(K, lambda_low)
-    scale = np.sqrt(2.0 / (2.0 - lambda_low))
-    # Python floats, as in chebyshev_scalar_at_zero
-    m0 = float(_m0(lambda_low))
-    seq = [float(scale * np.sqrt(0.5)), float(scale * np.sqrt(1.5) * m0)][: K + 1]
-    factors = zip(*(x.tolist() for x in _legendre_recursion_factors(np.arange(1, K))))
-    for n, (a_next, b, a) in enumerate(factors, start=1):
-        seq.append((b * m0 * seq[n] - a * seq[n - 1]) / a_next)
-    seq = np.array(seq, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        partial = np.cumsum(seq * seq)
-    _first_overflow(partial, "Legendre normalizer S_k")
-    gamma = partial[:-1] / partial[1:] if K >= 1 else np.empty(0)
-    return LegendreScalars(values_at_zero=seq, partial_sums=partial, gamma=gamma)
-
-
 def legendre_scalar(z, K: int, lambda_low: float):
-    """L2-optimal response: the mix ``sum_k L~_k(0) L~_k(z) / S_K`` of the
-    stopband Legendre basis; equals 1 at frequency 0."""
+    """L2-optimal response: the mean of ``P_k(m(z)) / P_k(m0)``, k = 0..K,
+    weighted by ``(2k + 1) P_k(m0)^2``, with ``P_k`` the classical Legendre
+    polynomials; equals 1 at frequency 0."""
     return _response(_legendre_steps, z, K, lambda_low)
 
 
 def _legendre_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
-    """Legendre outputs at degrees 0..K, one product with L each."""
+    """Legendre outputs at degrees 0..K, one product with L each.
+
+    Carries the basis signals ``w_n = P_n(M) f / P_n(m0)`` with the ratios
+    ``r_n = P_n(m0) / P_{n-1}(m0)`` and ``s_n = sum_{k<=n} a_k / a_n``,
+    ``a_k = (2k + 1) P_k(m0)^2``; none of them grows with n. From
+    ``(n + 1) P_{n+1} = (2n + 1) x P_n - n P_{n-1}``:
+    ``r_{n+1} = ((2n + 1) m0 - n / r_n) / (n + 1)``,
+    ``w_{n+1} = ((2n + 1) M w_n - (n / r_n) w_{n-1}) / ((n + 1) r_{n+1})`` and
+    ``s_{n+1} = 1 + s_n (2n + 1) / ((2n + 3) r_{n+1}^2)``, starting from
+    ``w_0 = f`` and ``r_0 = s_0 = 1``.
+    """
     _check_context(K, lambda_low)
     values = _signal_for(chain, f)
-    scalars = legendre_scalar_at_zero(K, lambda_low)
-    scale = np.sqrt(2.0 / (2.0 - lambda_low))
-    prev = scale * np.sqrt(0.5) * values
-    result = (scalars.values_at_zero[0] / scalars.partial_sums[0]) * prev
+    result = values.copy()
     yield result
-    if K == 0:
-        return
     mapped = _stopband_map(chain, lambda_low)
-    curr = scale * np.sqrt(1.5) * mapped(values)
-    # step k: the recursion factors of degree k (from k = 1), the carry
-    # S_k / S_{k+1} and the weight L~_{k+1}(0) / S_{k+1}, as Python floats
-    factors = zip(*(x.tolist() for x in _legendre_recursion_factors(np.arange(1, K))))
-    weights = (scalars.values_at_zero[1:] / scalars.partial_sums[1:]).tolist()
-    for k, (carry, weight) in enumerate(zip(scalars.gamma.tolist(), weights)):
-        if k >= 1:
-            a_next, b, a = next(factors)
-            prev, curr = curr, (b * mapped(curr) - a * prev) / a_next
-        result = carry * result + weight * curr
+    # Python floats, as in _chebyshev_steps
+    m0 = float(_m0(lambda_low))
+    prev = curr = values
+    ratio = sum_ratio = 1.0
+    for n in range(K):
+        next_ratio = ((2 * n + 1) * m0 - n / ratio) / (n + 1)
+        scale = (n + 1) * next_ratio
+        prev, curr = curr, (2 * n + 1) / scale * mapped(curr) - n / ratio / scale * prev
+        sum_ratio = 1.0 + sum_ratio * (2 * n + 1) / ((2 * n + 3) * next_ratio * next_ratio)
+        ratio = next_ratio
+        result = result + (curr - result) / sum_ratio
         yield result
 
 
 def legendre_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> np.ndarray:
     """Apply the L2-optimal filter by the coupled vector recursion.
 
-    Carries the running filtered signal together with the last two basis
-    signals: ``q_{k+1} = gamma_k q_k + (L~_{k+1}(0) / S_{k+1}) v_{k+1}``,
-    where the ``v`` sequence follows the three-term recursion of the
-    zero-frequency values ``L~_k(0)``.
-    The carry and weight use only ``L~_j(0)`` and ``S_j`` for ``j <= k + 1``,
-    so ``q_k`` is also the degree-k output.
+    The degree-k output ``q_k`` is the running weighted mean of the basis
+    signals ``w_n`` of ``_legendre_steps``:
+    ``q_{n+1} = q_n + (w_{n+1} - q_n) / s_{n+1}``, from ``q_0 = f``.
+    The ratios use only degrees up to ``n + 1``, so ``q_k`` is also the
+    degree-k output.
     """
     return _last(_legendre_steps(chain, f, K, lambda_low))
 

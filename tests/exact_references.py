@@ -2,9 +2,10 @@
 
 None of these is on a run path: the running average written as a polynomial
 in the Laplacian, the coefficients of the annihilating polynomial of a
-spectrum, an exact-rational solver for the constrained L2 design problem, and
-the whole error table of a run rebuilt from the eigendecomposition of the
-chain with textbook forms of the four frequency responses.
+spectrum, an exact-rational solver for the constrained L2 design problem,
+Gauss-Legendre quadrature on the stopband, and the whole error table of a run
+rebuilt from the eigendecomposition of the chain with textbook forms of the
+four frequency responses.
 ``filters.lagrange_exact_apply`` (the frequency-zeroing projector) stays in
 the package.
 
@@ -119,6 +120,14 @@ def l2_optimal_oracle(K: int, lambda_low: float) -> L2Oracle:
         coefficients=np.array([float(value) for value in coeffs]),
         objective=float(1 / scaled[0]),
     )
+
+
+def stopband_gauss(nodes: int, lambda_low: float):
+    """Gauss-Legendre nodes and weights of ``nodes`` points on the stopband
+    ``[lambda_low, 2]``: exact for polynomials of degree below ``2 nodes``."""
+    x, w = legendre.leggauss(nodes)
+    half = (2.0 - lambda_low) / 2.0
+    return half * x + (2.0 + lambda_low) / 2.0, half * w
 
 
 def filter_responses(z, k_max: int, lambda_low: float) -> np.ndarray:

@@ -97,7 +97,7 @@ def test_criterion_04_chebyshev_sup_norm_optimality(acceptance):
         grid = np.linspace(lam, 2.0, 10**4)
         for K in (3, 8, 15):
             sup = np.abs(filters.chebyshev_scalar(grid, K, lam)).max()
-            target = 1.0 / abs(filters.chebyshev_scalar_at_zero(K, lam)[K])
+            target = 1.0 / np.cosh(K * np.arccosh((2.0 + lam) / (2.0 - lam)))
             worst_rel = max(worst_rel, abs(sup - target) / target)
             ok = ok and abs(sup - target) <= 1e-6 * target
             for _ in range(200):
@@ -124,9 +124,10 @@ def test_criterion_05_legendre_squared_norm_optimality(acceptance):
             vals = filters.legendre_scalar(grid, K, lam)
             discretized = simpson(vals * vals, x=grid)
             oracle = exact_references.l2_optimal_oracle(K, lam)
-            scal = filters.legendre_scalar_at_zero(K, lam)
+            nodes, weights = exact_references.stopband_gauss(K + 1, lam)
+            exact = weights @ filters.legendre_scalar(nodes, K, lam) ** 2
             rel_grid = abs(discretized - oracle.objective) / oracle.objective
-            rel_sum = abs(oracle.objective - 1.0 / scal.partial_sums[K]) / oracle.objective
+            rel_sum = abs(oracle.objective - exact) / oracle.objective
             worst_rel = max(worst_rel, rel_grid, rel_sum)
             ok = ok and rel_grid <= 1e-6 and rel_sum <= 1e-6
     acceptance(

@@ -6,7 +6,7 @@ contract: a uniform grid of 10^4 points (10^4 subintervals for quadrature) on
 the stopband, with composite Simpson integration for squared norms.
 """
 
-import warnings
+import math
 from math import comb
 
 import numpy as np
@@ -151,23 +151,51 @@ def test_bernstein_apply_degree_zero_is_identity(cycle_chain):
 # ---------------------------------------------------------------------------
 
 
+def _at_two_inverse(K, lam):
+    """``T_K(m0)``, read off the response at frequency 2, where ``m(2) = 1``."""
+    return 1.0 / filters.chebyshev_scalar(2.0, K, lam)
+
+
 def test_chebyshev_at_zero_values():
-    seq = filters.chebyshev_scalar_at_zero(2, 0.0733)
     m0 = -(2.0 + 0.0733) / (2.0 - 0.0733)
     assert m0 == pytest.approx(-1.07608, abs=1e-5)
+    seq = [_at_two_inverse(K, 0.0733) for K in range(3)]
     assert seq[0] == pytest.approx(1.0)
     assert seq[1] == pytest.approx(m0)
     assert seq[2] == pytest.approx(2.0 * m0 * m0 - 1.0, abs=1e-12)
     assert seq[2] == pytest.approx(1.3159, abs=1e-4)
+    for K in range(3):
+        assert filters.chebyshev_scalar(0.0, K, 0.0733) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_chebyshev_at_zero_hyperbolic_form():
     for lam in (CYCLE_LAM, GLAUBER_LAM):
-        seq = filters.chebyshev_scalar_at_zero(20, lam)
+        seq = np.array([_at_two_inverse(K, lam) for K in range(21)])
         m0 = (2.0 + lam) / (2.0 - lam)
         expected = np.cosh(np.arange(21) * np.arccosh(m0))
         assert np.abs(seq) == pytest.approx(expected, rel=1e-10)
         assert np.all(np.diff(np.abs(seq)) > 0.0)
+        for K in range(21):
+            assert filters.chebyshev_scalar(0.0, K, lam) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_chebyshev_certified_sup_past_former_overflow():
+    # |T_K(m(z))| = 1 at both stopband ends, so the response there is the
+    # certified sup 1 / |T_K(m0)| = 1 / cosh(K arccosh|m0|), down to the
+    # subnormal range; T_K(m0) itself overflows from K = 1832 on the 11-cycle
+    # and K = 164 at lambda_low 1.9, where the response keeps decaying to 0
+    for lam in (CYCLE_LAM, 1.9):
+        rate = math.acosh((2.0 + lam) / (2.0 - lam))
+        for K in (1, 10, 100, 163, 164, 1000, 1700, 1831, 1832, 5000, 10**4):
+            want = 2.0 * math.exp(-K * rate) / (1.0 + math.exp(-2.0 * K * rate))
+            at_two = filters.chebyshev_scalar(2.0, K, lam)
+            at_low = filters.chebyshev_scalar(lam, K, lam)
+            if want >= 1e-290:
+                assert at_low == pytest.approx(want, rel=1e-9), (lam, K)
+                assert at_two == pytest.approx((-1) ** K * want, rel=1e-9), (lam, K)
+            else:
+                assert abs(at_low) <= 1e-290 and abs(at_two) <= 1e-290, (lam, K)
 
 
 def test_chebyshev_scalar_degree_zero():
@@ -221,7 +249,7 @@ def test_chebyshev_equioscillation():
         grid = np.linspace(lam, 2.0, 10**4)
         for K in (3, 8, 15):
             vals = filters.chebyshev_scalar(grid, K, lam)
-            target = 1.0 / abs(filters.chebyshev_scalar_at_zero(K, lam)[K])
+            target = 1.0 / np.cosh(K * np.arccosh((2.0 + lam) / (2.0 - lam)))
             locations, signs, heights = _refined_peaks(grid, vals, 0.5 * target)
             assert len(locations) == K + 1
             j = np.arange(K + 1)
@@ -236,13 +264,20 @@ def test_chebyshev_equioscillation():
 # ---------------------------------------------------------------------------
 
 
+def _legendre_l2(K, lam):
+    """Squared L2 norm of the degree-K Legendre response on the stopband, by
+    (K + 1)-node Gauss-Legendre quadrature: exact for its degree 2K."""
+    z, w = exact_references.stopband_gauss(K + 1, lam)
+    return float(w @ filters.legendre_scalar(z, K, lam) ** 2)
+
+
 def test_legendre_scalars_basics():
     for lam in (CYCLE_LAM, GLAUBER_LAM):
-        scal = filters.legendre_scalar_at_zero(20, lam)
-        assert np.all(np.diff(scal.partial_sums) > 0.0)
-        assert np.all((scal.gamma > 0.0) & (scal.gamma < 1.0))
-        at_zero = scal.values_at_zero
-        assert at_zero @ at_zero / scal.partial_sums[-1] == pytest.approx(1.0, rel=1e-12)
+        # the objective 1 / S_K falls strictly with K: each degree adds a
+        # positive term L~_K(0)^2 to S_K
+        objectives = np.array([_legendre_l2(K, lam) for K in range(21)])
+        assert np.all(np.diff(objectives) < 0.0)
+        assert objectives[-1] > 0.0
         for K in range(0, 21):
             assert filters.legendre_scalar(0.0, K, lam) == pytest.approx(1.0, abs=1e-10)
 
@@ -258,14 +293,15 @@ def test_legendre_apply_degree_zero(cycle_chain):
 
 
 def test_legendre_values_at_zero_match_classical():
+    # the L2 objective of degree K is 1 / S_K, S_K = sum_{k<=K} L~_k(0)^2
     for lam in (CYCLE_LAM, GLAUBER_LAM):
-        scal = filters.legendre_scalar_at_zero(20, lam)
         m0 = -(2.0 + lam) / (2.0 - lam)
         c = np.sqrt(2.0 / (2.0 - lam))
         expected = np.array(
             [c * np.sqrt((2 * k + 1) / 2.0) * npleg.Legendre.basis(k)(m0) for k in range(21)]
         )
-        assert scal.values_at_zero == pytest.approx(expected, rel=1e-9)
+        objectives = [_legendre_l2(K, lam) for K in range(21)]
+        assert objectives == pytest.approx(1.0 / np.cumsum(expected**2), rel=1e-9)
 
 
 def test_legendre_scalar_matches_classical_mix():
@@ -302,9 +338,8 @@ def test_legendre_family_orthonormal_convention():
 def test_legendre_l2_objective_matches_oracle():
     for lam in (CYCLE_LAM, GLAUBER_LAM):
         for K in (0, 3, 8, 15, 20):
-            scal = filters.legendre_scalar_at_zero(K, lam)
             oracle = exact_references.l2_optimal_oracle(K, lam)
-            assert oracle.objective == pytest.approx(1.0 / scal.partial_sums[K], rel=1e-9)
+            assert oracle.objective == pytest.approx(_legendre_l2(K, lam), rel=1e-9)
 
 
 def test_legendre_beats_random_competitors():
@@ -452,29 +487,6 @@ def test_max_abs_error_at_t1(cycle_chain):
 def test_max_abs_error_shape_check(cycle_chain):
     with pytest.raises(ValueError):
         filters.max_abs_error(np.ones(5), np.ones(11), cycle_chain.pi)
-
-
-@pytest.mark.parametrize(
-    "scalars, apply, lam, last_finite",
-    [
-        (filters.chebyshev_scalar_at_zero, filters.chebyshev_apply, CYCLE_LAM, 1831),
-        (filters.legendre_scalar_at_zero, filters.legendre_apply, CYCLE_LAM, 915),
-        (filters.legendre_scalar_at_zero, filters.legendre_apply, 1.9, 81),
-    ],
-    ids=["chebyshev-cycle", "legendre-cycle", "legendre-1.9"],
-)
-def test_normalizer_overflow_raises(scalars, apply, lam, last_finite, cycle_chain):
-    # past the overflow the carry and weights would be 0 and the filter would
-    # return the zero vector; it must raise instead, with no numpy warning
-    f = harness.CYCLE_REFERENCE_SIGNAL
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        scalars(last_finite, lam)
-        assert np.isfinite(apply(cycle_chain, f, last_finite, lam)).all()
-        with pytest.raises(FloatingPointError, match=f"at degree {last_finite + 1};"):
-            scalars(last_finite + 1, lam)
-        with pytest.raises(FloatingPointError, match=f"at degree {last_finite + 1};"):
-            apply(cycle_chain, f, last_finite + 1, lam)
 
 
 def test_non_finite_signal_rejected(cycle_chain):
