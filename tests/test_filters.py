@@ -489,6 +489,30 @@ def test_max_abs_error_shape_check(cycle_chain):
         filters.max_abs_error(np.ones(5), np.ones(11), cycle_chain.pi)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "apply, scalar, lam, former_overflow",
+    [
+        (filters.chebyshev_apply, filters.chebyshev_scalar, CYCLE_LAM, 1832),
+        (filters.legendre_apply, filters.legendre_scalar, CYCLE_LAM, 916),
+        (filters.legendre_apply, filters.legendre_scalar, 1.9, 82),
+    ],
+    ids=["chebyshev-cycle", "legendre-cycle", "legendre-1.9"],
+)
+def test_sweep_finite_past_former_overflow(apply, scalar, lam, former_overflow, cycle_chain, cycle_spec):
+    # a table of T_k(m0) or S_k overflowed at these degrees, and the filter
+    # raised; the ratio sweeps carry no such table, so at and past that degree
+    # the output is finite, with no numpy warning, and is still the filter's
+    # spectral form (in particular not the zero vector)
+    f = harness.CYCLE_REFERENCE_SIGNAL
+    fhat = markov.gft(f, cycle_spec, cycle_chain.pi)
+    for K in (former_overflow - 1, former_overflow, 2 * former_overflow):
+        out = apply(cycle_chain, f, K, lam)
+        assert np.isfinite(out).all(), K
+        response = scalar(cycle_spec.eigenvalues, K, lam)
+        assert np.abs(markov.gft(out, cycle_spec, cycle_chain.pi) - response * fhat).max() <= 1e-9, K
+
+
 def test_non_finite_signal_rejected(cycle_chain):
     for bad in (np.nan, np.inf, -np.inf):
         f = np.ones(11)

@@ -190,24 +190,24 @@ TABLES = {
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", sorted(TABLES))
-def test_long_sweeps_finite_and_match_reference(cycle_chain, glauber_chain, name):
+def test_long_sweeps_finite_and_match_reference(cycle_chain, glauber_chain):
     # the reference tables overflow on the 11-cycle at degree 1832 (Chebyshev)
     # and 916 (Legendre), at lambda_low 1.9 at 164 and 82; the ratio sweeps
     # stay finite to degree 10^4 and match the references below the overflow
-    steps = getattr(filters, f"_{name}_steps")
-    errors = getattr(filters, f"{name}_errors")
-    for chain in (cycle_chain, glauber_chain):
-        f = _signal(chain)
-        for lam in (chain.lambda_low, 1.9):
-            assert np.all(np.isfinite(errors(chain, f, LONG_SWEEP, lam))), (chain.n, lam)
-            with np.errstate(over="ignore", invalid="ignore"):
-                overflow = np.flatnonzero(~np.isfinite(TABLES[name](LONG_SWEEP, lam)))
-            assert overflow.size, (chain.n, lam)
-            k_ref = int(overflow[0]) - 1
-            pairs = zip(steps(chain, f, k_ref, lam), REFERENCES[name](chain, f, k_ref, lam))
-            for k, (got, want) in enumerate(pairs):
-                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (chain.n, lam, k)
+    for name in sorted(TABLES):
+        steps = getattr(filters, f"_{name}_steps")
+        errors = getattr(filters, f"{name}_errors")
+        for chain in (cycle_chain, glauber_chain):
+            f = _signal(chain)
+            for lam in (chain.lambda_low, 1.9):
+                assert np.all(np.isfinite(errors(chain, f, LONG_SWEEP, lam))), (name, chain.n, lam)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    overflow = np.flatnonzero(~np.isfinite(TABLES[name](LONG_SWEEP, lam)))
+                assert overflow.size, (name, chain.n, lam)
+                k_ref = int(overflow[0]) - 1
+                pairs = zip(steps(chain, f, k_ref, lam), REFERENCES[name](chain, f, k_ref, lam))
+                for k, (got, want) in enumerate(pairs):
+                    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (name, chain.n, lam, k)
 
 
 # ---------------------------------------------------------------------------
