@@ -10,9 +10,10 @@ generator that yields its output at every degree up to K, one application of
 an affine Laplacian operator from ``ChainModel.affine`` per degree (per
 carried basis signal for Bernstein):
 ``*_apply`` returns the last output, and ``*_errors`` the max-abs error at
-each degree of one sweep. The frequency responses ``*_scalar`` run the same
-generators on the diagonal operator of the frequencies, so each filter has one
-definition. An exact reference ships alongside: the frequency-zeroing
+each degree of one sweep, reduced a block of degrees at a time (at most
+``_ERROR_BLOCK`` buffered entries). The frequency responses ``*_scalar`` run
+the same generators on the diagonal operator of the frequencies, so each
+filter has one definition. An exact reference ships alongside: the frequency-zeroing
 projector ``lagrange_exact_apply``.
 
 Polynomial coefficient vectors are in ascending monomial order.
@@ -29,6 +30,9 @@ _BAND_SLOP = 1e-9
 # unless it has many degrees and many control points, where a whole (K, c + 1)
 # table could take gigabytes
 _WEIGHT_BLOCK = 1 << 16
+# entries of the buffer ``_errors`` stacks outputs in before one reduction:
+# 512 KiB of float64, or a single row once n exceeds it
+_ERROR_BLOCK = 1 << 16
 
 
 def _check_degree(k: int):
@@ -103,11 +107,27 @@ def _response(steps, z, *args):
     return float(out[0]) if np.ndim(z) == 0 else out
 
 
-def _errors(chain: markov.ChainModel, f, steps) -> list[float]:
-    """Max-abs errors of the outputs at degrees 1, 2, ... (degree 0 skipped)."""
+def _errors(chain: markov.ChainModel, f, steps, k_max: int) -> list[float]:
+    """Max-abs errors of the outputs at degrees 1..k_max (degree 0 skipped).
+
+    Each output is copied into a row of a buffer of
+    ``min(k_max, _ERROR_BLOCK // n)`` rows (at least one); a full buffer, and
+    the rows filled at degree k_max, are reduced in place in one pass. Max is
+    exact, so every value is the one a reduction of each output on its own
+    gives.
+    """
     next(steps)
     target = markov.pi_expectation(f, chain.pi)
-    return [float(np.abs(out - target).max()) for out in steps]
+    block = np.empty((max(1, min(k_max, _ERROR_BLOCK // chain.n)), chain.n))
+    errors = []
+    for k, out in enumerate(steps, start=1):
+        row = (k - 1) % len(block)
+        block[row] = out
+        if row == len(block) - 1 or k == k_max:
+            filled = block[: row + 1]
+            np.subtract(filled, target, out=filled)
+            errors += np.abs(filled, out=filled).max(axis=1).tolist()
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +167,7 @@ def ergodic_apply(chain: markov.ChainModel, f, t: int) -> np.ndarray:
 def ergodic_errors(chain: markov.ChainModel, f, k_max: int) -> list[float]:
     """Max-abs errors of the running average at degrees ``1..k_max``, where
     degree K is horizon ``t = K + 1``; ``k_max`` products with P in all."""
-    return _errors(chain, f, _ergodic_steps(chain, f, k_max))
+    return _errors(chain, f, _ergodic_steps(chain, f, k_max), k_max)
 
 
 def ergodic_scalar(z, t: int):
@@ -194,8 +214,9 @@ def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     """Bernstein outputs at degrees 0..K from the Pascal recurrence.
 
     Carries the basis signals ``b_{k,l} = C(k,l) (L/2)^l (I - L/2)^(k-l) f``
-    up in degree by ``b_{k,l} = b_{k-1,l} - (L/2)(b_{k-1,l} - b_{k-1,l-1})``;
-    every basis response lies in [0, 1], so no binomial is ever formed. Only
+    up in degree by ``b_{k,l} = b_{k-1,l} - (L/2)(b_{k-1,l} - b_{k-1,l-1})``,
+    with no ``b_{k-1,-1}`` term at ``l = 0``; every basis response lies in
+    [0, 1], so no binomial is ever formed. Only
     ``l <= c`` is carried, ``c`` the last control point the triangle weights
     at degree K leave nonzero: since ``2l/k >= 2l/K``, no lower degree has a
     nonzero weight beyond it. Step k takes ``min(k, c) + 1`` products with L,
@@ -215,12 +236,16 @@ def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     for k in range(1, K + 1):
         if k <= cap:
             basis.append(np.zeros(chain.n))
-        for l in range(len(basis) - 1, -1, -1):
-            below = basis[l - 1] if l else 0.0
-            basis[l] = basis[l] - half_laplacian(basis[l] - below)
+        for l in range(len(basis) - 1, 0, -1):
+            basis[l] = basis[l] - half_laplacian(basis[l] - basis[l - 1])
+        basis[0] = basis[0] - half_laplacian(basis[0])
         if (k - 1) % rows == 0:
             block = _triangle_weights(range(k, min(k + rows, K + 1)), cap + 1, lambda_low)
-        yield sum(w * b for w, b in zip(block[(k - 1) % rows], basis))
+        weights = block[(k - 1) % rows]
+        out = weights[0] * basis[0]
+        for w, b in zip(weights[1:], basis[1:]):
+            out += w * b
+        yield out
 
 
 def bernstein_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> np.ndarray:
@@ -234,7 +259,7 @@ def bernstein_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> n
 def bernstein_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> list[float]:
     """Max-abs errors of the Bernstein filter at degrees ``1..k_max`` from one
     sweep of ``sum_{k<=k_max} (min(k, c) + 1)`` products with L."""
-    return _errors(chain, f, _bernstein_steps(chain, f, k_max, lambda_low))
+    return _errors(chain, f, _bernstein_steps(chain, f, k_max, lambda_low), k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +314,7 @@ def chebyshev_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> n
 def chebyshev_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> list[float]:
     """Max-abs errors of the Chebyshev filter at degrees ``1..k_max`` from one
     run of the recursion: ``k_max`` products with L."""
-    return _errors(chain, f, _chebyshev_steps(chain, f, k_max, lambda_low))
+    return _errors(chain, f, _chebyshev_steps(chain, f, k_max, lambda_low), k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +375,7 @@ def legendre_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> np
 def legendre_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> list[float]:
     """Max-abs errors of the Legendre filter at degrees ``1..k_max`` from one
     run of the recursion: ``k_max`` products with L."""
-    return _errors(chain, f, _legendre_steps(chain, f, k_max, lambda_low))
+    return _errors(chain, f, _legendre_steps(chain, f, k_max, lambda_low), k_max)
 
 
 # ---------------------------------------------------------------------------

@@ -78,15 +78,31 @@ def generate_signal(seed: int, count: int) -> np.ndarray:
 
     The i-th state (from 1) is ``seed + i * gamma mod 2^64``, so every state
     and both mixing rounds are computed at once in wrapping ``uint64``
-    arithmetic; rounding stays Python's correctly rounded ``round`` per value.
+    arithmetic; rounding gives what Python's correctly rounded ``round``
+    gives per value (see ``_round_cents``).
     """
     steps = np.arange(1, count + 1, dtype=np.uint64)
     z = steps * _GAMMA + np.uint64(int(seed) & _MASK64)
     z = (z ^ (z >> 30)) * _MIX1
     z = (z ^ (z >> 27)) * _MIX2
     z ^= z >> 31
-    scaled = (z >> 11) * 2.0**-53 * 10.0
-    return np.array([round(value, 2) for value in scaled.tolist()])
+    return _round_cents((z >> 11) * 2.0**-53 * 10.0)
+
+
+def _round_cents(x: np.ndarray) -> np.ndarray:
+    """``round(v, 2)`` of every value, as an array, for ``|v| < 10**4``.
+
+    ``round`` returns the double nearest ``k / 100``, with ``k`` the exact
+    ``100 v`` rounded half to even, and ``k / 100.0`` is that double. Below
+    ``10**4`` the product ``v * 100.0`` lies within 1.2e-10 of ``100 v``, so
+    ``np.rint`` finds ``k`` unless ``100 v`` is within 1e-9 of a half-integer;
+    those few values take ``round`` itself.
+    """
+    scaled = x * 100.0
+    result = np.rint(scaled) / 100.0
+    for i in np.flatnonzero(np.abs(scaled - np.floor(scaled) - 0.5) < 1e-9).tolist():
+        result[i] = round(float(x[i]), 2)
+    return result
 
 
 def _build_chain(config: ExperimentConfig) -> markov.ChainModel:
@@ -164,12 +180,20 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
+# one %-format per table row; "%.12g" % x is the text of _fmt(x)
+_CSV_ROW = "%d" + ",%.12g" * len(FILTER_ORDER)
+_JSON_ROW = '    {"degree": %d, ' + ", ".join(f'"{name}": %.12g' for name in FILTER_ORDER) + "}"
+
+
 def _rows(table) -> list[list[float]]:
-    """The table's rows as Python floats; an empty table is an error."""
-    rows = np.asarray(table, dtype=float).tolist()
-    if not rows:
+    """The table's rows as Python floats; an empty table, or one that is not
+    one column per filter, is an error."""
+    values = np.asarray(table, dtype=float)
+    if values.size == 0:
         raise ValueError("no results to serialize")
-    return rows
+    if values.ndim != 2 or values.shape[1] != len(FILTER_ORDER):
+        raise ValueError(f"table has shape {values.shape}, expected (k_max, {len(FILTER_ORDER)})")
+    return values.tolist()
 
 
 def metadata_comment(metadata: RunMetadata) -> str:
@@ -186,8 +210,7 @@ def emit_csv(table, destination=None) -> str:
     separately (see ``metadata_comment``) so the table itself stays plain CSV.
     """
     lines = ["degree," + ",".join(FILTER_ORDER)]
-    for degree, row in enumerate(_rows(table), start=1):
-        lines.append(f"{degree}," + ",".join(_fmt(value) for value in row))
+    lines += [_CSV_ROW % (degree, *row) for degree, row in enumerate(_rows(table), start=1)]
     text = "\n".join(lines) + "\n"
     if destination is not None:
         destination.write(text)
@@ -211,11 +234,8 @@ def emit_json(table, metadata: RunMetadata, destination=None) -> str:
         "},\n"
     )
     buffer.write('  "rows": [\n')
-    for degree, row in enumerate(rows, start=1):
-        fields = ", ".join(f'"{name}": {_fmt(value)}' for name, value in zip(FILTER_ORDER, row))
-        comma = "," if degree < len(rows) else ""
-        buffer.write(f'    {{"degree": {degree}, {fields}}}{comma}\n')
-    buffer.write("  ]\n}\n")
+    buffer.write(",\n".join(_JSON_ROW % (degree, *row) for degree, row in enumerate(rows, start=1)))
+    buffer.write("\n  ]\n}\n")
     text = buffer.getvalue()
     if destination is not None:
         destination.write(text)

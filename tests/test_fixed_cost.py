@@ -2,14 +2,16 @@
 
 The Bernstein sweep computes its triangle weights once per sweep, as one
 table; its per-degree loop is kept here as a reference, and every output must
-match it bitwise. The Chebyshev and Legendre sweeps carry only bounded ratios
-as Python floats; the recursions they replaced, which first build the
-geometrically growing tables ``T_k(m0)`` and ``S_k = sum L~_k(0)^2``, are kept
-here as references. A ratio recurrence rounds differently, so those outputs
-must match to 1e-13 wherever the reference tables are finite, and stay finite
-far past the degree where the tables overflow. The CLI builds its argument
-parser once per process; runs in one process must print what fresh processes
-print.
+match it bitwise. The ``*_errors`` sweeps reduce their outputs a block of
+degrees at a time; the per-degree reduction is kept here as a reference, and
+every error must equal it whatever the block size. The Chebyshev and Legendre
+sweeps carry only bounded ratios as Python floats; the recursions they
+replaced, which first build the geometrically growing tables ``T_k(m0)`` and
+``S_k = sum L~_k(0)^2``, are kept here as references. A ratio recurrence
+rounds differently, so those outputs must match to 1e-13 wherever the
+reference tables are finite, and stay finite far past the degree where the
+tables overflow. The CLI builds its argument parser once per process; runs in
+one process must print what fresh processes print.
 """
 
 import os
@@ -32,6 +34,7 @@ def _signal(chain):
 
 
 def _errors(chain, f, steps):
+    """Max-abs errors at degrees 1, 2, ..., one output at a time."""
     next(steps)
     target = markov.pi_expectation(f, chain.pi)
     return [float(np.abs(out - target).max()) for out in steps]
@@ -180,6 +183,57 @@ def test_bernstein_weight_blocks_bitwise_equal(monkeypatch, cycle_chain, block):
     for lam in (0.5, 1.9):
         want = _errors(cycle_chain, f, reference_bernstein_steps(cycle_chain, f, K_MAX, lam))
         assert filters.bernstein_errors(cycle_chain, f, K_MAX, lam) == want, lam
+
+
+FILTER_NAMES = ("ergodic", "bernstein", "chebyshev", "legendre")
+
+
+def _sweeps(chain, f, k_max, lam):
+    """Each filter's ``*_errors`` result and the per-degree reference errors
+    of the same sweep generator."""
+    for name in FILTER_NAMES:
+        args = (k_max,) if name == "ergodic" else (k_max, lam)
+        got = getattr(filters, f"{name}_errors")(chain, f, *args)
+        want = _errors(chain, f, getattr(filters, f"_{name}_steps")(chain, f, *args))
+        yield name, got, want
+
+
+ERROR_BLOCKS = {
+    "1": lambda n: 1,
+    "n-1": lambda n: n - 1,
+    "n": lambda n: n,
+    "n+1": lambda n: n + 1,
+    "2n+1": lambda n: 2 * n + 1,
+    "10n": lambda n: 10 * n,
+}
+
+
+@pytest.mark.parametrize("entries", sorted(ERROR_BLOCKS))
+def test_error_blocks_equal_per_degree_reduction(monkeypatch, cycle_chain, glauber_chain, entries):
+    # one row per block (1 to 2n - 1 entries), blocks of 2 and 10 rows, and
+    # more rows than a sweep has degrees (10n at k_max = 1); k_max = 37
+    # leaves a part-filled last block. The buffers are seen through np.empty
+    buffers = []
+    empty = np.empty
+
+    def spy(shape, *args, **kw):
+        buffers.append(shape)
+        return empty(shape, *args, **kw)
+
+    monkeypatch.setattr(np, "empty", spy)
+    for chain in (cycle_chain, glauber_chain):
+        n = chain.n
+        block = ERROR_BLOCKS[entries](n)
+        monkeypatch.setattr(filters, "_ERROR_BLOCK", block)
+        f = _signal(chain)
+        for k_max in (K_MAX, 37, 1):
+            for lam in (chain.lambda_low, 1.9):
+                for name, got, want in _sweeps(chain, f, k_max, lam):
+                    assert len(got) == k_max and got == want, (name, n, block, k_max, lam)
+            rows = min(k_max, max(1, block // n))
+            assert set(buffers) == {(rows, n)}, (n, block, k_max)
+            assert rows * n <= max(n, block)
+            buffers.clear()
 
 
 LONG_SWEEP = 10**4

@@ -162,6 +162,22 @@ def test_generate_signal_bytes_match_scalar_loop():
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (seed, count)
 
 
+def test_round_cents_matches_round_near_half_cents():
+    # half-cents (2k + 1)/200 and their 1- and 2-ulp neighbours, where x * 100.0
+    # may round across the tie and np.rint alone would pick the wrong cent,
+    # plus uniform draws from the generator's range [0, 10)
+    ties = (2 * np.arange(2000) + 1) / 200.0
+    near = [ties]
+    for direction in (np.inf, -np.inf):
+        step = ties
+        for _ in range(2):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    x = np.concatenate(near + [np.random.default_rng(7).uniform(0.0, 10.0, 10**5)])
+    want = np.array([round(v, 2) for v in x.tolist()])
+    assert harness._round_cents(x).tobytes() == want.tobytes()
+
+
 def test_emit_csv_shape():
     results, _ = harness.run_experiment(_cycle_config())
     text = harness.emit_csv(results)
@@ -186,6 +202,15 @@ def test_emit_csv_destination():
 def test_emit_csv_rejects_empty():
     with pytest.raises(ValueError):
         harness.emit_csv([])
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 5)])
+def test_emit_rejects_table_without_one_column_per_filter(shape):
+    _, metadata = harness.run_experiment(_cycle_config(k_max=2))
+    with pytest.raises(ValueError, match="table has shape"):
+        harness.emit_csv(np.ones(shape))
+    with pytest.raises(ValueError, match="table has shape"):
+        harness.emit_json(np.ones(shape), metadata)
 
 
 def test_metadata_comment_format():
@@ -224,6 +249,45 @@ def test_emit_json_formatting():
     text = harness.emit_json(results, metadata)
     token = f"{_column(results, 'ergodic')[0]:.12g}"
     assert token in text
+
+
+EMIT_CELLS = [0.0, 5e-324, 1e-300, 0.1 + 0.2, 1 / 3, 1.0, 123456789012.5]
+
+
+def _reference_emit(table, metadata):
+    """CSV and JSON text built one ``format(v, ".12g")`` per cell."""
+    fmt = lambda value: format(value, ".12g")
+    lines = ["degree," + ",".join(harness.FILTER_ORDER)]
+    for degree, row in enumerate(table.tolist(), start=1):
+        lines.append(f"{degree}," + ",".join(fmt(value) for value in row))
+    csv = "\n".join(lines) + "\n"
+    rows = table.tolist()
+    parts = [
+        "{\n",
+        '  "metadata": {'
+        f'"experiment": "{metadata.experiment}", "p": {metadata.p}, '
+        f'"k_max": {metadata.k_max}, "lambda_low": {fmt(metadata.lambda_low)}, '
+        f'"pi_f": {fmt(metadata.pi_f)}'
+        "},\n",
+        '  "rows": [\n',
+    ]
+    for degree, row in enumerate(rows, start=1):
+        fields = ", ".join(f'"{name}": {fmt(value)}' for name, value in zip(harness.FILTER_ORDER, row))
+        comma = "," if degree < len(rows) else ""
+        parts.append(f'    {{"degree": {degree}, {fields}}}{comma}\n')
+    parts.append("  ]\n}\n")
+    return csv, "".join(parts)
+
+
+def test_emit_text_matches_per_cell_format():
+    # every cell value sits in every column of the 7-row table
+    table = np.array([np.roll(EMIT_CELLS, -i)[:4] for i in range(len(EMIT_CELLS))])
+    metadata = harness.RunMetadata("glauber", 4, 7, 1 / 3, 0.1 + 0.2)
+    csv, json_text = _reference_emit(table, metadata)
+    assert harness.emit_csv(table) == csv
+    assert harness.emit_json(table, metadata) == json_text
+    single = table[:1]
+    assert (harness.emit_csv(single), harness.emit_json(single, metadata)) == _reference_emit(single, metadata)
 
 
 def test_seeded_run_deterministic():
