@@ -9,7 +9,10 @@ each with its analytic stationary distribution and a positive lower bound
 Both are built directly as neighbour tables (see ``markov.ChainModel``),
 vectorised over the states. Ising states are encoded as bitmasks: state index
 ``x`` has spin ``+1`` at site ``w`` iff bit ``w`` of ``x`` is set, and its
-table row lists ``x`` and then the single-spin flips ``x ^ 2^w``.
+table row lists ``x`` and then the single-spin flips ``x ^ 2^w``. Every
+per-site quantity (an edge's energy term, a site's keep and flip
+probabilities) depends on a few neighbouring spins only, so it is computed
+once per site and spin pattern and gathered by each state's window codes.
 """
 
 from __future__ import annotations
@@ -74,19 +77,43 @@ def cycle_lambda_low(p: int) -> float:
     return 8.0 * p / ((p - 1) ** 2 * (p + 1))
 
 
-def _spins(states: np.ndarray, p: int) -> np.ndarray:
-    """The (len(states), p) array of spins: ``+1`` where bit ``w`` is set."""
-    return np.where((states[:, None] >> np.arange(p)) & 1, 1.0, -1.0)
+def _window_codes(states: np.ndarray, p: int, below: int) -> np.ndarray:
+    """The (len(states), p) lookup indices ``w 2^k + c`` of each state's
+    sites ``w``, where the ``k = below + 2`` bits of ``c`` are the spins of
+    sites ``w - below .. w + 1`` (mod p), lowest site in bit 0.
+
+    ``below`` is 0 for an edge ``(w, w + 1)`` and 1 for a site and both its
+    neighbours. The ring is unrolled into one integer, with its top site
+    wrapped below site 0 and site 0 repeated above site ``p - 1``, so each
+    window is one shift and one mask.
+    """
+    ring = (states << below) | (states >> (p - below)) | ((states & 1) << (p + below))
+    width = 1 << (below + 2)
+    codes = ring[:, None] >> np.arange(p)
+    codes &= width - 1
+    codes += np.arange(0, p * width, width)
+    return codes
 
 
-def _energies(spins: np.ndarray, params: GlauberParams) -> np.ndarray:
-    # couplings[i] sits on the edge (i, i+1), the right neighbour of site i
-    return -(params.couplings * spins * np.roll(spins, -1, axis=1)).sum(axis=1)
+def _window_spins(below: int) -> np.ndarray:
+    """The spins ``+1``/``-1`` of every window code ``c`` (rows) at each of
+    its ``below + 2`` sites (columns), lowest site first."""
+    width = below + 2
+    return np.where((np.arange(1 << width)[:, None] >> np.arange(width)) & 1, 1.0, -1.0)
+
+
+def _energies(states: np.ndarray, params: GlauberParams) -> np.ndarray:
+    # couplings[i] sits on the edge (i, i+1), the right neighbour of site i;
+    # each edge term is looked up by the two spins it joins
+    spins = _window_spins(0)
+    edge_terms = params.couplings[:, None] * spins[:, 0] * spins[:, 1]
+    return -edge_terms.take(_window_codes(states, params.p, 0)).sum(axis=1)
 
 
 def glauber_energy(x: int, params: GlauberParams) -> float:
-    """Ising ring energy ``-sum_i J_i s(i) s(i+1)``, each edge counted once."""
-    return float(_energies(_spins(np.array([x]), params.p), params)[0])
+    """Ising ring energy ``-sum_i J_i s(i) s(i+1)``, each edge counted once.
+    Only bits ``0 .. p-1`` of ``x`` are read."""
+    return float(_energies(np.array([x & ((1 << params.p) - 1)]), params)[0])
 
 
 def _check_enumeration(params: GlauberParams):
@@ -97,8 +124,7 @@ def _check_enumeration(params: GlauberParams):
 def gibbs_distribution(params: GlauberParams) -> np.ndarray:
     """Boltzmann law ``exp(-beta H(x)) / Z`` by full enumeration of 2^p states."""
     _check_enumeration(params)
-    energies = _energies(_spins(np.arange(1 << params.p), params.p), params)
-    weights = np.exp(-params.beta * energies)
+    weights = np.exp(-params.beta * _energies(np.arange(1 << params.p), params))
     return weights / weights.sum()
 
 
@@ -109,26 +135,39 @@ def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
     Boltzmann law given the neighbors. Row ``x`` of the table holds the lazy
     part ``P(x, x)``, the sum of the keep probabilities, and then the flip
     probability of each site ``w`` at ``x ^ 2^w``, so rows sum to 1.
+
+    Both probabilities depend only on ``w`` and the spins of sites
+    ``w - 1, w, w + 1``; they are computed once for each of those 8 p
+    windows and gathered into the (2^p, p + 1) table, which is written in
+    place. The build holds about two tables beside the chain it returns.
     """
     _check_enumeration(params)
     # the gap bound is cheap and fails first when the temperature is so low
     # that the Gibbs weights would overflow in the O(n p) build below
     lambda_low = glauber_lambda_low(params)
     p = params.p
-    states = np.arange(1 << p)
-    spins = _spins(states, p)
+    spins = _window_spins(1)
     # site w couples to w-1 via couplings[w-1] and to w+1 via couplings[w]
-    field = np.roll(params.couplings, 1) * np.roll(spins, 1, axis=1) + params.couplings * np.roll(
-        spins, -1, axis=1
+    field = (
+        np.roll(params.couplings, 1)[:, None] * spins[:, 0]
+        + params.couplings[:, None] * spins[:, 2]
     )
     # e^a / (e^a + e^-a) written as a sigmoid so large fields cannot overflow;
     # the flipped spin sees the same field with the opposite sign
-    aligned = params.beta * spins * field
+    aligned = params.beta * spins[:, 1] * field
     keep = 1.0 / (p * (1.0 + np.exp(-2.0 * aligned)))
     flip = 1.0 / (p * (1.0 + np.exp(2.0 * aligned)))
-    neighbors = np.concatenate([states[:, None], states[:, None] ^ (1 << np.arange(p))], axis=1)
-    weights = np.concatenate([keep.sum(axis=1, keepdims=True), flip], axis=1)
-    return markov.make_chain(neighbors, weights, gibbs_distribution(params), lambda_low)
+    states = np.arange(1 << p)
+    codes = _window_codes(states, p, 1)
+    weights = np.empty((states.size, p + 1))
+    keep.take(codes).sum(axis=1, out=weights[:, 0])
+    weights[:, 1:] = flip.take(codes)
+    del codes
+    pi = gibbs_distribution(params)
+    neighbors = np.empty(weights.shape, dtype=np.intp)
+    neighbors[:, 0] = states
+    np.bitwise_xor(states[:, None], 1 << np.arange(p), out=neighbors[:, 1:])
+    return markov.make_chain(neighbors, weights, pi, lambda_low)
 
 
 def glauber_m_matrix(params: GlauberParams) -> np.ndarray:
@@ -157,10 +196,11 @@ def glauber_lambda_low(params: GlauberParams) -> float:
     eigenvalue of the band matrix from ``glauber_m_matrix``.
 
     For uniform ferromagnetic couplings ``J > 0``, ``gamma_1 = tanh(2 beta J)``
-    and the bound is the closed form ``2 / ((1 + e^(4 beta J)) p)``: it keeps
-    full relative precision at low temperature, where ``1 - gamma_1``
-    cancels. Other couplings are eigensolved; for ``J < 0`` on an odd ring,
-    which is frustrated, the closed form would be wrong.
+    and the bound is the closed form ``2 / ((1 + e^(4 beta J)) p)``, with no
+    band matrix built: it keeps full relative precision at low temperature,
+    where ``1 - gamma_1`` cancels. Other couplings are eigensolved; for
+    ``J < 0`` on an odd ring, which is frustrated, the closed form would be
+    wrong.
 
     Non-uniform couplings make the band matrix asymmetric; it is then brought
     to symmetric form by a diagonal similarity before eigensolving. The two
@@ -168,14 +208,21 @@ def glauber_lambda_low(params: GlauberParams) -> float:
     ratio is a positive ratio of cosh sums and the scaling is well defined
     whenever every coupling is nonzero.
     """
-    m = glauber_m_matrix(params)
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"gap bound degenerates: band matrix overflows at beta={params.beta}")
     p = params.p
     coupling = float(params.couplings[0])
     closed_form = coupling > 0.0 and bool(np.all(params.couplings == coupling))
+    two_beta_j = 2.0 * params.beta * coupling
     if closed_form:
-        gamma1 = float(np.tanh(2.0 * params.beta * coupling))
+        # every band entry is sinh / (2 cosh) of 2 beta J: finite exactly
+        # when these two are, so the matrix itself is not needed
+        with np.errstate(over="ignore"):
+            m = np.array([np.sinh(two_beta_j), np.cosh(two_beta_j)])
+    else:
+        m = glauber_m_matrix(params)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"gap bound degenerates: band matrix overflows at beta={params.beta}")
+    if closed_form:
+        gamma1 = float(np.tanh(two_beta_j))
     elif np.abs(m - m.T).max() <= 1e-14 * max(1.0, float(np.abs(m).max())):
         gamma1 = float(densela.symmetric_eigen(m)[0][-1])
     else:

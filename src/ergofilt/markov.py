@@ -104,26 +104,25 @@ class SpectralDecomposition:
         self.eigenfunctions.setflags(write=False)
 
 
-def _reverse_entries(neighbors: np.ndarray) -> np.ndarray:
+def _reverse_entries(
+    neighbors: np.ndarray, candidate: np.ndarray, hit: np.ndarray
+) -> np.ndarray:
     """For each entry ``(x, j)`` with ``y = neighbors[x, j]``, the flat
     position ``y * d + k`` of the first entry with ``neighbors[y, k] == x``,
     or ``n * d``, one past the table, if row ``y`` does not list ``x``.
 
-    Column ``k = j`` is tried first, which finds every reverse entry of a
-    table whose reverse edges share their column (bit flips) in O(n d). The
-    m entries left (a cycle's ``x + 1`` and ``x - 1``) search all of row ``y``
-    at once, in O(m d).
+    ``candidate`` holds the same-column positions ``y * d + j`` and ``hit``
+    whether each is the reverse entry; ``candidate`` is overwritten and
+    returned. The m entries that miss (a cycle's ``x + 1`` and ``x - 1``)
+    search all of row ``y`` at once, in O(m d).
     """
-    n, d = neighbors.shape
+    d = neighbors.shape[1]
     flat = neighbors.ravel()
-    candidate = neighbors * d + np.arange(d)
-    reverse = np.where(flat.take(candidate) == np.arange(n)[:, None], candidate, flat.size)
-    rows, cols = np.nonzero(reverse == flat.size)
-    if rows.size:
-        starts = flat.take(rows * d + cols) * d
-        hit = flat.take(starts[:, None] + np.arange(d)) == rows[:, None]
-        reverse[rows, cols] = np.where(hit.any(axis=1), starts + hit.argmax(axis=1), flat.size)
-    return reverse
+    rows, cols = np.nonzero(~hit)
+    starts = candidate[rows, cols] - cols
+    found = flat.take(starts[:, None] + np.arange(d)) == rows[:, None]
+    candidate[rows, cols] = np.where(found.any(axis=1), starts + found.argmax(axis=1), flat.size)
+    return candidate
 
 
 def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,6 +134,12 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
     offending state or ``(x, y)`` pair. Detailed balance is checked per entry,
     ``|pi(x) P(x,y) - pi(y) P(y,x)|``, with ``P(y,x) = 0`` where row ``y``
     does not list ``x``.
+
+    The reverse of entry ``(x, j)`` is looked for in column ``j`` of row
+    ``y`` first. When every entry finds it there, as in a table of bit flips,
+    the balance check reads the reverse entries straight from that column and
+    holds about two table-sized temporaries; otherwise the missing entries
+    search their whole row.
     """
     nbr = np.asarray(neighbors)
     w = np.asarray(weights, dtype=float)
@@ -168,22 +173,35 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
     if abs(dist.sum() - 1.0) > ROW_SUM_TOL:
         raise NonPositivePi("stationary mass does not sum to 1", -1, float(abs(dist.sum() - 1.0)))
 
-    # flat tables with one slot past the end, read by entries with no reverse
-    reverse = _reverse_entries(nbr).ravel()
-    flow = np.append(dist[:, None] * w, 0.0)
-    # each entry must be the reverse of its own reverse, or one state lists
-    # another twice and the per-entry check below would not add up to P(x, y)
-    own = np.arange(nbr.size)
-    unpaired = (np.append(reverse, -1).take(reverse) != own) & (reverse < nbr.size)
-    if unpaired.any():
-        x, j = divmod(int(np.argmax(unpaired)), d)
-        raise ValueError(f"state {x} lists state {nbr[x, j]} more than once")
-    imbalance = np.abs(flow[:-1] - flow.take(reverse))
+    reverse = nbr * d
+    reverse += np.arange(d)
+    hit = nbr.ravel().take(reverse) == np.arange(n)[:, None]
+    if hit.all():
+        # the reverse of a reverse entry is then the entry itself, so no
+        # state lists another twice
+        back = w.ravel().take(reverse)
+    else:
+        reverse = _reverse_entries(nbr, reverse, hit).ravel()
+        # each entry must be the reverse of its own reverse, or one state lists
+        # another twice and the per-entry check below would not add up to P(x, y)
+        own = np.arange(nbr.size)
+        unpaired = (np.append(reverse, -1).take(reverse) != own) & (reverse < nbr.size)
+        if unpaired.any():
+            x, j = divmod(int(np.argmax(unpaired)), d)
+            raise ValueError(f"state {x} lists state {nbr[x, j]} more than once")
+        # one slot past the end, read by entries with no reverse
+        back = np.append(w, 0.0).take(reverse).reshape(n, d)
+    # the index table is freed before the float ones below are made
+    del reverse, hit
+    # pi(y) P(y, x) for each entry (x, y), then |pi(x) P(x, y) - pi(y) P(y, x)|
+    back *= dist[nbr]
+    imbalance = np.subtract(dist[:, None] * w, back, out=back)
+    np.abs(imbalance, out=imbalance)
     worst = int(np.argmax(imbalance))
-    if imbalance[worst] > DETAILED_BALANCE_TOL:
+    if imbalance.flat[worst] > DETAILED_BALANCE_TOL:
         x, j = divmod(worst, d)
         raise DetailedBalanceViolation(
-            "detailed balance violated", (x, int(nbr[x, j])), float(imbalance[worst])
+            "detailed balance violated", (x, int(nbr[x, j])), float(imbalance.flat[worst])
         )
     return nbr, w, dist
 

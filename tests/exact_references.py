@@ -1,11 +1,12 @@
-"""Exact references the filter tests compare against.
+"""Exact references the tests compare against.
 
 None of these is on a run path: the running average written as a polynomial
 in the Laplacian, the coefficients of the annihilating polynomial of a
 spectrum, an exact-rational solver for the constrained L2 design problem,
 Gauss-Legendre quadrature on the stopband, and the whole error table of a run
 rebuilt from the eigendecomposition of the chain with textbook forms of the
-four frequency responses.
+four frequency responses. The Glauber chain is rebuilt from whole-state
+(2^p, p) arrays, the construction the per-site lookup build replaced.
 ``filters.lagrange_exact_apply`` (the frequency-zeroing projector) stays in
 the package.
 
@@ -20,6 +21,8 @@ from math import comb
 
 import numpy as np
 from numpy.polynomial import chebyshev, legendre
+
+from ergofilt import chains, densela
 
 ORACLE_DEGREE_CAP = 20
 
@@ -183,3 +186,53 @@ def spectral_error_table(transition, pi, f, k_max: int, lambda_low: float) -> np
     responses = filter_responses(eigenvalues[1:], k_max, lambda_low)
     deviation = vectors[:, 1:] @ (responses.reshape(pi.size - 1, -1) * coefficients[:, None])
     return np.abs(deviation / d[:, None]).max(axis=0).reshape(k_max, 4)
+
+
+def reference_glauber_table(params):
+    """``(neighbors, weights, pi, lambda_low)`` of the heat-bath chain on the
+    Ising ring, from (2^p, p) arrays of every state's spins, fields and
+    sigmoids, with the gap bound read off the band matrix.
+
+    Each float expression is the one ``chains.build_glauber_cycle`` evaluates
+    per site and spin pattern, in the same order, so the two agree bitwise.
+    """
+    p = params.p
+    states = np.arange(1 << p)
+    spins = np.where((states[:, None] >> np.arange(p)) & 1, 1.0, -1.0)
+    # site w couples to w-1 via couplings[w-1] and to w+1 via couplings[w]
+    field = np.roll(params.couplings, 1) * np.roll(spins, 1, axis=1) + params.couplings * np.roll(
+        spins, -1, axis=1
+    )
+    aligned = params.beta * spins * field
+    keep = 1.0 / (p * (1.0 + np.exp(-2.0 * aligned)))
+    flip = 1.0 / (p * (1.0 + np.exp(2.0 * aligned)))
+    neighbors = np.concatenate([states[:, None], states[:, None] ^ (1 << np.arange(p))], axis=1)
+    weights = np.concatenate([keep.sum(axis=1, keepdims=True), flip], axis=1)
+    energies = -(params.couplings * spins * np.roll(spins, -1, axis=1)).sum(axis=1)
+    gibbs = np.exp(-params.beta * energies)
+    return neighbors, weights, gibbs / gibbs.sum(), _reference_glauber_gap(params)
+
+
+def _reference_glauber_gap(params) -> float:
+    """``(1 - gamma_1) / p`` from the band matrix: the closed form for uniform
+    couplings ``J > 0``, else ``eigh`` after a diagonal symmetrisation."""
+    m = chains.glauber_m_matrix(params)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"gap bound degenerates: band matrix overflows at beta={params.beta}")
+    p = params.p
+    coupling = float(params.couplings[0])
+    closed_form = coupling > 0.0 and bool(np.all(params.couplings == coupling))
+    if closed_form:
+        gamma1 = float(np.tanh(2.0 * params.beta * coupling))
+    elif np.abs(m - m.T).max() <= 1e-14 * max(1.0, float(np.abs(m).max())):
+        gamma1 = float(densela.symmetric_eigen(m)[0][-1])
+    else:
+        d = np.ones(p)
+        for i in range(p - 1):
+            d[i + 1] = d[i] * np.sqrt(m[i, i + 1] / m[i + 1, i])
+        gamma1 = float(densela.symmetric_eigen(d[:, None] * m / d[None, :])[0][-1])
+    if gamma1 >= 1.0:
+        raise ValueError(f"gap bound degenerates: top band eigenvalue {gamma1} >= 1")
+    if closed_form:
+        return 2.0 / ((1.0 + float(np.exp(4.0 * params.beta * coupling))) * p)
+    return (1.0 - gamma1) / p

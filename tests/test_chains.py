@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import tracemalloc
 
+import exact_references
 import numpy as np
 import pytest
 
@@ -270,6 +272,53 @@ def test_glauber_table_matches_double_loop():
         assert np.abs(chains.gibbs_distribution(params) - pi).max() <= 1e-15, params
         for x in (0, 1, n // 3, n - 1):
             assert abs(chains.glauber_energy(x, params) - _reference_energy(x, params)) <= 1e-15
+
+
+def _reference_table_cases():
+    yield from _glauber_cases()
+    for p in (3, 4, 7, 8):
+        for beta in (0.2, 0.7, 1.5):
+            yield chains.GlauberParams.uniform(p, beta, -1.0)
+            yield chains.GlauberParams(p=p, beta=beta, couplings=np.resize([1.0, -0.5, 0.7, -1.2], p))
+    yield chains.GlauberParams.uniform(12, 0.2, 1.0)
+    yield chains.GlauberParams(p=12, beta=0.7, couplings=np.resize([0.3, -1.0, 0.7], 12))
+
+
+def test_glauber_table_matches_vectorised_reference():
+    # the per-site lookups evaluate the whole-state expressions in the same
+    # order, so the chain is bitwise the one the (2^p, p) arrays give
+    for params in _reference_table_cases():
+        chain = chains.build_glauber_cycle(params)
+        neighbors, weights, pi, lambda_low = exact_references.reference_glauber_table(params)
+        assert chain.neighbors.dtype == np.intp
+        assert np.array_equal(chain.neighbors, neighbors), params
+        assert np.array_equal(chain.weights, weights), params
+        assert np.array_equal(chain.pi, pi), params
+        assert np.array_equal(chains.gibbs_distribution(params), pi), params
+        assert chain.lambda_low == lambda_low, params
+        # a state index names its spins by its low p bits only
+        n = 1 << params.p
+        for x in (1, n - 2):
+            assert chains.glauber_energy(x + 3 * n, params) == chains.glauber_energy(x, params)
+
+
+def test_glauber_build_and_validation_memory():
+    # at p = 14 one (n, p + 1) table is 1.9 MiB; the build measures about 2.1
+    # times the bytes the chain keeps, and validation about 2.2 tables
+    params = chains.GlauberParams.uniform(14, 0.2, 1.0)
+    tracemalloc.start()
+    try:
+        chain = chains.build_glauber_cycle(params)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        markov.validate_chain(chain.neighbors, chain.weights, chain.pi)
+        validate_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    kept = chain.neighbors.nbytes + chain.weights.nbytes + chain.pi.nbytes
+    assert build_peak <= 3.5 * kept, build_peak / kept
+    assert validate_peak <= 3.0 * chain.weights.nbytes, validate_peak / chain.weights.nbytes
 
 
 def test_cycle_table_layout():

@@ -126,6 +126,72 @@ def test_validate_rejects_unpaired_duplicate():
         markov.validate_chain(neighbors, weights, _PATH_PI)
 
 
+def _rotate_odd_rows(table):
+    """Columns 1..d-1 of every odd row moved one place right: the same chain,
+    but a bit-flip table no longer finds each reverse entry in its own column."""
+    rotated = np.array(table)
+    rotated[1::2, 1:] = np.roll(rotated[1::2, 1:], 1, axis=1)
+    return rotated
+
+
+def _validation_outcome(neighbors, weights, pi):
+    try:
+        markov.validate_chain(neighbors, weights, pi)
+    except markov.ChainValidationError as exc:
+        return type(exc), exc.index, exc.magnitude
+    except ValueError as exc:
+        return ValueError, str(exc)
+    return ("pass",)
+
+
+def _glauber_tables():
+    """(name, neighbours, weights, pi): a valid Glauber table and copies
+    broken in one place each."""
+    params = chains.GlauberParams(p=5, beta=0.7, couplings=[0.3, 1.0, -0.7, 0.3, 1.0])
+    chain = chains.build_glauber_cycle(params)
+    base = chain.neighbors.copy(), chain.weights.copy(), chain.pi
+    yield "valid", *base
+    neighbors, weights, pi = base
+    scaled = weights.copy()
+    scaled[6, 2] *= 1.0 + 1e-9
+    yield "one weight scaled", neighbors, scaled, pi
+    shifted = weights.copy()
+    shifted[6, 2] *= 1.0 + 1e-3
+    shifted[6, 0] -= shifted[6, 2] - weights[6, 2]
+    yield "rows kept, balance broken", neighbors, shifted, pi
+    duplicated = neighbors.copy()
+    duplicated[6, 1] = duplicated[6, 2]
+    yield "duplicated neighbour", duplicated, weights, pi
+
+
+def test_validation_paths_agree(monkeypatch):
+    # the same-column pass and the row search must reach the same verdict,
+    # worst pair and magnitude on the same chain
+    general = []
+    reverse_entries = markov._reverse_entries
+
+    def counted(*args):
+        general.append(True)
+        return reverse_entries(*args)
+
+    monkeypatch.setattr(markov, "_reverse_entries", counted)
+    outcomes = set()
+    for name, neighbors, weights, pi in _glauber_tables():
+        del general[:]
+        original = _validation_outcome(neighbors, weights, pi)
+        original_general = bool(general)
+        del general[:]
+        rotated = _validation_outcome(_rotate_odd_rows(neighbors), _rotate_odd_rows(weights), pi)
+        assert rotated == original, name
+        # a row-sum failure stops before either path; a duplicate misses its column anyway
+        assert original_general == (name == "duplicated neighbour"), name
+        assert bool(general) == (name != "one weight scaled"), name
+        outcomes.add(original[0])
+    assert outcomes == {
+        "pass", markov.StochasticityViolation, markov.DetailedBalanceViolation, ValueError
+    }
+
+
 def test_chain_model_is_frozen(cycle_chain):
     with pytest.raises(ValueError):
         cycle_chain.weights[0, 0] = 1.0
