@@ -77,43 +77,45 @@ def cycle_lambda_low(p: int) -> float:
     return 8.0 * p / ((p - 1) ** 2 * (p + 1))
 
 
-def _window_codes(states: np.ndarray, p: int, below: int) -> np.ndarray:
-    """The (len(states), p) lookup indices ``w 2^k + c`` of each state's
-    sites ``w``, where the ``k = below + 2`` bits of ``c`` are the spins of
-    sites ``w - below .. w + 1`` (mod p), lowest site in bit 0.
+def _window_codes(states: np.ndarray, p: int) -> np.ndarray:
+    """The (len(states), p) lookup indices ``8 w + c`` of each state's sites
+    ``w``, where bits 0, 1, 2 of ``c`` are the spins of sites ``w - 1``,
+    ``w``, ``w + 1`` (mod p).
 
-    ``below`` is 0 for an edge ``(w, w + 1)`` and 1 for a site and both its
-    neighbours. The ring is unrolled into one integer, with its top site
-    wrapped below site 0 and site 0 repeated above site ``p - 1``, so each
-    window is one shift and one mask.
+    The ring is unrolled into one integer, with its top site wrapped below
+    site 0 and site 0 repeated above site ``p - 1``, so each window is one
+    shift and one mask.
     """
-    ring = (states << below) | (states >> (p - below)) | ((states & 1) << (p + below))
-    width = 1 << (below + 2)
+    ring = (states << 1) | (states >> (p - 1)) | ((states & 1) << (p + 1))
     codes = ring[:, None] >> np.arange(p)
-    codes &= width - 1
-    codes += np.arange(0, p * width, width)
+    codes &= 7
+    codes += np.arange(0, 8 * p, 8)
     return codes
 
 
-def _window_spins(below: int) -> np.ndarray:
-    """The spins ``+1``/``-1`` of every window code ``c`` (rows) at each of
-    its ``below + 2`` sites (columns), lowest site first."""
-    width = below + 2
-    return np.where((np.arange(1 << width)[:, None] >> np.arange(width)) & 1, 1.0, -1.0)
+# the spins +1/-1 of every window code c (rows) at sites w - 1, w, w + 1
+_WINDOW_SPINS = np.where((np.arange(8)[:, None] >> np.arange(3)) & 1, 1.0, -1.0)
+_WINDOW_SPINS.setflags(write=False)
 
 
-def _energies(states: np.ndarray, params: GlauberParams) -> np.ndarray:
-    # couplings[i] sits on the edge (i, i+1), the right neighbour of site i;
-    # each edge term is looked up by the two spins it joins
-    spins = _window_spins(0)
-    edge_terms = params.couplings[:, None] * spins[:, 0] * spins[:, 1]
-    return -edge_terms.take(_window_codes(states, params.p, 0)).sum(axis=1)
+def _energies(codes: np.ndarray, params: GlauberParams) -> np.ndarray:
+    # the energies of the states with window codes ``codes``: couplings[i]
+    # sits on the edge (i, i+1), and each edge term is looked up by the two
+    # spins it joins, bits 1 and 2 of site i's code
+    edge_terms = params.couplings[:, None] * _WINDOW_SPINS[:, 1] * _WINDOW_SPINS[:, 2]
+    return -edge_terms.take(codes).sum(axis=1)
+
+
+def _gibbs(codes: np.ndarray, params: GlauberParams) -> np.ndarray:
+    weights = np.exp(-params.beta * _energies(codes, params))
+    return weights / weights.sum()
 
 
 def glauber_energy(x: int, params: GlauberParams) -> float:
     """Ising ring energy ``-sum_i J_i s(i) s(i+1)``, each edge counted once.
     Only bits ``0 .. p-1`` of ``x`` are read."""
-    return float(_energies(np.array([x & ((1 << params.p) - 1)]), params)[0])
+    codes = _window_codes(np.array([x & ((1 << params.p) - 1)]), params.p)
+    return float(_energies(codes, params)[0])
 
 
 def _check_enumeration(params: GlauberParams):
@@ -124,8 +126,7 @@ def _check_enumeration(params: GlauberParams):
 def gibbs_distribution(params: GlauberParams) -> np.ndarray:
     """Boltzmann law ``exp(-beta H(x)) / Z`` by full enumeration of 2^p states."""
     _check_enumeration(params)
-    weights = np.exp(-params.beta * _energies(np.arange(1 << params.p), params))
-    return weights / weights.sum()
+    return _gibbs(_window_codes(np.arange(1 << params.p), params.p), params)
 
 
 def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
@@ -139,14 +140,15 @@ def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
     Both probabilities depend only on ``w`` and the spins of sites
     ``w - 1, w, w + 1``; they are computed once for each of those 8 p
     windows and gathered into the (2^p, p + 1) table, which is written in
-    place. The build holds about two tables beside the chain it returns.
+    place; the same window codes give each state's energy. The build holds
+    about two tables beside the chain it returns.
     """
     _check_enumeration(params)
     # the gap bound is cheap and fails first when the temperature is so low
     # that the Gibbs weights would overflow in the O(n p) build below
     lambda_low = glauber_lambda_low(params)
     p = params.p
-    spins = _window_spins(1)
+    spins = _WINDOW_SPINS
     # site w couples to w-1 via couplings[w-1] and to w+1 via couplings[w]
     field = (
         np.roll(params.couplings, 1)[:, None] * spins[:, 0]
@@ -158,12 +160,12 @@ def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
     keep = 1.0 / (p * (1.0 + np.exp(-2.0 * aligned)))
     flip = 1.0 / (p * (1.0 + np.exp(2.0 * aligned)))
     states = np.arange(1 << p)
-    codes = _window_codes(states, p, 1)
+    codes = _window_codes(states, p)
     weights = np.empty((states.size, p + 1))
     keep.take(codes).sum(axis=1, out=weights[:, 0])
     weights[:, 1:] = flip.take(codes)
+    pi = _gibbs(codes, params)
     del codes
-    pi = gibbs_distribution(params)
     neighbors = np.empty(weights.shape, dtype=np.intp)
     neighbors[:, 0] = states
     np.bitwise_xor(states[:, None], 1 << np.arange(p), out=neighbors[:, 1:])

@@ -8,13 +8,14 @@ triangular low-pass response, a sup-norm-optimal normalized Chebyshev design,
 and an L2-optimal Legendre design. Each filter's vector recursion is one
 generator that yields its output at every degree up to K, one application of
 an affine Laplacian operator from ``ChainModel.affine`` per degree (per
-carried basis signal for Bernstein):
-``*_apply`` returns the last output, and ``*_errors`` the max-abs error at
-each degree of one sweep, reduced a block of degrees at a time (at most
-``_ERROR_BLOCK`` buffered entries). The frequency responses ``*_scalar`` run
-the same generators on the diagonal operator of the frequencies, so each
-filter has one definition. An exact reference ships alongside: the frequency-zeroing
-projector ``lagrange_exact_apply``.
+carried basis signal for Bernstein), its per-degree scalars computed in the
+loop as Python floats: the IEEE arithmetic of numpy scalars at a fraction of
+the cost. ``*_apply`` returns the last output, and ``*_errors`` the max-abs
+error at each degree of one sweep, reduced a block of degrees at a time (at
+most ``_ERROR_BLOCK`` buffered entries). The frequency responses
+``*_scalar`` run the same generators on the diagonal operator of the
+frequencies, so each filter has one definition. An exact reference ships
+alongside: the frequency-zeroing projector ``lagrange_exact_apply``.
 
 Polynomial coefficient vectors are in ascending monomial order.
 """
@@ -26,10 +27,6 @@ import numpy as np
 from . import markov
 
 _BAND_SLOP = 1e-9
-# Bernstein triangle weights per ``triangle`` call: one call covers a sweep
-# unless it has many degrees and many control points, where a whole (K, c + 1)
-# table could take gigabytes
-_WEIGHT_BLOCK = 1 << 16
 # entries of the buffer ``_errors`` stacks outputs in before one reduction:
 # 512 KiB of float64, or a single row once n exceeds it
 _ERROR_BLOCK = 1 << 16
@@ -112,22 +109,28 @@ def _errors(chain: markov.ChainModel, f, steps, k_max: int) -> list[float]:
 
     Each output is copied into a row of a buffer of
     ``min(k_max, _ERROR_BLOCK // n)`` rows (at least one); a full buffer, and
-    the rows filled at degree k_max, are reduced in place in one pass. Max is
-    exact, so every value is the one a reduction of each output on its own
+    the rows filled when the sweep ends, are reduced in place in one pass. Max
+    is exact, so every value is the one a reduction of each output on its own
     gives.
     """
     next(steps)
     target = markov.pi_expectation(f, chain.pi)
-    block = np.empty((max(1, min(k_max, _ERROR_BLOCK // chain.n)), chain.n))
-    errors = []
-    for k, out in enumerate(steps, start=1):
-        row = (k - 1) % len(block)
+    rows = max(1, min(k_max, _ERROR_BLOCK // chain.n))
+    block = np.empty((rows, chain.n))
+    errors, row = [], 0
+    for out in steps:
         block[row] = out
-        if row == len(block) - 1 or k == k_max:
-            filled = block[: row + 1]
-            np.subtract(filled, target, out=filled)
-            errors += np.abs(filled, out=filled).max(axis=1).tolist()
-    return errors
+        row += 1
+        if row == rows:
+            errors += _max_abs_deviations(block, target)
+            row = 0
+    return errors + _max_abs_deviations(block[:row], target)
+
+
+def _max_abs_deviations(block: np.ndarray, target: float) -> list[float]:
+    """``max |row - target|`` of each row, computed in place."""
+    np.subtract(block, target, out=block)
+    return np.abs(block, out=block).max(axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +198,16 @@ def bernstein_scalar(z, K: int, lambda_low: float):
     return _response(_bernstein_steps, z, K, lambda_low)
 
 
-def _triangle_weights(degrees: range, width: int, lambda_low: float) -> list[list[float]]:
-    """The nonzero triangle weights ``triangle(2l/k)``, ``l < width``, of each
-    degree ``k`` in ``degrees``, from one ``triangle`` call.
-
-    The nonzero weights of a degree are a prefix, since ``2l/k`` grows with
-    ``l``. Entries with ``l > k`` are set to frequency 2 (weight 0): ``2l/k``
-    would lie outside the band there.
-    """
-    k = np.array(degrees)[:, None]
-    l = np.arange(width)
-    table = triangle(np.where(l <= k, 2.0 * l / k, 2.0), lambda_low)
-    counts = np.count_nonzero(table, axis=1).tolist()
-    return [row[:count] for row, count in zip(table.tolist(), counts)]
+def _control_weights(k: int, lambda_low: float) -> list[float]:
+    """The nonzero weights ``triangle(2l/k)``, l = 0, 1, ..., of degree ``k``
+    as Python floats, by the IEEE expressions of ``triangle``. They are the
+    ``l`` with ``2l/k < lambda_low``, a prefix, as ``1 - x / lambda_low > 0``
+    for every ``x < lambda_low``; the first is 1.0."""
+    weights, l = [], 0
+    while (x := 2.0 * l / k) < lambda_low:
+        weights.append(1.0 - x / lambda_low)
+        l += 1
+    return weights
 
 
 def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
@@ -221,16 +221,16 @@ def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     at degree K leave nonzero: since ``2l/k >= 2l/K``, no lower degree has a
     nonzero weight beyond it. Step k takes ``min(k, c) + 1`` products with L,
     one per basis signal, so each output is the same whatever K the sweep
-    runs to. The triangle weights of the degrees come from
-    ``_triangle_weights``, ``_WEIGHT_BLOCK`` or so per call.
+    runs to. Each degree's weights come from ``_control_weights``; a degree
+    whose only weight is ``w_0 = 1`` yields ``b_{k,0}`` itself.
     """
     _check_context(K, lambda_low)
     values = _signal_for(chain, f)
     yield values.copy()
     if K == 0:
         return
-    cap = np.count_nonzero(triangle(2.0 * np.arange(K + 1) / K, lambda_low)) - 1
-    rows = max(1, _WEIGHT_BLOCK // (cap + 1))
+    lambda_low = float(lambda_low)
+    cap = len(_control_weights(K, lambda_low)) - 1
     half_laplacian = chain.affine(0.5, 0.0)
     basis = [values]
     for k in range(1, K + 1):
@@ -239,11 +239,9 @@ def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
         for l in range(len(basis) - 1, 0, -1):
             basis[l] = basis[l] - half_laplacian(basis[l] - basis[l - 1])
         basis[0] = basis[0] - half_laplacian(basis[0])
-        if (k - 1) % rows == 0:
-            block = _triangle_weights(range(k, min(k + rows, K + 1)), cap + 1, lambda_low)
-        weights = block[(k - 1) % rows]
-        out = weights[0] * basis[0]
-        for w, b in zip(weights[1:], basis[1:]):
+        weights = _control_weights(k, lambda_low)
+        out = basis[0] if len(weights) == 1 else basis[0] + weights[1] * basis[1]
+        for w, b in zip(weights[2:], basis[2:]):
             out += w * b
         yield out
 
@@ -286,8 +284,6 @@ def _chebyshev_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     if K == 0:
         return
     mapped = _stopband_map(chain, lambda_low)
-    # Python floats: the same IEEE arithmetic as numpy scalars, at a fraction
-    # of the cost per step
     m0 = float(_m0(lambda_low))
     omega = 1.0 / m0
     curr = mapped(values) / m0
@@ -346,7 +342,6 @@ def _legendre_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     result = values.copy()
     yield result
     mapped = _stopband_map(chain, lambda_low)
-    # Python floats, as in _chebyshev_steps
     m0 = float(_m0(lambda_low))
     prev = curr = values
     ratio = sum_ratio = 1.0

@@ -155,12 +155,14 @@ def run_experiment(config: ExperimentConfig) -> tuple[np.ndarray, RunMetadata]:
         if not 0.0 < lambda_low < 2.0:
             raise ValueError(f"lambda_low override must lie in (0, 2), got {lambda_low}")
 
-    columns = np.array([
-        filters.ergodic_errors(chain, signal, config.k_max),
-        filters.bernstein_errors(chain, signal, config.k_max, lambda_low),
-        filters.chebyshev_errors(chain, signal, config.k_max, lambda_low),
-        filters.legendre_errors(chain, signal, config.k_max, lambda_low),
-    ])
+    # an overflow in a sweep raises FloatingPointError, not a RuntimeWarning
+    with np.errstate(over="raise", invalid="raise"):
+        columns = np.array([
+            filters.ergodic_errors(chain, signal, config.k_max),
+            filters.bernstein_errors(chain, signal, config.k_max, lambda_low),
+            filters.chebyshev_errors(chain, signal, config.k_max, lambda_low),
+            filters.legendre_errors(chain, signal, config.k_max, lambda_low),
+        ])
     bad = ~np.isfinite(columns)
     if bad.any():
         first = int(np.flatnonzero(bad.any(axis=0))[0])

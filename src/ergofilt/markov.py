@@ -42,6 +42,10 @@ class DetailedBalanceViolation(ChainValidationError):
     pass
 
 
+class NotANumber(ChainValidationError):
+    """A NaN transition probability or stationary mass."""
+
+
 @dataclass(frozen=True)
 class ChainModel:
     """A validated reversible chain as a neighbour table, its stationary law,
@@ -131,9 +135,9 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
 
     Returns the validated ``(neighbors, weights, pi)`` as index and float
     arrays; raises a ``ChainValidationError`` subclass naming the worst
-    offending state or ``(x, y)`` pair. Detailed balance is checked per entry,
-    ``|pi(x) P(x,y) - pi(y) P(y,x)|``, with ``P(y,x) = 0`` where row ``y``
-    does not list ``x``.
+    offending state or ``(x, y)`` pair, or the first NaN. Detailed balance is
+    checked per entry, ``|pi(x) P(x,y) - pi(y) P(y,x)|``, with ``P(y,x) = 0``
+    where row ``y`` does not list ``x``.
 
     The reverse of entry ``(x, j)`` is looked for in column ``j`` of row
     ``y`` first. When every entry finds it there, as in a table of bit flips,
@@ -157,18 +161,21 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
     if (nbr[:, 0] != np.arange(n)).any():
         raise ValueError("column 0 of the neighbour table must list each state itself")
 
-    if w.min() < 0.0:
+    if not w.min() >= 0.0:  # min and argmin propagate NaN, which fails this
         x, j = np.unravel_index(int(np.argmin(w)), w.shape)
-        raise StochasticityViolation(
-            "negative transition probability", (int(x), int(nbr[x, j])), float(-w[x, j])
-        )
+        pair = (int(x), int(nbr[x, j]))
+        if np.isnan(w[x, j]):
+            raise NotANumber("transition probability is NaN", pair, float(w[x, j]))
+        raise StochasticityViolation("negative transition probability", pair, float(-w[x, j]))
     row_err = np.abs(w.sum(axis=1) - 1.0)
     if row_err.max() > ROW_SUM_TOL:
         idx = int(np.argmax(row_err))
         raise StochasticityViolation("row sum differs from 1", idx, float(row_err[idx]))
 
-    if dist.min() <= 0.0:
+    if not dist.min() > 0.0:
         idx = int(np.argmin(dist))
+        if np.isnan(dist[idx]):
+            raise NotANumber("stationary mass is NaN", idx, float(dist[idx]))
         raise NonPositivePi("stationary mass is not strictly positive", idx, float(dist[idx]))
     if abs(dist.sum() - 1.0) > ROW_SUM_TOL:
         raise NonPositivePi("stationary mass does not sum to 1", -1, float(abs(dist.sum() - 1.0)))

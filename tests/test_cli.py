@@ -1,6 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +163,25 @@ def test_low_temperature_glauber_exits_one(capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: gap bound degenerates")
+
+
+def test_overflowing_sweep_exits_two():
+    # |f| near the float64 maximum: the running average's first sum
+    # overflows. Under -X dev -W error a numpy RuntimeWarning would be an
+    # exception and end the run with a traceback; the sweeps raise a typed
+    # error instead, reported on one line
+    signal = ",".join(["1e308", "-1e308"] * 5 + ["1e308"])
+    src = str(Path(chains.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for mode in ([], ["-X", "dev", "-W", "error"]):
+        run = subprocess.run(
+            [sys.executable, *mode, "-m", "ergofilt.cli", "cycle-walk", f"--signal={signal}"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        assert run.returncode == 2, (mode, run.stderr)
+        assert run.stdout == ""
+        assert len(run.stderr.splitlines()) == 1, (mode, run.stderr)
+        assert run.stderr.startswith("numerical failure: overflow"), (mode, run.stderr)
 
 
 def test_negative_seed_rejected(capsys):

@@ -1,8 +1,9 @@
 """Tests for the per-run work hoisted out of the degree loops and the CLI.
 
-The Bernstein sweep computes its triangle weights once per sweep, as one
-table; its per-degree loop is kept here as a reference, and every output must
-match it bitwise. The ``*_errors`` sweeps reduce their outputs a block of
+The Bernstein sweep computes the triangle weights of each degree as Python
+floats; they must equal ``triangle``'s bitwise, and its per-degree loop with
+``triangle`` weights is kept here as a reference, which every output must
+match bitwise. The ``*_errors`` sweeps reduce their outputs a block of
 degrees at a time; the per-degree reduction is kept here as a reference, and
 every error must equal it whatever the block size. The Chebyshev and Legendre
 sweeps carry only bounded ratios as Python floats; the recursions they
@@ -174,15 +175,27 @@ def test_sweep_errors_bitwise_equal_reference(cycle_chain, glauber_chain, name):
                 assert np.abs(np.subtract(got, want)).max() <= tol, (chain.n, lam, k_max)
 
 
-@pytest.mark.parametrize("block", [1, 5, 38, 39, 64])
-def test_bernstein_weight_blocks_bitwise_equal(monkeypatch, cycle_chain, block):
-    # small blocks: one triangle call per degree, and blocks that end inside
-    # the sweep, before and after the degree c = 37 of K = 40 at 1.9
-    monkeypatch.setattr(filters, "_WEIGHT_BLOCK", block)
-    f = _signal(cycle_chain)
-    for lam in (0.5, 1.9):
-        want = _errors(cycle_chain, f, reference_bernstein_steps(cycle_chain, f, K_MAX, lam))
-        assert filters.bernstein_errors(cycle_chain, f, K_MAX, lam) == want, lam
+# lambda_low: the fixture chains' own, and 0.5 and 1.5, which have exact
+# ties 2l/k = lambda_low (l = 1 and 3 at k = 4) whose weight is 0
+@pytest.mark.parametrize("lam_id", ["cycle", "glauber", "0.5", "1.5", "1.9"])
+def test_bernstein_control_weights_bitwise_equal_triangle(cycle_chain, glauber_chain, lam_id):
+    # the degree loop's Python-float weights, and so c at degree K, are the
+    # nonzero prefix of triangle(2l/k) for every degree up to 2000, and the
+    # sweep's errors are the per-degree reference's
+    own = {"cycle": cycle_chain.lambda_low, "glauber": glauber_chain.lambda_low}
+    lam = own[lam_id] if lam_id in own else float(lam_id)
+    for k in range(1, 2001):
+        table = filters.triangle(2.0 * np.arange(k + 1) / k, lam)
+        count = np.count_nonzero(table)
+        assert not table[count:].any(), (lam, k)
+        got = filters._control_weights(k, lam)
+        assert got == table[:count].tolist() and got[0] == 1.0, (lam, k)
+    assert filters._control_weights(4, 0.5) == [1.0]
+    assert filters._control_weights(4, 1.5) == [1.0, 1.0 - 0.5 / 1.5, 1.0 - 1.0 / 1.5]
+    for chain, k_max in ((cycle_chain, 200), (glauber_chain, K_MAX)):
+        f = _signal(chain)
+        want = _errors(chain, f, reference_bernstein_steps(chain, f, k_max, lam))
+        assert filters.bernstein_errors(chain, f, k_max, lam) == want, (chain.n, lam)
 
 
 FILTER_NAMES = ("ergodic", "bernstein", "chebyshev", "legendre")

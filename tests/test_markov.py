@@ -53,6 +53,26 @@ def test_validate_detects_bad_pi():
         markov.validate_chain(*table, [0.6, 0.6])
 
 
+@pytest.mark.parametrize(
+    "weights, pi, index",
+    [
+        ([[0.5, 0.5], [0.5, 0.5]], [np.nan, np.nan], 0),
+        ([[np.nan, np.nan], [0.5, 0.5]], [0.5, 0.5], (0, 0)),
+        ([[0.5, 0.5], [0.5, np.nan]], [0.5, 0.5], (1, 0)),
+        ([[0.5, 0.5], [0.5, 0.5]], [0.5, np.nan], 1),
+    ],
+    ids=["pi", "weights-row0", "weights-row1", "pi-last"],
+)
+def test_validate_rejects_nan(weights, pi, index):
+    # every comparison with NaN is false, so the sign checks are written to
+    # fail on it; the error names the first NaN entry
+    with pytest.raises(markov.NotANumber) as info:
+        markov.make_chain([[0, 1], [1, 0]], weights, pi, 0.5)
+    assert info.value.index == index
+    assert np.isnan(info.value.magnitude)
+    assert isinstance(info.value, markov.ChainValidationError)
+
+
 def test_validate_shape_checks():
     neighbors, weights = _table([[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(ValueError):
