@@ -104,27 +104,35 @@ def _response(steps, z, *args):
     return float(out[0]) if np.ndim(z) == 0 else out
 
 
-def _errors(chain: markov.ChainModel, f, steps, k_max: int) -> list[float]:
+def _errors(chain: markov.ChainModel, f, steps, k_max: int, name: str) -> list[float]:
     """Max-abs errors of the outputs at degrees 1..k_max (degree 0 skipped).
 
     Each output is copied into a row of a buffer of
     ``min(k_max, _ERROR_BLOCK // n)`` rows (at least one); a full buffer, and
     the rows filled when the sweep ends, are reduced in place in one pass. Max
     is exact, so every value is the one a reduction of each output on its own
-    gives.
+    gives. A ``FloatingPointError`` (under ``np.errstate``) in a step or a
+    reduction is raised again naming the filter ``name`` and the degree.
     """
     next(steps)
     target = markov.pi_expectation(f, chain.pi)
     rows = max(1, min(k_max, _ERROR_BLOCK // chain.n))
     block = np.empty((rows, chain.n))
     errors, row = [], 0
-    for out in steps:
-        block[row] = out
-        row += 1
-        if row == rows:
-            errors += _max_abs_deviations(block, target)
-            row = 0
-    return errors + _max_abs_deviations(block[:row], target)
+    try:
+        for out in steps:
+            block[row] = out
+            row += 1
+            if row == rows:
+                errors += _max_abs_deviations(block, target)
+                row = 0
+        return errors + _max_abs_deviations(block[:row], target)
+    except FloatingPointError as exc:
+        # a failed reduction leaves its overflowing rows infinite; with every
+        # buffered row finite, the step after them failed
+        finite = np.isfinite(block[:row]).all(axis=1)
+        degree = len(errors) + (row if finite.all() else int(finite.argmin())) + 1
+        raise FloatingPointError(f"{exc} ({name} filter, degree {degree})") from exc
 
 
 def _max_abs_deviations(block: np.ndarray, target: float) -> list[float]:
@@ -170,7 +178,7 @@ def ergodic_apply(chain: markov.ChainModel, f, t: int) -> np.ndarray:
 def ergodic_errors(chain: markov.ChainModel, f, k_max: int) -> list[float]:
     """Max-abs errors of the running average at degrees ``1..k_max``, where
     degree K is horizon ``t = K + 1``; ``k_max`` products with P in all."""
-    return _errors(chain, f, _ergodic_steps(chain, f, k_max), k_max)
+    return _errors(chain, f, _ergodic_steps(chain, f, k_max), k_max, "ergodic")
 
 
 def ergodic_scalar(z, t: int):
@@ -257,7 +265,7 @@ def bernstein_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> n
 def bernstein_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> list[float]:
     """Max-abs errors of the Bernstein filter at degrees ``1..k_max`` from one
     sweep of ``sum_{k<=k_max} (min(k, c) + 1)`` products with L."""
-    return _errors(chain, f, _bernstein_steps(chain, f, k_max, lambda_low), k_max)
+    return _errors(chain, f, _bernstein_steps(chain, f, k_max, lambda_low), k_max, "bernstein")
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +318,7 @@ def chebyshev_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> n
 def chebyshev_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> list[float]:
     """Max-abs errors of the Chebyshev filter at degrees ``1..k_max`` from one
     run of the recursion: ``k_max`` products with L."""
-    return _errors(chain, f, _chebyshev_steps(chain, f, k_max, lambda_low), k_max)
+    return _errors(chain, f, _chebyshev_steps(chain, f, k_max, lambda_low), k_max, "chebyshev")
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +378,7 @@ def legendre_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> np
 def legendre_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> list[float]:
     """Max-abs errors of the Legendre filter at degrees ``1..k_max`` from one
     run of the recursion: ``k_max`` products with L."""
-    return _errors(chain, f, _legendre_steps(chain, f, k_max, lambda_low), k_max)
+    return _errors(chain, f, _legendre_steps(chain, f, k_max, lambda_low), k_max, "legendre")
 
 
 # ---------------------------------------------------------------------------

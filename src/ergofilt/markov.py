@@ -112,18 +112,18 @@ def _reverse_entries(
     neighbors: np.ndarray, candidate: np.ndarray, hit: np.ndarray
 ) -> np.ndarray:
     """For each entry ``(x, j)`` with ``y = neighbors[x, j]``, the flat
-    position ``y * d + k`` of the first entry with ``neighbors[y, k] == x``,
-    or ``n * d``, one past the table, if row ``y`` does not list ``x``.
+    position ``y * d + k`` of an entry with ``neighbors[y, k] == x``, or
+    ``n * d``, one past the table, if row ``y`` does not list ``x``.
 
-    ``candidate`` holds the same-column positions ``y * d + j`` and ``hit``
-    whether each is the reverse entry; ``candidate`` is overwritten and
-    returned. The m entries that miss (a cycle's ``x + 1`` and ``x - 1``)
-    search all of row ``y`` at once, in O(m d).
+    ``candidate`` holds a guessed position in row ``y`` for each entry and
+    ``hit`` whether the guess is a reverse entry; ``candidate`` is overwritten
+    and returned. Guesses that hit are kept; the m entries that miss take the
+    first ``k`` of row ``y``, searching the whole row at once, in O(m d).
     """
     d = neighbors.shape[1]
     flat = neighbors.ravel()
     rows, cols = np.nonzero(~hit)
-    starts = candidate[rows, cols] - cols
+    starts = neighbors[rows, cols] * d
     found = flat.take(starts[:, None] + np.arange(d)) == rows[:, None]
     candidate[rows, cols] = np.where(found.any(axis=1), starts + found.argmax(axis=1), flat.size)
     return candidate
@@ -140,10 +140,14 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
     where row ``y`` does not list ``x``.
 
     The reverse of entry ``(x, j)`` is looked for in column ``j`` of row
-    ``y`` first. When every entry finds it there, as in a table of bit flips,
-    the balance check reads the reverse entries straight from that column and
-    holds about two table-sized temporaries; otherwise the missing entries
-    search their whole row.
+    ``y`` first, as in a table of bit flips. If that misses, row 0 gives a
+    column pairing ``tau``: ``tau(j)`` is the column of row
+    ``neighbors[0, j]`` that lists state 0 (2 for 1 and 1 for 2 on the
+    cycle). If ``tau`` is an involution, the reverse is looked for in column
+    ``tau(j)``. When every entry finds it in the column tried, the balance
+    check reads the reverse entries in one gather and holds about two
+    table-sized temporaries; otherwise the missing entries search their
+    whole row.
     """
     nbr = np.asarray(neighbors)
     w = np.asarray(weights, dtype=float)
@@ -180,12 +184,21 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
     if abs(dist.sum() - 1.0) > ROW_SUM_TOL:
         raise NonPositivePi("stationary mass does not sum to 1", -1, float(abs(dist.sum() - 1.0)))
 
+    states = np.arange(n)[:, None]
     reverse = nbr * d
     reverse += np.arange(d)
-    hit = nbr.ravel().take(reverse) == np.arange(n)[:, None]
-    if hit.all():
-        # the reverse of a reverse entry is then the entry itself, so no
-        # state lists another twice
+    hit = nbr.ravel().take(reverse) == states
+    paired = hit.all()
+    if not paired:
+        tau = (nbr[nbr[0]] == 0).argmax(axis=1)
+        if (tau[tau] == np.arange(d)).all():
+            reverse += tau - np.arange(d)
+            hit = nbr.ravel().take(reverse) == states
+            paired = hit.all()
+    if paired:
+        # the column map is an involution, so the entry -> reverse map is one
+        # on the entries, and the per-entry check adds up to P(x, y) against
+        # P(y, x) even where a state lists another twice
         back = w.ravel().take(reverse)
     else:
         reverse = _reverse_entries(nbr, reverse, hit).ravel()

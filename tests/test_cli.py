@@ -182,6 +182,8 @@ def test_overflowing_sweep_exits_two():
         assert run.stdout == ""
         assert len(run.stderr.splitlines()) == 1, (mode, run.stderr)
         assert run.stderr.startswith("numerical failure: overflow"), (mode, run.stderr)
+        # the fourth power sum is the first to pass the float64 maximum
+        assert run.stderr.endswith(" in add (ergodic filter, degree 4)\n"), (mode, run.stderr)
 
 
 def test_negative_seed_rejected(capsys):

@@ -146,11 +146,12 @@ def test_validate_rejects_unpaired_duplicate():
         markov.validate_chain(neighbors, weights, _PATH_PI)
 
 
-def _rotate_odd_rows(table):
-    """Columns 1..d-1 of every odd row moved one place right: the same chain,
-    but a bit-flip table no longer finds each reverse entry in its own column."""
+def _rotate_rows(table, rows):
+    """Columns 1..d-1 of the given rows moved one place right: the same chain,
+    but the rows no longer list each reverse entry in the column the other
+    rows pair it with."""
     rotated = np.array(table)
-    rotated[1::2, 1:] = np.roll(rotated[1::2, 1:], 1, axis=1)
+    rotated[rows, 1:] = np.roll(rotated[rows, 1:], 1, axis=1)
     return rotated
 
 
@@ -164,11 +165,10 @@ def _validation_outcome(neighbors, weights, pi):
     return ("pass",)
 
 
-def _glauber_tables():
-    """(name, neighbours, weights, pi): a valid Glauber table and copies
-    broken in one place each."""
-    params = chains.GlauberParams(p=5, beta=0.7, couplings=[0.3, 1.0, -0.7, 0.3, 1.0])
-    chain = chains.build_glauber_cycle(params)
+def _broken_tables(chain, source):
+    """(name, neighbours, weights, pi): the chain's valid table and copies
+    broken in one place each; the balance is broken by moving mass from
+    column ``source`` of row 6 to column 2."""
     base = chain.neighbors.copy(), chain.weights.copy(), chain.pi
     yield "valid", *base
     neighbors, weights, pi = base
@@ -177,39 +177,81 @@ def _glauber_tables():
     yield "one weight scaled", neighbors, scaled, pi
     shifted = weights.copy()
     shifted[6, 2] *= 1.0 + 1e-3
-    shifted[6, 0] -= shifted[6, 2] - weights[6, 2]
+    shifted[6, source] -= shifted[6, 2] - weights[6, 2]
     yield "rows kept, balance broken", neighbors, shifted, pi
     duplicated = neighbors.copy()
     duplicated[6, 1] = duplicated[6, 2]
     yield "duplicated neighbour", duplicated, weights, pi
 
 
-def test_validation_paths_agree(monkeypatch):
-    # the same-column pass and the row search must reach the same verdict,
-    # worst pair and magnitude on the same chain
-    general = []
+def _count_row_searches(monkeypatch):
+    """A list that gains an item at each call of ``markov._reverse_entries``."""
+    calls = []
     reverse_entries = markov._reverse_entries
 
     def counted(*args):
-        general.append(True)
+        calls.append(True)
         return reverse_entries(*args)
 
     monkeypatch.setattr(markov, "_reverse_entries", counted)
+    return calls
+
+
+def test_validation_paths_agree(monkeypatch):
+    # the one-gather pass and the row search must reach the same verdict,
+    # worst pair and magnitude on the same chain. A Glauber table finds each
+    # reverse in its own column, a cycle table in the column row 0 pairs it
+    # with. With every odd row rotated the cycle's row 0 pairs no columns;
+    # with row 4 alone rotated the pairing holds, and its entries miss it
+    general = _count_row_searches(monkeypatch)
+    params = chains.GlauberParams(p=5, beta=0.7, couplings=[0.3, 1.0, -0.7, 0.3, 1.0])
+    # the cycle's column 0 holds P(x, x) = 0, so its mass moves from column 1
+    tables = [
+        *_broken_tables(chains.build_glauber_cycle(params), 0),
+        *_broken_tables(chains.build_cycle_walk(11), 1),
+    ]
     outcomes = set()
-    for name, neighbors, weights, pi in _glauber_tables():
+    for name, neighbors, weights, pi in tables:
         del general[:]
         original = _validation_outcome(neighbors, weights, pi)
         original_general = bool(general)
-        del general[:]
-        rotated = _validation_outcome(_rotate_odd_rows(neighbors), _rotate_odd_rows(weights), pi)
-        assert rotated == original, name
         # a row-sum failure stops before either path; a duplicate misses its column anyway
         assert original_general == (name == "duplicated neighbour"), name
-        assert bool(general) == (name != "one weight scaled"), name
+        for rows in (slice(1, None, 2), [4]):
+            del general[:]
+            rotated = _validation_outcome(
+                _rotate_rows(neighbors, rows), _rotate_rows(weights, rows), pi
+            )
+            assert rotated == original, (name, rows)
+            assert bool(general) == (name != "one weight scaled"), (name, rows)
         outcomes.add(original[0])
     assert outcomes == {
         "pass", markov.StochasticityViolation, markov.DetailedBalanceViolation, ValueError
     }
+
+
+@pytest.mark.parametrize("p", [3, 11, 101])
+def test_cycle_validates_in_one_gather(monkeypatch, p):
+    general = _count_row_searches(monkeypatch)
+    chains.build_cycle_walk(p)
+    assert not general
+
+
+@pytest.mark.parametrize(
+    "neighbors, outcome, searched",
+    [
+        ([[0, 1, 1], [1, 0, 0]], ("pass",), False),
+        ([[0, 1, 1], [1, 1, 0]], (ValueError, "state 0 lists state 1 more than once"), True),
+    ],
+)
+def test_validate_unpaired_columns(monkeypatch, neighbors, outcome, searched):
+    # row 0 lists state 1 twice, so the column pairing it gives is not an
+    # involution. The first table finds every reverse in its own column; the
+    # second misses there and is left to the row search
+    general = _count_row_searches(monkeypatch)
+    weights = [[0.5, 0.25, 0.25], [0.5, 0.25, 0.25]]
+    assert _validation_outcome(np.array(neighbors), weights, [0.5, 0.5]) == outcome
+    assert bool(general) == searched
 
 
 def test_chain_model_is_frozen(cycle_chain):

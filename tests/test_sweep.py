@@ -130,6 +130,28 @@ def test_sweeps_reject_bad_input(cycle_chain):
         assert sweep(cycle_chain, f, 0, 0.5) == []
 
 
+def test_sweep_failure_names_the_degree(cycle_chain):
+    # f has mean 1e308 / 11: a step that overflows, and an output whose
+    # distance from that mean overflows only in the block reduction, in the
+    # first buffer of 65536 // 11 = 5957 rows or in the rows after it
+    f = np.array([1e308, -1e308] * 5 + [1e308])
+    zeros, low = np.zeros(11), np.full(11, -1.79e308)
+
+    def steps(outputs):
+        yield f
+        for out in outputs:
+            yield np.float64(1e308) * 10.0 if out is None else out
+
+    for outputs, degree, reason in (
+        ([zeros, low, zeros], 2, "overflow encountered in subtract"),
+        ([zeros, zeros, None], 3, "overflow encountered in scalar multiply"),
+        ([zeros] * 5960 + [low], 5961, "overflow encountered in subtract"),
+    ):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
+            filters._errors(cycle_chain, f, steps(outputs), len(outputs), "test")
+        assert str(info.value) == f"{reason} (test filter, degree {degree})"
+
+
 def test_cycle_deep_errors_match_spectral_reference():
     # cycle-walk --p 101 --k-max 100 --seed 1, against responses and an
     # eigendecomposition computed without ``filters``
