@@ -67,7 +67,7 @@ def build_cycle_walk(p: int) -> markov.ChainModel:
     weights = np.full((p, 3), 0.5)
     weights[:, 0] = 0.0
     pi = np.full(p, 1.0 / p)
-    return markov.make_chain(neighbors, weights, pi, cycle_lambda_low(p))
+    return markov.ChainModel(*markov.validate_chain(neighbors, weights, pi), cycle_lambda_low(p))
 
 
 def cycle_lambda_low(p: int) -> float:
@@ -140,8 +140,10 @@ def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
     Both probabilities depend only on ``w`` and the spins of sites
     ``w - 1, w, w + 1``; they are computed once for each of those 8 p
     windows and gathered into the (2^p, p + 1) table, which is written in
-    place; the same window codes give each state's energy. The build holds
-    about two tables beside the chain it returns.
+    place; the same window codes give each state's energy. The neighbour
+    table is one XOR of each state with ``0, 1, 2, ..., 2^(p-1)``. The
+    arrays are validated and handed to the chain without a copy, and the
+    build holds about two tables beside the chain it returns.
     """
     _check_enumeration(params)
     # the gap bound is cheap and fails first when the temperature is so low
@@ -151,7 +153,7 @@ def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
     spins = _WINDOW_SPINS
     # site w couples to w-1 via couplings[w-1] and to w+1 via couplings[w]
     field = (
-        np.roll(params.couplings, 1)[:, None] * spins[:, 0]
+        params.couplings[np.arange(-1, p - 1)][:, None] * spins[:, 0]
         + params.couplings[:, None] * spins[:, 2]
     )
     # e^a / (e^a + e^-a) written as a sigmoid so large fields cannot overflow;
@@ -166,10 +168,9 @@ def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
     weights[:, 1:] = flip.take(codes)
     pi = _gibbs(codes, params)
     del codes
-    neighbors = np.empty(weights.shape, dtype=np.intp)
-    neighbors[:, 0] = states
-    np.bitwise_xor(states[:, None], 1 << np.arange(p), out=neighbors[:, 1:])
-    return markov.make_chain(neighbors, weights, pi, lambda_low)
+    # state x, then its flips x ^ 2^w: an XOR with 0, 1, 2, ..., 2^(p-1)
+    neighbors = states[:, None] ^ ((1 << np.arange(p + 1)) >> 1)
+    return markov.ChainModel(*markov.validate_chain(neighbors, weights, pi), lambda_low)
 
 
 def glauber_m_matrix(params: GlauberParams) -> np.ndarray:

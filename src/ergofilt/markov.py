@@ -129,15 +129,37 @@ def _reverse_entries(
     return candidate
 
 
+def _pair_imbalance(neighbors: np.ndarray, flux: np.ndarray) -> np.ndarray:
+    """``|pi(x) P(x, y) - pi(y) P(y, x)|`` for each entry ``(x, y)`` of the
+    table, where ``P(x, y)`` sums every entry of row ``x`` that lists ``y``
+    and is 0 if there is none; ``flux[x, j]`` is ``pi(x) weights[x, j]``.
+
+    An entry listed once has the bits of the per-entry check, so the worst
+    entry, read in row order, is the one that check names.
+    """
+    n = neighbors.shape[0]
+    keys = np.arange(n)[:, None] * n + neighbors
+    pairs, entry_pair = np.unique(keys.ravel(), return_inverse=True)
+    sums = np.bincount(entry_pair, weights=flux.ravel())
+    reverse = pairs % n * n + pairs // n
+    at = np.minimum(np.searchsorted(pairs, reverse), pairs.size - 1)
+    back = np.where(pairs[at] == reverse, sums[at], 0.0)
+    return np.abs(sums - back)[entry_pair].reshape(neighbors.shape)
+
+
 def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check row-stochasticity, positivity of pi, and detailed balance of a
     neighbour table in O(n d) time for the bundled chains.
 
     Returns the validated ``(neighbors, weights, pi)`` as index and float
     arrays; raises a ``ChainValidationError`` subclass naming the worst
-    offending state or ``(x, y)`` pair, or the first NaN. Detailed balance is
-    checked per entry, ``|pi(x) P(x,y) - pi(y) P(y,x)|``, with ``P(y,x) = 0``
-    where row ``y`` does not list ``x``.
+    offending state or ``(x, y)`` pair, or the first NaN. Each row is summed
+    in one matrix-vector product. Detailed balance is checked per entry,
+    ``|pi(x) P(x,y) - pi(y) P(y,x)|``, with ``P(y,x) = 0`` where row ``y``
+    does not list ``x``. Where that check fails, or a state lists another
+    more than once, each pair is judged again with ``P(x, y)`` summed over
+    the entries of row ``x`` that list ``y``; a table that lists each
+    neighbour once gets the same verdict either way.
 
     The reverse of entry ``(x, j)`` is looked for in column ``j`` of row
     ``y`` first, as in a table of bit flips. If that misses, row 0 gives a
@@ -171,7 +193,7 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
         if np.isnan(w[x, j]):
             raise NotANumber("transition probability is NaN", pair, float(w[x, j]))
         raise StochasticityViolation("negative transition probability", pair, float(-w[x, j]))
-    row_err = np.abs(w.sum(axis=1) - 1.0)
+    row_err = np.abs(w @ np.ones(d) - 1.0)
     if row_err.max() > ROW_SUM_TOL:
         idx = int(np.argmax(row_err))
         raise StochasticityViolation("row sum differs from 1", idx, float(row_err[idx]))
@@ -197,18 +219,16 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
             paired = hit.all()
     if paired:
         # the column map is an involution, so the entry -> reverse map is one
-        # on the entries, and the per-entry check adds up to P(x, y) against
-        # P(y, x) even where a state lists another twice
+        # on the entries, and a per-entry check that passes adds up to P(x, y)
+        # against P(y, x) even where a state lists another twice
         back = w.ravel().take(reverse)
+        unpaired = False
     else:
         reverse = _reverse_entries(nbr, reverse, hit).ravel()
-        # each entry must be the reverse of its own reverse, or one state lists
-        # another twice and the per-entry check below would not add up to P(x, y)
+        # an entry that is not the reverse of its own reverse: one state lists
+        # another twice, and the per-entry check would not add up to P(x, y)
         own = np.arange(nbr.size)
-        unpaired = (np.append(reverse, -1).take(reverse) != own) & (reverse < nbr.size)
-        if unpaired.any():
-            x, j = divmod(int(np.argmax(unpaired)), d)
-            raise ValueError(f"state {x} lists state {nbr[x, j]} more than once")
+        unpaired = ((np.append(reverse, -1).take(reverse) != own) & (reverse < nbr.size)).any()
         # one slot past the end, read by entries with no reverse
         back = np.append(w, 0.0).take(reverse).reshape(n, d)
     # the index table is freed before the float ones below are made
@@ -217,17 +237,22 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
     back *= dist[nbr]
     imbalance = np.subtract(dist[:, None] * w, back, out=back)
     np.abs(imbalance, out=imbalance)
-    worst = int(np.argmax(imbalance))
-    if imbalance.flat[worst] > DETAILED_BALANCE_TOL:
-        x, j = divmod(worst, d)
-        raise DetailedBalanceViolation(
-            "detailed balance violated", (x, int(nbr[x, j])), float(imbalance.flat[worst])
-        )
+    if unpaired or imbalance.max() > DETAILED_BALANCE_TOL:
+        imbalance = _pair_imbalance(nbr, dist[:, None] * w)
+        worst = int(np.argmax(imbalance))
+        if imbalance.flat[worst] > DETAILED_BALANCE_TOL:
+            x, j = divmod(worst, d)
+            raise DetailedBalanceViolation(
+                "detailed balance violated", (x, int(nbr[x, j])), float(imbalance.flat[worst])
+            )
     return nbr, w, dist
 
 
 def make_chain(neighbors, weights, pi, lambda_low: float) -> ChainModel:
-    """Validate the neighbour table and assemble the chain model."""
+    """Validate the neighbour table and assemble the chain model from copies,
+    so the caller's arrays stay writeable and a later write to them does not
+    reach the chain. A constructor that does not keep its arrays hands them
+    over instead: ``ChainModel(*validate_chain(...), lambda_low)``."""
     nbr, w, dist = validate_chain(neighbors, weights, pi)
     return ChainModel(
         neighbors=nbr.copy(), weights=w.copy(), pi=dist.copy(), lambda_low=float(lambda_low)

@@ -321,6 +321,27 @@ def test_glauber_build_and_validation_memory():
     assert validate_peak <= 3.0 * chain.weights.nbytes, validate_peak / chain.weights.nbytes
 
 
+def test_builders_hand_over_their_arrays(monkeypatch):
+    # the chain holds the very arrays the builder validated: no copy is made
+    seen = []
+    validate_chain = markov.validate_chain
+
+    def recorded(*arrays):
+        seen.append(arrays)
+        return validate_chain(*arrays)
+
+    monkeypatch.setattr(markov, "validate_chain", recorded)
+    built = [
+        chains.build_cycle_walk(11),
+        chains.build_glauber_cycle(chains.GlauberParams.uniform(4, 0.5)),
+    ]
+    assert len(seen) == len(built)
+    for chain, (neighbors, weights, pi) in zip(built, seen):
+        assert chain.neighbors is neighbors
+        assert chain.weights is weights
+        assert chain.pi is pi
+
+
 def test_cycle_table_layout():
     chain = chains.build_cycle_walk(5)
     assert np.array_equal(chain.neighbors, [[0, 1, 4], [1, 2, 0], [2, 3, 1], [3, 4, 2], [4, 0, 3]])

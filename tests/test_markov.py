@@ -138,12 +138,30 @@ def test_validate_missing_reverse_edge():
 
 
 def test_validate_rejects_unpaired_duplicate():
-    # state 0 lists state 1 twice (0.25 + 0.25) and state 1 lists 0 once
-    # (0.5): each entry balances its first reverse, the sums do not
+    # state 0 lists state 1 twice (0.25 + 0.25) and state 1 lists 0 once:
+    # the pair is judged by its sums, which balance at P(1, 0) = 0.5 and
+    # break at P(1, 0) = 0.4
     neighbors = np.array([[0, 1, 1], [1, 0, 2], [2, 1, 1]])
     weights = np.array([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5], [0.5, 0.5, 0.0]])
-    with pytest.raises(ValueError, match="more than once"):
+    markov.validate_chain(neighbors, weights, _PATH_PI)
+    weights[1] = [0.1, 0.4, 0.5]
+    with pytest.raises(markov.DetailedBalanceViolation) as info:
         markov.validate_chain(neighbors, weights, _PATH_PI)
+    assert info.value.index == (0, 1)
+    assert info.value.magnitude == pytest.approx(0.1 / 3.0)
+
+
+@pytest.mark.parametrize(
+    "neighbors, weights",
+    [
+        ([[0, 1, 1], [1, 0, 0]], [[0.4, 0.3, 0.3], [0.4, 0.1, 0.5]]),
+        ([[0, 1, 1, 1], [1, 0, 0, 1]], [[0.4, 0.3, 0.3, 0.0], [0.4, 0.1, 0.5, 0.0]]),
+    ],
+)
+def test_validate_sums_duplicated_neighbours(neighbors, weights):
+    # P(0, 1) = P(1, 0) = 0.6, though no entry balances the one it is paired
+    # with: the first table pairs its columns, the second is searched by row
+    markov.validate_chain(np.array(neighbors), weights, [0.5, 0.5])
 
 
 def _rotate_rows(table, rows):
@@ -225,9 +243,7 @@ def test_validation_paths_agree(monkeypatch):
             assert rotated == original, (name, rows)
             assert bool(general) == (name != "one weight scaled"), (name, rows)
         outcomes.add(original[0])
-    assert outcomes == {
-        "pass", markov.StochasticityViolation, markov.DetailedBalanceViolation, ValueError
-    }
+    assert outcomes == {"pass", markov.StochasticityViolation, markov.DetailedBalanceViolation}
 
 
 @pytest.mark.parametrize("p", [3, 11, 101])
@@ -241,17 +257,46 @@ def test_cycle_validates_in_one_gather(monkeypatch, p):
     "neighbors, outcome, searched",
     [
         ([[0, 1, 1], [1, 0, 0]], ("pass",), False),
-        ([[0, 1, 1], [1, 1, 0]], (ValueError, "state 0 lists state 1 more than once"), True),
+        ([[0, 1, 1], [1, 1, 0]], (markov.DetailedBalanceViolation, (0, 1), 0.125), True),
     ],
 )
 def test_validate_unpaired_columns(monkeypatch, neighbors, outcome, searched):
     # row 0 lists state 1 twice, so the column pairing it gives is not an
     # involution. The first table finds every reverse in its own column; the
-    # second misses there and is left to the row search
+    # second misses there and is left to the row search, and its sums break
+    # balance: P(0, 1) = 0.5 against P(1, 0) = 0.25
     general = _count_row_searches(monkeypatch)
     weights = [[0.5, 0.25, 0.25], [0.5, 0.25, 0.25]]
     assert _validation_outcome(np.array(neighbors), weights, [0.5, 0.5]) == outcome
     assert bool(general) == searched
+
+
+def test_validate_row_sums_of_a_wide_table():
+    # 20 columns, past the short-row tail of a BLAS dot product; one entry of
+    # row 13 is raised by more, and by less, than the row-sum tolerance
+    neighbors, weights = _table(np.full((20, 20), 0.05))
+    pi = np.full(20, 0.05)
+    weights[13, 9] += 2e-12
+    with pytest.raises(markov.StochasticityViolation) as info:
+        markov.validate_chain(neighbors, weights, pi)
+    assert info.value.index == 13
+    assert info.value.magnitude == pytest.approx(2e-12, rel=1e-3)
+    weights[13, 9] -= 1.5e-12
+    markov.validate_chain(neighbors, weights, pi)
+
+
+def test_make_chain_copies_the_callers_arrays():
+    neighbors, weights = _table([[0.5, 0.5], [0.5, 0.5]])
+    pi = np.array([0.5, 0.5])
+    chain = markov.make_chain(neighbors, weights, pi, 1.0)
+    for array in (neighbors, weights, pi):
+        assert array.flags.writeable
+    neighbors[1] = [1, 1]
+    weights[0] = [1.0, 0.0]
+    pi[0] = 0.25
+    assert np.array_equal(chain.neighbors, [[0, 1], [1, 0]])
+    assert np.array_equal(chain.weights, np.full((2, 2), 0.5))
+    assert np.array_equal(chain.pi, [0.5, 0.5])
 
 
 def test_chain_model_is_frozen(cycle_chain):
