@@ -17,6 +17,7 @@ once per site and spin pattern and gathered by each state's window codes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +44,7 @@ class GlauberParams:
         couplings = np.array(
             np.ones(self.p) if self.couplings is None else self.couplings, dtype=float
         )
-        if couplings.shape != (self.p,) or not np.all(np.isfinite(couplings)):
+        if couplings.shape != (self.p,) or not np.isfinite(couplings).all():
             raise ValueError("couplings must be p finite reals")
         couplings.setflags(write=False)
         object.__setattr__(self, "couplings", couplings)
@@ -198,38 +199,42 @@ def glauber_lambda_low(params: GlauberParams) -> float:
     """Gap bound ``(1 - gamma_1) / p`` where ``gamma_1`` is the largest
     eigenvalue of the band matrix from ``glauber_m_matrix``.
 
-    For uniform ferromagnetic couplings ``J > 0``, ``gamma_1 = tanh(2 beta J)``
-    and the bound is the closed form ``2 / ((1 + e^(4 beta J)) p)``, with no
-    band matrix built: it keeps full relative precision at low temperature,
-    where ``1 - gamma_1`` cancels. Other couplings are eigensolved; for
-    ``J < 0`` on an odd ring, which is frustrated, the closed form would be
-    wrong.
+    Uniform couplings ``J`` have closed forms, and no band matrix is built.
+    The band matrix is then ``tanh(2 beta J) / 2`` times the adjacency matrix
+    of the ring, so ``gamma_1 = t = tanh(2 beta |J|)``, except on an odd
+    ring with ``J < 0``, which is frustrated: there ``gamma_1 = t cos(pi/p)``.
+    The bound is ``2 / ((1 + e^(4 beta |J|)) p)``, which is ``1 / p`` at
+    ``J = 0``, and ``(2 / (1 + e^(4 beta |J|)) + 2 t sin^2(pi / 2p)) / p`` on
+    a frustrated ring. Both keep full relative precision at low temperature,
+    where ``1 - gamma_1`` cancels.
 
-    Non-uniform couplings make the band matrix asymmetric; it is then brought
-    to symmetric form by a diagonal similarity before eigensolving. The two
-    band entries that face each other share the same sinh factor, so their
-    ratio is a positive ratio of cosh sums and the scaling is well defined
-    whenever every coupling is nonzero.
+    Non-uniform couplings are eigensolved. They make the band matrix
+    asymmetric; it is then brought to symmetric form by a diagonal
+    similarity first. The two band entries that face each other share the
+    same sinh factor, so their ratio is a positive ratio of cosh sums and
+    the scaling is well defined whenever every coupling is nonzero.
     """
     p = params.p
     coupling = float(params.couplings[0])
-    closed_form = coupling > 0.0 and bool(np.all(params.couplings == coupling))
-    two_beta_j = 2.0 * params.beta * coupling
-    if closed_form:
-        # every band entry is sinh / (2 cosh) of 2 beta J: finite exactly
+    uniform = bool((params.couplings == coupling).all())
+    two_beta_j = 2.0 * params.beta * abs(coupling)
+    if uniform:
+        # every band entry is +-sinh / (2 cosh) of 2 beta |J|: finite exactly
         # when these two are, so the matrix itself is not needed
         with np.errstate(over="ignore"):
             m = np.array([np.sinh(two_beta_j), np.cosh(two_beta_j)])
     else:
         m = glauber_m_matrix(params)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"gap bound degenerates: band matrix overflows at beta={params.beta}")
-    if closed_form:
-        gamma1 = float(np.tanh(two_beta_j))
+    frustrated = coupling < 0.0 and p % 2 == 1
+    if uniform:
+        t = float(np.tanh(two_beta_j))
+        gamma1 = t * math.cos(math.pi / p) if frustrated else t
     elif np.abs(m - m.T).max() <= 1e-14 * max(1.0, float(np.abs(m).max())):
         gamma1 = float(densela.symmetric_eigen(m)[0][-1])
     else:
-        if np.any(params.couplings == 0.0):
+        if (params.couplings == 0.0).any():
             raise ValueError("gap bound needs nonzero couplings on every edge")
         d = np.ones(p)
         for i in range(p - 1):
@@ -239,7 +244,14 @@ def glauber_lambda_low(params: GlauberParams) -> float:
         gamma1 = float(densela.symmetric_eigen(d[:, None] * m / d[None, :])[0][-1])
     if gamma1 >= 1.0:
         raise ValueError(f"gap bound degenerates: top band eigenvalue {gamma1} >= 1")
-    if closed_form:
-        # tanh(2 beta J) < 1 here, so 4 beta J < 40 and the exponential is finite
-        return 2.0 / ((1.0 + float(np.exp(4.0 * params.beta * coupling))) * p)
-    return (1.0 - gamma1) / p
+    if not uniform:
+        return (1.0 - gamma1) / p
+    # 1 - t = 2 / (1 + e^(4 beta |J|)) without the cancellation. The
+    # exponential overflows to inf only where t rounds to 1, which passes the
+    # guard above only on a frustrated ring; 1 - t is 0 to rounding there
+    with np.errstate(over="ignore"):
+        growth = float(np.exp(4.0 * params.beta * abs(coupling)))
+    if frustrated:
+        # 1 - t cos(pi/p) = (1 - t) + 2 t sin^2(pi/2p)
+        return (2.0 / (1.0 + growth) + 2.0 * t * math.sin(math.pi / (2 * p)) ** 2) / p
+    return 2.0 / ((1.0 + growth) * p)

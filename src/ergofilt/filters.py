@@ -71,7 +71,7 @@ def _signal_for(chain: markov.ChainModel, f) -> np.ndarray:
     values = np.asarray(f, dtype=float)
     if values.shape != (chain.n,):
         raise ValueError(f"signal has shape {values.shape}, expected ({chain.n},)")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("signal values must be finite")
     return values
 
@@ -105,17 +105,19 @@ def _response(steps, z, *args):
 
 
 def _errors(chain: markov.ChainModel, f, steps, k_max: int, name: str) -> list[float]:
-    """Max-abs errors of the outputs at degrees 1..k_max (degree 0 skipped).
+    """Max-abs errors of the outputs at degrees 1..k_max (degree 0 skipped)
+    from the stationary mean of ``f``, which the first step has checked.
 
     Each output is copied into a row of a buffer of
     ``min(k_max, _ERROR_BLOCK // n)`` rows (at least one); a full buffer, and
-    the rows filled when the sweep ends, are reduced in place in one pass. Max
-    is exact, so every value is the one a reduction of each output on its own
-    gives. A ``FloatingPointError`` (under ``np.errstate``) in a step or a
-    reduction is raised again naming the filter ``name`` and the degree.
+    the rows filled when the sweep ends, if there are any, are reduced in
+    place in one pass. Max is exact, so every value is the one a reduction of
+    each output on its own gives. A ``FloatingPointError`` (under
+    ``np.errstate``) in a step or a reduction is raised again naming the
+    filter ``name`` and the degree.
     """
     next(steps)
-    target = markov.pi_expectation(f, chain.pi)
+    target = float(np.dot(chain.pi, f))
     rows = max(1, min(k_max, _ERROR_BLOCK // chain.n))
     block = np.empty((rows, chain.n))
     errors, row = [], 0
@@ -126,7 +128,9 @@ def _errors(chain: markov.ChainModel, f, steps, k_max: int, name: str) -> list[f
             if row == rows:
                 errors += _max_abs_deviations(block, target)
                 row = 0
-        return errors + _max_abs_deviations(block[:row], target)
+        if row:
+            errors += _max_abs_deviations(block[:row], target)
+        return errors
     except FloatingPointError as exc:
         # a failed reduction leaves its overflowing rows infinite; with every
         # buffered row finite, the step after them failed

@@ -120,7 +120,7 @@ def _resolve_signal(config: ExperimentConfig, n: int) -> np.ndarray:
         values = np.asarray(config.signal, dtype=float)
         if values.shape != (n,):
             raise ValueError(f"signal has {values.size} values, chain has {n} states")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("signal values must be finite")
         return values
     if config.use_reference_signal:
@@ -163,8 +163,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[np.ndarray, RunMetadata]:
             filters.chebyshev_errors(chain, signal, config.k_max, lambda_low),
             filters.legendre_errors(chain, signal, config.k_max, lambda_low),
         ])
-    bad = ~np.isfinite(columns)
-    if bad.any():
+    if not np.isfinite(columns).all():
+        bad = ~np.isfinite(columns)
         first = int(np.flatnonzero(bad.any(axis=0))[0])
         names = [name for name, flag in zip(FILTER_ORDER, bad[:, first]) if flag]
         raise FloatingPointError(f"non-finite filter error at degree {first + 1}: {names}")

@@ -77,10 +77,14 @@ class ChainModel:
         The table ``-a weights``, with ``a + b`` added to column 0 (the state
         itself), is folded once here, so each application is one product with
         the table and nothing else. P is ``affine(-1, 1)``, L is
-        ``affine(1, 0)``.
+        ``affine(1, 0)``. The table of P is ``weights`` itself (``-(-1) w`` is
+        ``w`` and adding 0 leaves it), so P is applied with no copy.
         """
-        table = -a * self.weights
-        table[:, 0] += a + b
+        if a == -1.0 and b == 1.0:
+            table = self.weights
+        else:
+            table = -a * self.weights
+            table[:, 0] += a + b
         neighbors = self.neighbors
 
         def apply(v: np.ndarray) -> np.ndarray:
@@ -161,15 +165,14 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
     the entries of row ``x`` that list ``y``; a table that lists each
     neighbour once gets the same verdict either way.
 
-    The reverse of entry ``(x, j)`` is looked for in column ``j`` of row
-    ``y`` first, as in a table of bit flips. If that misses, row 0 gives a
-    column pairing ``tau``: ``tau(j)`` is the column of row
-    ``neighbors[0, j]`` that lists state 0 (2 for 1 and 1 for 2 on the
-    cycle). If ``tau`` is an involution, the reverse is looked for in column
-    ``tau(j)``. When every entry finds it in the column tried, the balance
-    check reads the reverse entries in one gather and holds about two
-    table-sized temporaries; otherwise the missing entries search their
-    whole row.
+    Row 0 is read first, for a column pairing ``tau``: ``tau(j)`` is the
+    column of row ``neighbors[0, j]`` that lists state 0 (the identity on a
+    table of bit flips; 2 for 1 and 1 for 2 on the cycle). The reverse of
+    entry ``(x, j)`` is looked for in column ``tau(j)`` of row ``y`` if
+    ``tau`` is an involution, else in column ``j``. When every entry finds it
+    in the column tried, the balance check reads the reverse entries in one
+    gather and holds about two table-sized temporaries; otherwise the missing
+    entries search their whole row.
     """
     nbr = np.asarray(neighbors)
     w = np.asarray(weights, dtype=float)
@@ -206,18 +209,15 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
     if abs(dist.sum() - 1.0) > ROW_SUM_TOL:
         raise NonPositivePi("stationary mass does not sum to 1", -1, float(abs(dist.sum() - 1.0)))
 
-    states = np.arange(n)[:, None]
+    # tau(j): the column of row neighbors[0, j] that lists state 0
+    tau = (nbr.take(nbr[0], axis=0) == 0).argmax(axis=1)
+    order = tau.tolist()
+    if [order[k] for k in order] != list(range(d)):
+        tau = np.arange(d)
     reverse = nbr * d
-    reverse += np.arange(d)
-    hit = nbr.ravel().take(reverse) == states
-    paired = hit.all()
-    if not paired:
-        tau = (nbr[nbr[0]] == 0).argmax(axis=1)
-        if (tau[tau] == np.arange(d)).all():
-            reverse += tau - np.arange(d)
-            hit = nbr.ravel().take(reverse) == states
-            paired = hit.all()
-    if paired:
+    reverse += tau
+    hit = nbr.ravel().take(reverse) == np.arange(n)[:, None]
+    if hit.all():
         # the column map is an involution, so the entry -> reverse map is one
         # on the entries, and a per-entry check that passes adds up to P(x, y)
         # against P(y, x) even where a state lists another twice

@@ -15,6 +15,7 @@ Polynomial coefficient vectors are in ascending monomial order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -214,16 +215,21 @@ def reference_glauber_table(params):
 
 
 def _reference_glauber_gap(params) -> float:
-    """``(1 - gamma_1) / p`` from the band matrix: the closed form for uniform
-    couplings ``J > 0``, else ``eigh`` after a diagonal symmetrisation."""
+    """``(1 - gamma_1) / p`` from the band matrix. Uniform couplings take the
+    closed forms, with ``t = tanh(2 beta |J|)``: ``gamma_1 = t``, or
+    ``t cos(pi/p)`` on a frustrated (odd, ``J < 0``) ring, whose bound is
+    written as ``(1 - t) + 2 t sin^2(pi/2p)``. Other couplings take ``eigh``
+    after a diagonal symmetrisation."""
     m = chains.glauber_m_matrix(params)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"gap bound degenerates: band matrix overflows at beta={params.beta}")
     p = params.p
     coupling = float(params.couplings[0])
-    closed_form = coupling > 0.0 and bool(np.all(params.couplings == coupling))
-    if closed_form:
-        gamma1 = float(np.tanh(2.0 * params.beta * coupling))
+    frustrated = coupling < 0.0 and p % 2 == 1
+    uniform = bool(np.all(params.couplings == coupling))
+    if uniform:
+        t = float(np.tanh(2.0 * params.beta * abs(coupling)))
+        gamma1 = t * math.cos(math.pi / p) if frustrated else t
     elif np.abs(m - m.T).max() <= 1e-14 * max(1.0, float(np.abs(m).max())):
         gamma1 = float(densela.symmetric_eigen(m)[0][-1])
     else:
@@ -233,6 +239,10 @@ def _reference_glauber_gap(params) -> float:
         gamma1 = float(densela.symmetric_eigen(d[:, None] * m / d[None, :])[0][-1])
     if gamma1 >= 1.0:
         raise ValueError(f"gap bound degenerates: top band eigenvalue {gamma1} >= 1")
-    if closed_form:
-        return 2.0 / ((1.0 + float(np.exp(4.0 * params.beta * coupling))) * p)
-    return (1.0 - gamma1) / p
+    if not uniform:
+        return (1.0 - gamma1) / p
+    with np.errstate(over="ignore"):
+        growth = float(np.exp(4.0 * params.beta * abs(coupling)))
+    if frustrated:
+        return (2.0 / (1.0 + growth) + 2.0 * t * math.sin(math.pi / (2 * p)) ** 2) / p
+    return 2.0 / ((1.0 + growth) * p)

@@ -198,13 +198,56 @@ def test_glauber_lambda_low_closed_form():
             decay = math.exp(-4.0 * beta)
             want = 2.0 * decay / ((1.0 + decay) * p)
             assert abs(lam - want) <= 1e-14 * want, (p, beta)
-    # an odd antiferromagnetic ring is frustrated: its gap is not the closed
-    # form with |J| (0.038 at p = 3, beta = 0.7), so it is eigensolved
+    # an odd antiferromagnetic ring is frustrated: its gap is not the J > 0
+    # form with |J| (0.038 at p = 3, beta = 0.7), but the one with
+    # gamma_1 = tanh(2 beta |J|) cos(pi/p)
     params = chains.GlauberParams.uniform(3, 0.7, -1.0)
     gamma_oracle = np.linalg.eigvals(chains.glauber_m_matrix(params)).real.max()
     lam = chains.glauber_lambda_low(params)
     assert lam == pytest.approx((1.0 - gamma_oracle) / 3.0, rel=1e-12)
     assert lam == pytest.approx(0.18577, abs=1e-5)
+
+
+UNIFORM_COUPLINGS = (-1.3, -1.0, -0.4, 0.0, 0.5, 1.0)
+
+
+def _uniform_gap(p, beta, coupling):
+    """The closed-form gap bound of a uniform ring written with
+    ``e^(-4 beta |J|)``, so it shares no rounding with the program's form."""
+    decay = math.exp(-4.0 * beta * abs(coupling))
+    sigmoid = 2.0 * decay / (1.0 + decay)  # 1 - tanh(2 beta |J|)
+    if coupling < 0.0 and p % 2 == 1:
+        tanh = (1.0 - decay) / (1.0 + decay)
+        return (sigmoid + 2.0 * tanh * math.sin(math.pi / (2 * p)) ** 2) / p
+    return sigmoid / p
+
+
+def test_glauber_lambda_low_uniform_matches_eigh():
+    # every uniform coupling has a closed form; up to beta = 3 the dense
+    # eigensolve of the band matrix is accurate enough to check it
+    for p in range(3, 16):
+        for beta in (0.05, 0.2, 0.7, 1.5, 3.0):
+            for coupling in UNIFORM_COUPLINGS:
+                params = chains.GlauberParams.uniform(p, beta, coupling)
+                gamma1 = np.linalg.eigvalsh(chains.glauber_m_matrix(params))[-1]
+                want = (1.0 - gamma1) / p
+                lam = chains.glauber_lambda_low(params)
+                assert abs(lam - want) <= 1e-8 * want, (p, beta, coupling)
+
+
+@pytest.mark.filterwarnings("error")
+def test_glauber_lambda_low_uniform_low_temperature():
+    # at beta = 5 eigh's 1 - gamma_1 has cancelled (3e-5 relative at p = 6,
+    # J = -1.3); the closed forms keep full precision
+    for p in (3, 4, 5, 6, 10, 11, 16):
+        for coupling in UNIFORM_COUPLINGS:
+            lam = chains.glauber_lambda_low(chains.GlauberParams.uniform(p, 5.0, coupling))
+            want = _uniform_gap(p, 5.0, coupling)
+            assert abs(lam - want) <= 1e-14 * want, (p, coupling)
+    # a frustrated ring passes the gamma_1 < 1 guard at any temperature the
+    # band matrix holds; e^(4 beta |J|) = e^800 overflows, with no warning
+    lam = chains.glauber_lambda_low(chains.GlauberParams.uniform(3, 200.0, -1.0))
+    assert lam == 2.0 * math.sin(math.pi / 6) ** 2 / 3
 
 
 @pytest.mark.filterwarnings("error")

@@ -292,6 +292,26 @@ def _fresh_process(argv):
     )
 
 
+def test_sweeps_reduce_no_empty_block(monkeypatch):
+    # k_max is at most the buffer's rows on the paper's sizes, so each sweep
+    # reduces its outputs once, at the end, and never an empty block
+    blocks = []
+    deviations = filters._max_abs_deviations
+
+    def recorded(block, target):
+        blocks.append(block.shape[0])
+        return deviations(block, target)
+
+    monkeypatch.setattr(filters, "_max_abs_deviations", recorded)
+    for experiment, p in (("cycle-walk", 11), ("glauber", 4)):
+        del blocks[:]
+        config = harness.ExperimentConfig(
+            experiment=experiment, p=p, k_max=20, use_reference_signal=True
+        )
+        harness.run_experiment(config)
+        assert blocks == [20] * len(harness.FILTER_ORDER), (experiment, blocks)
+
+
 def test_runs_in_one_process_match_fresh_processes(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
     sequence = [

@@ -1,6 +1,8 @@
 """Tests for chain validation, the stationary geometry, signal variation,
 and the eigenfunction transform."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -246,10 +248,23 @@ def test_validation_paths_agree(monkeypatch):
     assert outcomes == {"pass", markov.StochasticityViolation, markov.DetailedBalanceViolation}
 
 
-@pytest.mark.parametrize("p", [3, 11, 101])
+def _bundled_glauber_params(p):
+    for coupling in (-1.0, 0.0, 0.5, 1.0):
+        yield chains.GlauberParams.uniform(p, 0.7, coupling)
+    yield chains.GlauberParams(p=p, beta=0.7, couplings=np.resize([0.3, -1.0, 0.7], p))
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 8, 9, 10, 11, 101])
 def test_cycle_validates_in_one_gather(monkeypatch, p):
+    # every bundled table finds each reverse entry in the column row 0 pairs
+    # it with: columns 1 and 2 on the cycle walk, each flip column with itself
+    # on the Ising ring, whatever its couplings
     general = _count_row_searches(monkeypatch)
-    chains.build_cycle_walk(p)
+    if p % 2:
+        chains.build_cycle_walk(p)
+    if p <= 10:
+        for params in _bundled_glauber_params(p):
+            chains.build_glauber_cycle(params)
     assert not general
 
 
@@ -319,6 +334,24 @@ def test_affine_matches_dense(cycle_chain, glauber_chain):
             v = rng.standard_normal(chain.n)
             want = a * (laplacian @ v) + b * v
             assert np.abs(chain.affine(a, b)(v) - want).max() <= 1e-13 * np.abs(v).max()
+
+
+def test_transition_operator_needs_no_copy():
+    # P is the chain's own weights, folded as -(-1) w with 0 added to column
+    # 0, which leaves every bit: no table-sized copy is made
+    chain = chains.build_glauber_cycle(chains.GlauberParams.uniform(12, 0.7, 1.0))
+    tracemalloc.start()
+    try:
+        transition = chain.affine(-1.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * chain.weights.nbytes, peak
+    folded = -(-1.0) * chain.weights
+    folded[:, 0] += -1.0 + 1.0
+    rng = np.random.default_rng(12)
+    for v in (rng.standard_normal(chain.n), np.arange(chain.n, dtype=float), np.ones(chain.n)):
+        assert np.array_equal(transition(v), np.vecdot(folded, v[chain.neighbors]))
 
 
 def test_laplacian_identity_chain():
