@@ -13,6 +13,12 @@ table row lists ``x`` and then the single-spin flips ``x ^ 2^w``. Every
 per-site quantity (an edge's energy term, a site's keep and flip
 probabilities) depends on a few neighbouring spins only, so it is computed
 once per site and spin pattern and gathered by each state's window codes.
+The ring has no external field, so reversing every spin, which maps ``x``
+to ``2^p - 1 - x``, negates each window's spins and field and leaves every
+per-site quantity bitwise the same: the spins are +-1, and IEEE rounding is
+symmetric under negation. Table rows and Gibbs weights are therefore
+gathered for the states with the top spin down only, and the other half is
+a reversed copy.
 """
 
 from __future__ import annotations
@@ -107,8 +113,17 @@ def _energies(codes: np.ndarray, params: GlauberParams) -> np.ndarray:
     return -edge_terms.take(codes).sum(axis=1)
 
 
-def _gibbs(codes: np.ndarray, params: GlauberParams) -> np.ndarray:
-    weights = np.exp(-params.beta * _energies(codes, params))
+def _lower_codes(p: int) -> np.ndarray:
+    # window codes of the states 0 .. 2^(p-1) - 1, those with the top spin
+    # down; reversing every spin maps them onto the other half
+    return _window_codes(np.arange(1 << (p - 1)), p)
+
+
+def _mirrored_gibbs(codes: np.ndarray, params: GlauberParams) -> np.ndarray:
+    # pi of all 2^p states from the window codes of ``_lower_codes``; Z sums
+    # the mirrored vector, which holds every state's own weight, in order
+    lower = np.exp(-params.beta * _energies(codes, params))
+    weights = np.concatenate((lower, lower[::-1]))
     return weights / weights.sum()
 
 
@@ -125,9 +140,13 @@ def _check_enumeration(params: GlauberParams):
 
 
 def gibbs_distribution(params: GlauberParams) -> np.ndarray:
-    """Boltzmann law ``exp(-beta H(x)) / Z`` by full enumeration of 2^p states."""
+    """Boltzmann law ``exp(-beta H(x)) / Z`` of the 2^p states.
+
+    The unnormalised weights are computed for the lower half of the states
+    and mirrored onto the upper half, as in ``build_glauber_cycle``, and then
+    normalised over the whole vector."""
     _check_enumeration(params)
-    return _gibbs(_window_codes(np.arange(1 << params.p), params.p), params)
+    return _mirrored_gibbs(_lower_codes(params.p), params)
 
 
 def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
@@ -141,10 +160,14 @@ def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
     Both probabilities depend only on ``w`` and the spins of sites
     ``w - 1, w, w + 1``; they are computed once for each of those 8 p
     windows and gathered into the (2^p, p + 1) table, which is written in
-    place; the same window codes give each state's energy. The neighbour
-    table is one XOR of each state with ``0, 1, 2, ..., 2^(p-1)``. The
-    arrays are validated and handed to the chain without a copy, and the
-    build holds about two tables beside the chain it returns.
+    place; the same window codes give each state's energy. Only the lower
+    half of the states, top spin down, is gathered: reversing every spin
+    maps row ``x`` onto row ``2^p - 1 - x`` bit for bit, for any couplings,
+    so the upper half of the table and of the Gibbs weights is one reversed
+    copy. The neighbour table is one XOR of each state with
+    ``0, 1, 2, ..., 2^(p-1)``. The arrays are validated and handed to the
+    chain without a copy, and the build holds about two tables beside the
+    chain it returns.
     """
     _check_enumeration(params)
     # the gap bound is cheap and fails first when the temperature is so low
@@ -163,11 +186,14 @@ def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
     keep = 1.0 / (p * (1.0 + np.exp(-2.0 * aligned)))
     flip = 1.0 / (p * (1.0 + np.exp(2.0 * aligned)))
     states = np.arange(1 << p)
-    codes = _window_codes(states, p)
+    codes = _lower_codes(p)
+    half = len(codes)
     weights = np.empty((states.size, p + 1))
-    keep.take(codes).sum(axis=1, out=weights[:, 0])
-    weights[:, 1:] = flip.take(codes)
-    pi = _gibbs(codes, params)
+    keep.take(codes).sum(axis=1, out=weights[:half, 0])
+    weights[:half, 1:] = flip.take(codes)
+    # the reversed state 2^p - 1 - x has row x, bit for bit
+    weights[half:] = weights[half - 1 :: -1]
+    pi = _mirrored_gibbs(codes, params)
     del codes
     # state x, then its flips x ^ 2^w: an XOR with 0, 1, 2, ..., 2^(p-1)
     neighbors = states[:, None] ^ ((1 << np.arange(p + 1)) >> 1)
@@ -220,9 +246,13 @@ def glauber_lambda_low(params: GlauberParams) -> float:
     two_beta_j = 2.0 * params.beta * abs(coupling)
     if uniform:
         # every band entry is +-sinh / (2 cosh) of 2 beta |J|: finite exactly
-        # when these two are, so the matrix itself is not needed
+        # when these two are, so the matrix itself is not needed. growth
+        # gives 1 - t = 2 / (1 + e^(4 beta |J|)) without the cancellation; it
+        # overflows to inf only where t rounds to 1, which passes the guard
+        # below only on a frustrated ring, where 1 - t is 0 to rounding
         with np.errstate(over="ignore"):
             m = np.array([np.sinh(two_beta_j), np.cosh(two_beta_j)])
+            growth = float(np.exp(4.0 * params.beta * abs(coupling)))
     else:
         m = glauber_m_matrix(params)
     if not np.isfinite(m).all():
@@ -246,11 +276,6 @@ def glauber_lambda_low(params: GlauberParams) -> float:
         raise ValueError(f"gap bound degenerates: top band eigenvalue {gamma1} >= 1")
     if not uniform:
         return (1.0 - gamma1) / p
-    # 1 - t = 2 / (1 + e^(4 beta |J|)) without the cancellation. The
-    # exponential overflows to inf only where t rounds to 1, which passes the
-    # guard above only on a frustrated ring; 1 - t is 0 to rounding there
-    with np.errstate(over="ignore"):
-        growth = float(np.exp(4.0 * params.beta * abs(coupling)))
     if frustrated:
         # 1 - t cos(pi/p) = (1 - t) + 2 t sin^2(pi/2p)
         return (2.0 / (1.0 + growth) + 2.0 * t * math.sin(math.pi / (2 * p)) ** 2) / p

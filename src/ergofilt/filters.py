@@ -161,7 +161,8 @@ def _ergodic_steps(chain: markov.ChainModel, f, K: int):
     for k in range(1, K + 1):
         power = transition(power)
         acc += power
-        yield acc / (k + 1)
+        # a float divisor, exact for any degree, takes numpy's faster path
+        yield acc / float(k + 1)
 
 
 def ergodic_apply(chain: markov.ChainModel, f, t: int) -> np.ndarray:
@@ -234,7 +235,8 @@ def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     nonzero weight beyond it. Step k takes ``min(k, c) + 1`` products with L,
     one per basis signal, so each output is the same whatever K the sweep
     runs to. Each degree's weights come from ``_control_weights``; a degree
-    whose only weight is ``w_0 = 1`` yields ``b_{k,0}`` itself.
+    whose only weight is ``w_0 = 1`` yields ``b_{k,0}`` itself. With
+    ``c = 0`` only ``b_{k,0}`` is carried, and no weights are computed.
     """
     _check_context(K, lambda_low)
     values = _signal_for(chain, f)
@@ -251,7 +253,7 @@ def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
         for l in range(len(basis) - 1, 0, -1):
             basis[l] = basis[l] - half_laplacian(basis[l] - basis[l - 1])
         basis[0] = basis[0] - half_laplacian(basis[0])
-        weights = _control_weights(k, lambda_low)
+        weights = _control_weights(k, lambda_low) if len(basis) > 1 else [1.0]
         out = basis[0] if len(weights) == 1 else basis[0] + weights[1] * basis[1]
         for w, b in zip(weights[2:], basis[2:]):
             out += w * b

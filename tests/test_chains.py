@@ -323,8 +323,9 @@ def _reference_table_cases():
         for beta in (0.2, 0.7, 1.5):
             yield chains.GlauberParams.uniform(p, beta, -1.0)
             yield chains.GlauberParams(p=p, beta=beta, couplings=np.resize([1.0, -0.5, 0.7, -1.2], p))
-    yield chains.GlauberParams.uniform(12, 0.2, 1.0)
-    yield chains.GlauberParams(p=12, beta=0.7, couplings=np.resize([0.3, -1.0, 0.7], 12))
+    for p in (12, 16):
+        yield chains.GlauberParams.uniform(p, 0.2, 1.0)
+        yield chains.GlauberParams(p=p, beta=0.7, couplings=np.resize([0.3, -1.0, 0.7], p))
 
 
 def test_glauber_table_matches_vectorised_reference():
@@ -343,6 +344,44 @@ def test_glauber_table_matches_vectorised_reference():
         n = 1 << params.p
         for x in (1, n - 2):
             assert chains.glauber_energy(x + 3 * n, params) == chains.glauber_energy(x, params)
+
+
+def _mirror_cases():
+    for p in (*range(3, 13), 16):
+        for coupling in (1.0, 0.0, -1.0):
+            yield chains.GlauberParams.uniform(p, 0.7, coupling)
+        yield chains.GlauberParams(p=p, beta=0.7, couplings=np.resize([0.3, -1.0, 0.7], p))
+
+
+def test_glauber_spin_reversal_mirrors_rows():
+    # reversing every spin maps state x to n - 1 - x; with no external field
+    # row n - 1 - x holds row x's values bit for bit, its neighbours are the
+    # reversed states, and pi is mirrored bit for bit too
+    for params in _mirror_cases():
+        chain = chains.build_glauber_cycle(params)
+        n = 1 << params.p
+        assert np.array_equal(chain.weights[::-1], chain.weights), params
+        assert np.array_equal(chain.pi[::-1], chain.pi), params
+        assert np.array_equal(chain.neighbors[::-1], (n - 1) ^ chain.neighbors), params
+
+
+def test_glauber_window_codes_for_half_the_states(monkeypatch):
+    # the build and gibbs_distribution gather window codes for the states
+    # with the top spin down only; the rest is the mirrored copy
+    sizes = []
+    window_codes = chains._window_codes
+
+    def recorded(states, p):
+        sizes.append(len(states))
+        return window_codes(states, p)
+
+    monkeypatch.setattr(chains, "_window_codes", recorded)
+    for p in (3, 4, 10):
+        params = chains.GlauberParams.uniform(p, 0.5)
+        chains.build_glauber_cycle(params)
+        chains.gibbs_distribution(params)
+        assert sizes == [1 << (p - 1)] * 2, (p, sizes)
+        sizes.clear()
 
 
 def test_glauber_build_and_validation_memory():

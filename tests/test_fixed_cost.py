@@ -198,6 +198,22 @@ def test_bernstein_control_weights_bitwise_equal_triangle(cycle_chain, glauber_c
         assert filters.bernstein_errors(chain, f, k_max, lam) == want, (chain.n, lam)
 
 
+def test_bernstein_one_basis_signal_computes_no_weights(monkeypatch, capsys):
+    # on the 101-cycle at K = 100, c = 0: the sweep carries b_{k,0} alone,
+    # and only the cap computes weights, not each of the 100 degrees
+    calls = []
+    control_weights = filters._control_weights
+
+    def counted(k, lambda_low):
+        calls.append(k)
+        return control_weights(k, lambda_low)
+
+    monkeypatch.setattr(filters, "_control_weights", counted)
+    assert cli_main(["cycle-walk", "--p", "101", "--k-max", "100", "--seed", "1"]) == 0
+    assert capsys.readouterr().out
+    assert calls == [100]
+
+
 FILTER_NAMES = ("ergodic", "bernstein", "chebyshev", "legendre")
 
 
