@@ -112,34 +112,16 @@ class SpectralDecomposition:
         self.eigenfunctions.setflags(write=False)
 
 
-def _reverse_entries(
-    neighbors: np.ndarray, candidate: np.ndarray, hit: np.ndarray
-) -> np.ndarray:
-    """For each entry ``(x, j)`` with ``y = neighbors[x, j]``, the flat
-    position ``y * d + k`` of an entry with ``neighbors[y, k] == x``, or
-    ``n * d``, one past the table, if row ``y`` does not list ``x``.
-
-    ``candidate`` holds a guessed position in row ``y`` for each entry and
-    ``hit`` whether the guess is a reverse entry; ``candidate`` is overwritten
-    and returned. Guesses that hit are kept; the m entries that miss take the
-    first ``k`` of row ``y``, searching the whole row at once, in O(m d).
-    """
-    d = neighbors.shape[1]
-    flat = neighbors.ravel()
-    rows, cols = np.nonzero(~hit)
-    starts = neighbors[rows, cols] * d
-    found = flat.take(starts[:, None] + np.arange(d)) == rows[:, None]
-    candidate[rows, cols] = np.where(found.any(axis=1), starts + found.argmax(axis=1), flat.size)
-    return candidate
-
-
 def _pair_imbalance(neighbors: np.ndarray, flux: np.ndarray) -> np.ndarray:
     """``|pi(x) P(x, y) - pi(y) P(y, x)|`` for each entry ``(x, y)`` of the
     table, where ``P(x, y)`` sums every entry of row ``x`` that lists ``y``
     and is 0 if there is none; ``flux[x, j]`` is ``pi(x) weights[x, j]``.
 
-    An entry listed once has the bits of the per-entry check, so the worst
-    entry, read in row order, is the one that check names.
+    The exact check for any table, in O(n d log(n d)): one sort of the
+    ``(x, y)`` keys finds each pair's entries and its reverse pair. On a
+    table that lists each neighbour once every entry gets the bits of
+    ``_entry_imbalance``, so the worst entry, read in row order, is the one
+    that check names.
     """
     n = neighbors.shape[0]
     keys = np.arange(n)[:, None] * n + neighbors
@@ -151,6 +133,35 @@ def _pair_imbalance(neighbors: np.ndarray, flux: np.ndarray) -> np.ndarray:
     return np.abs(sums - back)[entry_pair].reshape(neighbors.shape)
 
 
+def _entry_imbalance(nbr: np.ndarray, w: np.ndarray, dist: np.ndarray) -> np.ndarray | None:
+    """``|pi(x) P(x, y) - pi(y) P(y, x)|`` for each entry ``(x, j)``, with
+    ``y = nbr[x, j]`` and ``P(y, x)`` read in one gather from column
+    ``tau(j)`` of row ``y``; None if some row ``y`` does not list ``x`` there.
+
+    ``tau(j)`` is the column of row ``nbr[0, j]`` that lists state 0 (the
+    identity on a table of bit flips; 2 for 1 and 1 for 2 on the cycle), or
+    ``j`` if that map is not an involution. Entries and reverses then pair
+    off one to one, so a check that passes adds up to ``P(x, y)`` against
+    ``P(y, x)`` even where a state lists another twice.
+    """
+    n, d = nbr.shape
+    tau = (nbr.take(nbr[0], axis=0) == 0).argmax(axis=1)
+    order = tau.tolist()
+    if [order[k] for k in order] != list(range(d)):
+        tau = np.arange(d)
+    reverse = nbr * d
+    reverse += tau
+    if not (nbr.ravel().take(reverse) == np.arange(n)[:, None]).all():
+        return None
+    back = w.ravel().take(reverse)
+    # the index table is freed before the float ones below are made
+    del reverse
+    # pi(y) P(y, x) for each entry (x, y), then |pi(x) P(x, y) - pi(y) P(y, x)|
+    back *= dist[nbr]
+    imbalance = np.subtract(dist[:, None] * w, back, out=back)
+    return np.abs(imbalance, out=imbalance)
+
+
 def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check row-stochasticity, positivity of pi, and detailed balance of a
     neighbour table in O(n d) time for the bundled chains.
@@ -158,21 +169,18 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
     Returns the validated ``(neighbors, weights, pi)`` as index and float
     arrays; raises a ``ChainValidationError`` subclass naming the worst
     offending state or ``(x, y)`` pair, or the first NaN. Each row is summed
-    in one matrix-vector product. Detailed balance is checked per entry,
-    ``|pi(x) P(x,y) - pi(y) P(y,x)|``, with ``P(y,x) = 0`` where row ``y``
-    does not list ``x``. Where that check fails, or a state lists another
-    more than once, each pair is judged again with ``P(x, y)`` summed over
-    the entries of row ``x`` that list ``y``; a table that lists each
-    neighbour once gets the same verdict either way.
-
-    Row 0 is read first, for a column pairing ``tau``: ``tau(j)`` is the
-    column of row ``neighbors[0, j]`` that lists state 0 (the identity on a
-    table of bit flips; 2 for 1 and 1 for 2 on the cycle). The reverse of
-    entry ``(x, j)`` is looked for in column ``tau(j)`` of row ``y`` if
-    ``tau`` is an involution, else in column ``j``. When every entry finds it
-    in the column tried, the balance check reads the reverse entries in one
-    gather and holds about two table-sized temporaries; otherwise the missing
-    entries search their whole row.
+    in one matrix-vector product. Detailed balance,
+    ``|pi(x) P(x,y) - pi(y) P(y,x)|`` at most ``DETAILED_BALANCE_TOL`` for
+    each entry ``(x, y)``, is checked in one fast pass and, where that does
+    not pass, in one exact pair-by-pair check. The fast pass
+    (``_entry_imbalance``) reads each entry's reverse from the column row 0
+    pairs its own with, in one gather and O(n d) time, and holds about two
+    table-sized temporaries; both bundled chains pass it. A table whose
+    entries miss that column, or that the fast pass finds out of balance, is
+    judged by ``_pair_imbalance``: after one sort of the ``(x, y)`` keys,
+    ``P(x, y)`` sums the entries of row ``x`` that list ``y`` and is 0 where
+    there is none, in O(n d log(n d)). A table that lists each neighbour
+    once gets the same verdict, worst pair and magnitude from either.
     """
     nbr = np.asarray(neighbors)
     w = np.asarray(weights, dtype=float)
@@ -209,42 +217,18 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
     if abs(dist.sum() - 1.0) > ROW_SUM_TOL:
         raise NonPositivePi("stationary mass does not sum to 1", -1, float(abs(dist.sum() - 1.0)))
 
-    # tau(j): the column of row neighbors[0, j] that lists state 0
-    tau = (nbr.take(nbr[0], axis=0) == 0).argmax(axis=1)
-    order = tau.tolist()
-    if [order[k] for k in order] != list(range(d)):
-        tau = np.arange(d)
-    reverse = nbr * d
-    reverse += tau
-    hit = nbr.ravel().take(reverse) == np.arange(n)[:, None]
-    if hit.all():
-        # the column map is an involution, so the entry -> reverse map is one
-        # on the entries, and a per-entry check that passes adds up to P(x, y)
-        # against P(y, x) even where a state lists another twice
-        back = w.ravel().take(reverse)
-        unpaired = False
-    else:
-        reverse = _reverse_entries(nbr, reverse, hit).ravel()
-        # an entry that is not the reverse of its own reverse: one state lists
-        # another twice, and the per-entry check would not add up to P(x, y)
-        own = np.arange(nbr.size)
-        unpaired = ((np.append(reverse, -1).take(reverse) != own) & (reverse < nbr.size)).any()
-        # one slot past the end, read by entries with no reverse
-        back = np.append(w, 0.0).take(reverse).reshape(n, d)
-    # the index table is freed before the float ones below are made
-    del reverse, hit
-    # pi(y) P(y, x) for each entry (x, y), then |pi(x) P(x, y) - pi(y) P(y, x)|
-    back *= dist[nbr]
-    imbalance = np.subtract(dist[:, None] * w, back, out=back)
-    np.abs(imbalance, out=imbalance)
-    if unpaired or imbalance.max() > DETAILED_BALANCE_TOL:
-        imbalance = _pair_imbalance(nbr, dist[:, None] * w)
-        worst = int(np.argmax(imbalance))
-        if imbalance.flat[worst] > DETAILED_BALANCE_TOL:
-            x, j = divmod(worst, d)
-            raise DetailedBalanceViolation(
-                "detailed balance violated", (x, int(nbr[x, j])), float(imbalance.flat[worst])
-            )
+    imbalance = _entry_imbalance(nbr, w, dist)
+    if imbalance is not None and imbalance.max() <= DETAILED_BALANCE_TOL:
+        return nbr, w, dist
+    # freed before the exact check makes its own
+    del imbalance
+    imbalance = _pair_imbalance(nbr, dist[:, None] * w)
+    worst = int(np.argmax(imbalance))
+    if imbalance.flat[worst] > DETAILED_BALANCE_TOL:
+        x, j = divmod(worst, d)
+        raise DetailedBalanceViolation(
+            "detailed balance violated", (x, int(nbr[x, j])), float(imbalance.flat[worst])
+        )
     return nbr, w, dist
 
 

@@ -162,7 +162,8 @@ def test_validate_rejects_unpaired_duplicate():
 )
 def test_validate_sums_duplicated_neighbours(neighbors, weights):
     # P(0, 1) = P(1, 0) = 0.6, though no entry balances the one it is paired
-    # with: the first table pairs its columns, the second is searched by row
+    # with: the first table pairs its columns and fails the per-entry check,
+    # the second misses its paired columns; both are judged pair by pair
     markov.validate_chain(np.array(neighbors), weights, [0.5, 0.5])
 
 
@@ -204,39 +205,48 @@ def _broken_tables(chain, source):
     yield "duplicated neighbour", duplicated, weights, pi
 
 
-def _count_row_searches(monkeypatch):
-    """A list that gains an item at each call of ``markov._reverse_entries``."""
+def _count_fallbacks(monkeypatch):
+    """A list that gains an item at each call of ``markov._pair_imbalance``:
+    each time the one-gather pass did not decide."""
     calls = []
-    reverse_entries = markov._reverse_entries
+    pair_imbalance = markov._pair_imbalance
 
     def counted(*args):
         calls.append(True)
-        return reverse_entries(*args)
+        return pair_imbalance(*args)
 
-    monkeypatch.setattr(markov, "_reverse_entries", counted)
+    monkeypatch.setattr(markov, "_pair_imbalance", counted)
     return calls
 
 
-def test_validation_paths_agree(monkeypatch):
-    # the one-gather pass and the row search must reach the same verdict,
-    # worst pair and magnitude on the same chain. A Glauber table finds each
-    # reverse in its own column, a cycle table in the column row 0 pairs it
-    # with. With every odd row rotated the cycle's row 0 pairs no columns;
-    # with row 4 alone rotated the pairing holds, and its entries miss it
-    general = _count_row_searches(monkeypatch)
-    params = chains.GlauberParams(p=5, beta=0.7, couplings=[0.3, 1.0, -0.7, 0.3, 1.0])
+def _path_tables():
+    """(name, neighbours, weights, pi) for each chain the path tests check:
+    Glauber tables find each reverse in its own column, cycle tables in the
+    column row 0 pairs it with."""
     # the cycle's column 0 holds P(x, x) = 0, so its mass moves from column 1
-    tables = [
-        *_broken_tables(chains.build_glauber_cycle(params), 0),
-        *_broken_tables(chains.build_cycle_walk(11), 1),
-    ]
+    yield from _broken_tables(chains.build_cycle_walk(11), 1)
+    yield from _broken_tables(chains.build_cycle_walk(101), 1)
+    mixed = chains.GlauberParams(p=5, beta=0.7, couplings=[0.3, 1.0, -0.7, 0.3, 1.0])
+    yield from _broken_tables(chains.build_glauber_cycle(mixed), 0)
+    yield from _broken_tables(chains.build_glauber_cycle(chains.GlauberParams.uniform(10, 0.7)), 0)
+
+
+def test_validation_paths_agree(monkeypatch):
+    # the one-gather pass and the pair-by-pair check must reach the same
+    # verdict, worst pair and magnitude on the same chain, at n = 1 024 too.
+    # With every odd row rotated the cycle's row 0 pairs no columns; with
+    # row 4 alone rotated the pairing holds, and its entries miss it
+    general = _count_fallbacks(monkeypatch)
     outcomes = set()
-    for name, neighbors, weights, pi in tables:
+    for name, neighbors, weights, pi in _path_tables():
         del general[:]
         original = _validation_outcome(neighbors, weights, pi)
         original_general = bool(general)
-        # a row-sum failure stops before either path; a duplicate misses its column anyway
-        assert original_general == (name == "duplicated neighbour"), name
+        # a row-sum failure stops before either path; a broken balance fails
+        # the one-gather pass, and a duplicate misses its column
+        assert original_general == (
+            name in ("rows kept, balance broken", "duplicated neighbour")
+        ), name
         for rows in (slice(1, None, 2), [4]):
             del general[:]
             rotated = _validation_outcome(
@@ -246,6 +256,21 @@ def test_validation_paths_agree(monkeypatch):
             assert bool(general) == (name != "one weight scaled"), (name, rows)
         outcomes.add(original[0])
     assert outcomes == {"pass", markov.StochasticityViolation, markov.DetailedBalanceViolation}
+
+
+def test_pair_check_has_the_bits_of_the_entry_check():
+    # on a table that lists each neighbour once, the pair-by-pair check gives
+    # each entry exactly the per-entry imbalance of the one-gather pass, so
+    # the one fallback cannot change a verdict, worst pair or magnitude
+    checked = 0
+    for name, neighbors, weights, pi in _path_tables():
+        if name not in ("valid", "rows kept, balance broken"):
+            continue
+        entry = markov._entry_imbalance(neighbors, weights, pi)
+        assert (entry.max() > markov.DETAILED_BALANCE_TOL) == (name != "valid")
+        assert np.array_equal(markov._pair_imbalance(neighbors, pi[:, None] * weights), entry)
+        checked += 1
+    assert checked == 8
 
 
 def _bundled_glauber_params(p):
@@ -259,7 +284,7 @@ def test_cycle_validates_in_one_gather(monkeypatch, p):
     # every bundled table finds each reverse entry in the column row 0 pairs
     # it with: columns 1 and 2 on the cycle walk, each flip column with itself
     # on the Ising ring, whatever its couplings
-    general = _count_row_searches(monkeypatch)
+    general = _count_fallbacks(monkeypatch)
     if p % 2:
         chains.build_cycle_walk(p)
     if p <= 10:
@@ -269,21 +294,21 @@ def test_cycle_validates_in_one_gather(monkeypatch, p):
 
 
 @pytest.mark.parametrize(
-    "neighbors, outcome, searched",
+    "neighbors, outcome, falls_back",
     [
         ([[0, 1, 1], [1, 0, 0]], ("pass",), False),
         ([[0, 1, 1], [1, 1, 0]], (markov.DetailedBalanceViolation, (0, 1), 0.125), True),
     ],
 )
-def test_validate_unpaired_columns(monkeypatch, neighbors, outcome, searched):
+def test_validate_unpaired_columns(monkeypatch, neighbors, outcome, falls_back):
     # row 0 lists state 1 twice, so the column pairing it gives is not an
     # involution. The first table finds every reverse in its own column; the
-    # second misses there and is left to the row search, and its sums break
-    # balance: P(0, 1) = 0.5 against P(1, 0) = 0.25
-    general = _count_row_searches(monkeypatch)
+    # second misses there and is left to the pair-by-pair check, and its sums
+    # break balance: P(0, 1) = 0.5 against P(1, 0) = 0.25
+    general = _count_fallbacks(monkeypatch)
     weights = [[0.5, 0.25, 0.25], [0.5, 0.25, 0.25]]
     assert _validation_outcome(np.array(neighbors), weights, [0.5, 0.5]) == outcome
-    assert bool(general) == searched
+    assert bool(general) == falls_back
 
 
 def test_validate_row_sums_of_a_wide_table():
