@@ -203,27 +203,26 @@ def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
 def glauber_m_matrix(params: GlauberParams) -> np.ndarray:
     """Cyclic two-band matrix whose top eigenvalue controls the chain's gap.
 
-    With ``s_i = sinh(2 beta J_i)`` and ``c_i = cosh(2 beta J_i)`` the bands
-    are ``M(i, i-1) = s_{i-1} / (c_{i-1} + c_i)`` and
-    ``M(i, i+1) = s_i / (c_{i-1} + c_i)``, indices mod p. Once ``2 beta J_i``
-    overflows float64 the entries are inf or nan, without a warning;
+    With ``s_i = sinh(2 beta J_i)``, ``c_i = cosh(2 beta J_i)`` and
+    ``D_i = c_{i-1} + c_i`` the bands are ``M(i, i-1) = s_{i-1} / D_i`` and
+    ``M(i, i+1) = s_i / D_i``, indices mod p. Once ``2 beta J_i`` overflows
+    float64 the entries are inf or nan, without a warning;
     ``glauber_lambda_low`` rejects them.
     """
-    p = params.p
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.sinh(2.0 * params.beta * params.couplings)
         c = np.cosh(2.0 * params.beta * params.couplings)
-        m = np.zeros((p, p))
-        for i in range(p):
-            denom = c[(i - 1) % p] + c[i]
-            m[i, (i - 1) % p] = s[(i - 1) % p] / denom
-            m[i, (i + 1) % p] = s[i] / denom
+        d = np.roll(c, 1) + c
+        rows = np.arange(params.p)
+        m = np.zeros((params.p, params.p))
+        m[rows, rows - 1] = np.roll(s, 1) / d
+        m[rows, (rows + 1) % params.p] = s / d
     return m
 
 
 def glauber_lambda_low(params: GlauberParams) -> float:
     """Gap bound ``(1 - gamma_1) / p`` where ``gamma_1`` is the largest
-    eigenvalue of the band matrix from ``glauber_m_matrix``.
+    eigenvalue of the band matrix ``M`` from ``glauber_m_matrix``.
 
     Uniform couplings ``J`` have closed forms, and no band matrix is built.
     The band matrix is then ``tanh(2 beta J) / 2`` times the adjacency matrix
@@ -234,44 +233,39 @@ def glauber_lambda_low(params: GlauberParams) -> float:
     a frustrated ring. Both keep full relative precision at low temperature,
     where ``1 - gamma_1`` cancels.
 
-    Non-uniform couplings are eigensolved. They make the band matrix
-    asymmetric; it is then brought to symmetric form by a diagonal
-    similarity first. The two band entries that face each other share the
-    same sinh factor, so their ratio is a positive ratio of cosh sums and
-    the scaling is well defined whenever every coupling is nonzero.
+    Other couplings, zero among them, are eigensolved as one symmetric band
+    matrix: ``M = D^(-1/2) S D^(1/2)`` with ``D = diag(c_{i-1} + c_i)``, so
+    ``S(i, i+1) = S(i+1, i) = s_i / sqrt(D_i D_{i+1})`` has the eigenvalues
+    of ``M``, and the entries of ``M`` itself where ``M`` is symmetric.
     """
     p = params.p
     coupling = float(params.couplings[0])
     uniform = bool((params.couplings == coupling).all())
-    two_beta_j = 2.0 * params.beta * abs(coupling)
-    if uniform:
-        # every band entry is +-sinh / (2 cosh) of 2 beta |J|: finite exactly
-        # when these two are, so the matrix itself is not needed. growth
-        # gives 1 - t = 2 / (1 + e^(4 beta |J|)) without the cancellation; it
-        # overflows to inf only where t rounds to 1, which passes the guard
-        # below only on a frustrated ring, where 1 - t is 0 to rounding
-        with np.errstate(over="ignore"):
-            m = np.array([np.sinh(two_beta_j), np.cosh(two_beta_j)])
-            growth = float(np.exp(4.0 * params.beta * abs(coupling)))
-    else:
-        m = glauber_m_matrix(params)
-    if not np.isfinite(m).all():
+    # one value of 2 beta |J| stands for a uniform ring
+    x = 2.0 * params.beta * (abs(coupling) if uniform else params.couplings)
+    with np.errstate(over="ignore"):
+        c = np.cosh(x)
+        # a uniform ring's 1 - t is 2 / (1 + growth), with no cancellation;
+        # growth overflows to inf only where t rounds to 1, which passes the
+        # guard below only on a frustrated ring, where 1 - t is 0 to rounding
+        growth = float(np.exp(2.0 * x)) if uniform else 0.0
+    top = float(c if uniform else c.max())
+    # |sinh| <= cosh: every band entry is finite when cosh is
+    if not math.isfinite(top):
         raise ValueError(f"gap bound degenerates: band matrix overflows at beta={params.beta}")
-    frustrated = coupling < 0.0 and p % 2 == 1
     if uniform:
-        t = float(np.tanh(two_beta_j))
+        frustrated = coupling < 0.0 and p % 2 == 1
+        t = float(np.tanh(x))
         gamma1 = t * math.cos(math.pi / p) if frustrated else t
-    elif np.abs(m - m.T).max() <= 1e-14 * max(1.0, float(np.abs(m).max())):
-        gamma1 = float(densela.symmetric_eigen(m)[0][-1])
     else:
-        if (params.couplings == 0.0).any():
-            raise ValueError("gap bound needs nonzero couplings on every edge")
-        d = np.ones(p)
-        for i in range(p - 1):
-            # geometric-mean scaling: (d_{i+1}/d_i)^2 = M(i,i+1)/M(i+1,i); the
-            # cyclic closure ratio telescopes to 1, so the wrap edge symmetrizes too
-            d[i + 1] = d[i] * np.sqrt(m[i, i + 1] / m[i + 1, i])
-        gamma1 = float(densela.symmetric_eigen(d[:, None] * m / d[None, :])[0][-1])
+        # D_i D_{i+1} overflows from c near 1e154 on: c is scaled by 2^-k
+        # first and the entries by 2^k after, which is exact
+        k = max(0, math.frexp(top)[1] - 510)
+        c = np.ldexp(c, -k)
+        d = np.roll(c, 1) + c
+        # S(i, i+1), then S + S^T
+        band = np.roll(np.diag(np.ldexp(np.sinh(x) / np.sqrt(d * np.roll(d, -1)), -k)), 1, axis=1)
+        gamma1 = float(densela.symmetric_eigen(band + band.T)[0][-1])
     if gamma1 >= 1.0:
         raise ValueError(f"gap bound degenerates: top band eigenvalue {gamma1} >= 1")
     if not uniform:

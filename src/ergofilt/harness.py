@@ -12,6 +12,7 @@ configurations produce byte-identical output.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,14 +156,28 @@ def run_experiment(config: ExperimentConfig) -> tuple[np.ndarray, RunMetadata]:
         if not 0.0 < lambda_low < 2.0:
             raise ValueError(f"lambda_low override must lie in (0, 2), got {lambda_low}")
 
+    # the running sum grows to (k_max + 1) max|f|, the stopband map by up to
+    # (6 + lambda_low) / (2 - lambda_low) in max-norm; a signal with less than
+    # twice that headroom is swept scaled by 2^-shift, its errors by 2^shift.
+    # Reference and generated signals lie in [0, 10]
+    shift = 0
+    if config.signal is not None:
+        growth = (config.k_max + 1) * (6.0 + lambda_low) / (2.0 - lambda_low)
+        peak = max(float(signal.max()), -float(signal.min()))
+        shift = max(0, math.frexp(peak)[1] + math.frexp(growth)[1] - 1023)
+    swept = np.ldexp(signal, -shift) if shift else signal
     # an overflow in a sweep raises FloatingPointError, not a RuntimeWarning
     with np.errstate(over="raise", invalid="raise"):
         columns = np.array([
-            filters.ergodic_errors(chain, signal, config.k_max),
-            filters.bernstein_errors(chain, signal, config.k_max, lambda_low),
-            filters.chebyshev_errors(chain, signal, config.k_max, lambda_low),
-            filters.legendre_errors(chain, signal, config.k_max, lambda_low),
+            filters.ergodic_errors(chain, swept, config.k_max),
+            filters.bernstein_errors(chain, swept, config.k_max, lambda_low),
+            filters.chebyshev_errors(chain, swept, config.k_max, lambda_low),
+            filters.legendre_errors(chain, swept, config.k_max, lambda_low),
         ])
+    if shift:
+        # an error past the float64 maximum is inf, named below
+        with np.errstate(over="ignore"):
+            columns = np.ldexp(columns, shift)
     if not np.isfinite(columns).all():
         bad = ~np.isfinite(columns)
         first = int(np.flatnonzero(bad.any(axis=0))[0])

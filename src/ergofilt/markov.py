@@ -117,20 +117,46 @@ def _pair_imbalance(neighbors: np.ndarray, flux: np.ndarray) -> np.ndarray:
     table, where ``P(x, y)`` sums every entry of row ``x`` that lists ``y``
     and is 0 if there is none; ``flux[x, j]`` is ``pi(x) weights[x, j]``.
 
-    The exact check for any table, in O(n d log(n d)): one sort of the
-    ``(x, y)`` keys finds each pair's entries and its reverse pair. On a
-    table that lists each neighbour once every entry gets the bits of
-    ``_entry_imbalance``, so the worst entry, read in row order, is the one
-    that check names.
+    The exact check for any table, in O(n d log(n d)): one stable sort by
+    ``2 (min(x, y) n + max(x, y)) + [x > y]`` puts each pair's entries
+    together, in row order, with its reverse pair's right after, so the sums
+    and the reverse lookup share one order; each table-sized array, ``flux``
+    too, is freed once used. A table that lists each neighbour once gets the
+    bits of ``_entry_imbalance``, and so the same worst entry in row order.
     """
-    n = neighbors.shape[0]
-    keys = np.arange(n)[:, None] * n + neighbors
-    pairs, entry_pair = np.unique(keys.ravel(), return_inverse=True)
-    sums = np.bincount(entry_pair, weights=flux.ravel())
-    reverse = pairs % n * n + pairs // n
-    at = np.minimum(np.searchsorted(pairs, reverse), pairs.size - 1)
-    back = np.where(pairs[at] == reverse, sums[at], 0.0)
-    return np.abs(sums - back)[entry_pair].reshape(neighbors.shape)
+    n, d = neighbors.shape
+    states = np.arange(n)[:, None]
+    key = (np.minimum(neighbors, states) * n + np.maximum(neighbors, states)) * 2
+    key += neighbors < states
+    order = np.argsort(key, axis=None, kind="stable")
+    key = key.ravel()[order]
+    first = np.concatenate(([True], key[1:] != key[:-1]))
+    # a run of equal keys is one pair; the next run is its reverse pair when
+    # their keys differ in the last bit only
+    runs = key[first]
+    runs >>= 1
+    paired = runs[1:] == runs[:-1]
+    del runs
+    # each sorted entry's run, written over its key
+    np.cumsum(first, out=key)
+    key -= 1
+    flux = flux.ravel()[order]
+    sums = np.bincount(key, weights=flux)
+    del flux
+    # a pair and its reverse get |sum - reverse sum|; a pair with no reverse
+    # keeps its sum, which is not negative
+    gap = np.diff(sums)
+    np.abs(gap, out=gap)
+    np.copyto(sums[:-1], gap, where=paired)
+    np.copyto(sums[1:], gap, where=paired)
+    del gap, paired
+    imbalance = sums.take(key)
+    del sums, key
+    out = np.empty(n * d)
+    out[order] = imbalance
+    # a self-entry (x, x) is its own reverse
+    out[(neighbors == states).ravel()] = 0.0
+    return out.reshape(n, d)
 
 
 def _entry_imbalance(nbr: np.ndarray, w: np.ndarray, dist: np.ndarray) -> np.ndarray | None:
@@ -171,16 +197,11 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
     offending state or ``(x, y)`` pair, or the first NaN. Each row is summed
     in one matrix-vector product. Detailed balance,
     ``|pi(x) P(x,y) - pi(y) P(y,x)|`` at most ``DETAILED_BALANCE_TOL`` for
-    each entry ``(x, y)``, is checked in one fast pass and, where that does
-    not pass, in one exact pair-by-pair check. The fast pass
-    (``_entry_imbalance``) reads each entry's reverse from the column row 0
-    pairs its own with, in one gather and O(n d) time, and holds about two
-    table-sized temporaries; both bundled chains pass it. A table whose
-    entries miss that column, or that the fast pass finds out of balance, is
-    judged by ``_pair_imbalance``: after one sort of the ``(x, y)`` keys,
-    ``P(x, y)`` sums the entries of row ``x`` that list ``y`` and is 0 where
-    there is none, in O(n d log(n d)). A table that lists each neighbour
-    once gets the same verdict, worst pair and magnitude from either.
+    each entry ``(x, y)``, is checked by the one-gather pass
+    ``_entry_imbalance``, which both bundled chains pass, and where that
+    does not decide, by the exact pair-by-pair ``_pair_imbalance``. A table
+    that lists each neighbour once gets the same verdict, worst pair and
+    magnitude from either.
     """
     nbr = np.asarray(neighbors)
     w = np.asarray(weights, dtype=float)
@@ -308,12 +329,11 @@ def spectral_decomposition(chain: ChainModel) -> SpectralDecomposition:
             f"smallest Laplacian eigenvalue {eigenvalues[0]:.3e} is not zero to tolerance"
         )
     funcs[:, 0] = 1.0
-    for j in range(1, funcs.shape[1]):
-        col = funcs[:, j]
-        cutoff = 1e-12 * max(1.0, float(np.abs(col).max()))
-        nonzero = np.nonzero(np.abs(col) > cutoff)[0]
-        if nonzero.size and col[nonzero[0]] < 0.0:
-            funcs[:, j] = -col
+    # non-negligible: above 1e-12 max(1, max|column|); a column with none stays
+    magnitude = np.abs(funcs)
+    above = magnitude > 1e-12 * np.maximum(1.0, magnitude.max(axis=0))
+    lead = funcs[above.argmax(axis=0), np.arange(chain.n)]
+    np.negative(funcs, out=funcs, where=above.any(axis=0) & (lead < 0.0))
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenfunctions=funcs)
 
 

@@ -219,7 +219,9 @@ def _reference_glauber_gap(params) -> float:
     closed forms, with ``t = tanh(2 beta |J|)``: ``gamma_1 = t``, or
     ``t cos(pi/p)`` on a frustrated (odd, ``J < 0``) ring, whose bound is
     written as ``(1 - t) + 2 t sin^2(pi/2p)``. Other couplings take ``eigh``
-    after a diagonal symmetrisation."""
+    of the symmetric band matrix ``S(i, i+1) = S(i+1, i) = s_i / sqrt(D_i
+    D_{i+1})``, with ``s_i = sinh(2 beta J_i)`` and ``D_i = c_{i-1} + c_i``
+    for ``c_i = cosh(2 beta J_i)``, written entry by entry."""
     m = chains.glauber_m_matrix(params)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"gap bound degenerates: band matrix overflows at beta={params.beta}")
@@ -230,13 +232,14 @@ def _reference_glauber_gap(params) -> float:
     if uniform:
         t = float(np.tanh(2.0 * params.beta * abs(coupling)))
         gamma1 = t * math.cos(math.pi / p) if frustrated else t
-    elif np.abs(m - m.T).max() <= 1e-14 * max(1.0, float(np.abs(m).max())):
-        gamma1 = float(densela.symmetric_eigen(m)[0][-1])
     else:
-        d = np.ones(p)
-        for i in range(p - 1):
-            d[i + 1] = d[i] * np.sqrt(m[i, i + 1] / m[i + 1, i])
-        gamma1 = float(densela.symmetric_eigen(d[:, None] * m / d[None, :])[0][-1])
+        s = np.sinh(2.0 * params.beta * params.couplings)
+        c = np.cosh(2.0 * params.beta * params.couplings)
+        sym = np.zeros((p, p))
+        for i in range(p):
+            j = (i + 1) % p
+            sym[i, j] = sym[j, i] = s[i] / math.sqrt((c[i - 1] + c[i]) * (c[i] + c[j]))
+        gamma1 = float(densela.symmetric_eigen(sym)[0][-1])
     if gamma1 >= 1.0:
         raise ValueError(f"gap bound degenerates: top band eigenvalue {gamma1} >= 1")
     if not uniform:

@@ -8,7 +8,7 @@ import exact_references
 import numpy as np
 import pytest
 
-from ergofilt import chains, markov
+from ergofilt import chains, densela, markov
 
 
 def test_cycle_triangle_case():
@@ -141,8 +141,6 @@ def test_m_matrix_uniform_entries():
 
 
 def test_m_matrix_largest_eigenvalue():
-    from ergofilt import densela
-
     m = chains.glauber_m_matrix(chains.GlauberParams.uniform(4, 0.2, 1.0))
     w, _ = densela.symmetric_eigen(m)
     assert w[-1] == pytest.approx(np.tanh(0.4), abs=1e-12)
@@ -182,10 +180,44 @@ def test_glauber_nonuniform_couplings():
         assert lam <= spec.eigenvalues[1] + 1e-8
 
 
-def test_glauber_zero_coupling_rejected_for_gap():
-    params = chains.GlauberParams(p=4, beta=0.3, couplings=np.array([1.0, 0.0, 1.0, 0.5]))
-    with pytest.raises(ValueError):
-        chains.glauber_lambda_low(params)
+def test_glauber_zero_couplings_get_a_sound_bound():
+    # a zero coupling leaves both of its band entries zero, and the symmetric
+    # band matrix keeps the eigenvalues of M: the bound agrees with a general
+    # eigensolver on M and stays below the built chain's gap
+    for couplings in ([1.0, 0.0, 1.0, 0.5], [0.0, 0.7, 0.0, 1.3, 0.4]):
+        for beta in (0.3, 0.7, 1.2, 2.0):
+            params = chains.GlauberParams(p=len(couplings), beta=beta, couplings=couplings)
+            lam = chains.glauber_lambda_low(params)
+            gamma_oracle = np.linalg.eigvals(chains.glauber_m_matrix(params)).real.max()
+            assert abs((1.0 - params.p * lam) - gamma_oracle) <= 1e-12, (couplings, beta)
+            chain = chains.build_glauber_cycle(params)
+            assert chain.lambda_low == lam
+            spec = markov.spectral_decomposition(chain)
+            assert lam <= spec.eigenvalues[1] + 1e-8, (couplings, beta)
+
+
+@pytest.mark.filterwarnings("error")
+def test_glauber_strong_couplings_keep_the_band_matrix_finite():
+    # cosh 2 beta J near 1e307: every cosh sum D_i is finite, but the
+    # products D_i D_{i+1} under the square roots are not, unless scaled
+    params = chains.GlauberParams(p=3, beta=1.0, couplings=[354.0, -355.0, 354.0])
+    gamma_oracle = np.linalg.eigvals(chains.glauber_m_matrix(params)).real.max()
+    lam = chains.glauber_lambda_low(params)
+    assert lam == pytest.approx((1.0 - gamma_oracle) / 3.0, rel=1e-12)
+
+
+def test_glauber_symmetric_rings_keep_the_band_matrix():
+    # alternating couplings on an even ring give every site the same cosh sum
+    # D_i, so M is symmetric and the symmetric band matrix is M itself, bit
+    # for bit
+    for p in (4, 6, 8, 10):
+        for a, b in ((1.0, 0.5), (0.3, -1.0), (0.0, 1.2)):
+            for beta in (0.2, 0.7, 1.5):
+                params = chains.GlauberParams(p=p, beta=beta, couplings=[a, b] * (p // 2))
+                m = chains.glauber_m_matrix(params)
+                assert np.array_equal(m, m.T)
+                gamma1 = float(densela.symmetric_eigen(m)[0][-1])
+                assert chains.glauber_lambda_low(params) == (1.0 - gamma1) / p, (p, a, b, beta)
 
 
 def test_glauber_lambda_low_closed_form():

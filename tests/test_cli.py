@@ -165,25 +165,47 @@ def test_low_temperature_glauber_exits_one(capsys):
     assert captured.err.startswith("error: gap bound degenerates")
 
 
-def test_overflowing_sweep_exits_two():
-    # |f| near the float64 maximum: the running average's first sum
-    # overflows. Under -X dev -W error a numpy RuntimeWarning would be an
-    # exception and end the run with a traceback; the sweeps raise a typed
-    # error instead, reported on one line
-    signal = ",".join(["1e308", "-1e308"] * 5 + ["1e308"])
+def _run_module(*argv):
+    """``python [argv]`` with ``src`` on the path, as a separate process."""
     src = str(Path(chains.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+
+
+def test_near_maximum_signal_exits_zero():
+    # |f| near the float64 maximum: the running average's fourth sum would
+    # overflow, so the sweeps run on f scaled by a power of two and the
+    # errors are scaled back; under -X dev -W error a numpy RuntimeWarning
+    # would end the run with a traceback
+    signal = ",".join(["1e308", "-1e308"] * 5 + ["1e308"])
     for mode in ([], ["-X", "dev", "-W", "error"]):
-        run = subprocess.run(
-            [sys.executable, *mode, "-m", "ergofilt.cli", "cycle-walk", f"--signal={signal}"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
-        )
+        run = _run_module(*mode, "-m", "ergofilt.cli", "cycle-walk", f"--signal={signal}")
+        assert run.returncode == 0, (mode, run.stderr)
+        assert run.stderr == ""
+        lines = run.stdout.splitlines()
+        assert lines[0] == "# lambda_low=0.0733333333333, pi_f=9.09090909091e+306"
+        cells = np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
+        assert cells.shape == (20, 5)
+        assert np.all(np.isfinite(cells))
+
+
+def test_overflowing_sweep_exits_two():
+    # an error itself past the float64 maximum: with three adjacent -1.7e308
+    # among +1.7e308 the middle state's first average is -1.7e308, 16/11 of
+    # 1.7e308 from the mean. It stays a typed error naming the degree and the
+    # filters, reported on one line
+    signal = ",".join(["1.7e308"] * 8 + ["-1.7e308"] * 3)
+    for mode in ([], ["-X", "dev", "-W", "error"]):
+        run = _run_module(*mode, "-m", "ergofilt.cli", "cycle-walk", f"--signal={signal}")
         assert run.returncode == 2, (mode, run.stderr)
         assert run.stdout == ""
-        assert len(run.stderr.splitlines()) == 1, (mode, run.stderr)
-        assert run.stderr.startswith("numerical failure: overflow"), (mode, run.stderr)
-        # the fourth power sum is the first to pass the float64 maximum
-        assert run.stderr.endswith(" in add (ergodic filter, degree 4)\n"), (mode, run.stderr)
+        assert run.stderr == (
+            "numerical failure: non-finite filter error at degree 1: "
+            "['ergodic', 'bernstein', 'chebyshev', 'legendre']\n"
+        ), (mode, run.stderr)
 
 
 def test_negative_seed_rejected(capsys):

@@ -116,6 +116,24 @@ def test_lambda_low_override():
     assert np.any(_column(plain_results, "chebyshev") != _column(tuned_results, "chebyshev"))
 
 
+@pytest.mark.filterwarnings("error")
+def test_near_maximum_signal_is_swept_scaled():
+    # every step commutes with scaling by a power of two, so the table of a
+    # signal near the float64 maximum is that of the same signal scaled into
+    # the ordinary range, scaled back, bit for bit; pi_f is the unscaled mean
+    signal = np.array([1e308, -1e308] * 5 + [1e308])
+    for k_max, override in ((20, None), (300, None), (20, 1.9)):
+        near, meta = harness.run_experiment(
+            _cycle_config(k_max=k_max, lambda_low_override=override, signal=signal)
+        )
+        small, _ = harness.run_experiment(
+            _cycle_config(k_max=k_max, lambda_low_override=override, signal=np.ldexp(signal, -40))
+        )
+        assert np.all(np.isfinite(near))
+        assert np.array_equal(near, np.ldexp(small, 40)), (k_max, override)
+        assert meta.pi_f == float(np.dot(np.full(11, 1.0 / 11.0), signal))
+
+
 def test_generate_signal_pinned_values():
     assert harness.generate_signal(42, 6) == pytest.approx(
         [7.42, 1.6, 2.79, 3.44, 0.38, 8.68], abs=1e-12

@@ -273,6 +273,29 @@ def test_pair_check_has_the_bits_of_the_entry_check():
     assert checked == 8
 
 
+def test_pair_check_matches_a_pair_loop():
+    # tables that list neighbours two or more times, and a state itself past
+    # column 0: each entry gets |pi(x) P(x, y) - pi(y) P(y, x)| with both
+    # sums taken in column order, bit for bit
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        n, d = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        neighbors = rng.integers(0, min(n, 2 + trial % 3), (n, d))
+        neighbors[:, 0] = np.arange(n)
+        flux = rng.uniform(0.0, 1.0, (n, d)) * (rng.uniform(0.0, 1.0, (n, d)) > 0.2)
+        want = np.empty((n, d))
+        for x in range(n):
+            for j, y in enumerate(neighbors[x].tolist()):
+                forward = backward = 0.0
+                for value in flux[x, neighbors[x] == y].tolist():
+                    forward += value
+                for value in flux[y, neighbors[y] == x].tolist():
+                    backward += value
+                want[x, j] = abs(forward - backward)
+        got = markov._pair_imbalance(neighbors.astype(np.intp), flux.copy())
+        assert np.array_equal(got, want), (neighbors, flux)
+
+
 def _bundled_glauber_params(p):
     for coupling in (-1.0, 0.0, 0.5, 1.0):
         yield chains.GlauberParams.uniform(p, 0.7, coupling)
@@ -505,6 +528,40 @@ def test_spectral_band_and_gap(cycle_spec, glauber_spec):
 def test_lambda_low_soundness(cycle_chain, cycle_spec, glauber_chain, glauber_spec):
     assert cycle_chain.lambda_low <= cycle_spec.eigenvalues[1] + 1e-8
     assert glauber_chain.lambda_low <= glauber_spec.eigenvalues[1] + 1e-8
+
+
+def _sign_fixed_by_loop(funcs):
+    """The per-column sign fix: negate each column whose first entry above
+    ``1e-12 max(1, max|column|)`` is negative."""
+    funcs = funcs.copy()
+    for j in range(1, funcs.shape[1]):
+        col = funcs[:, j]
+        cutoff = 1e-12 * max(1.0, float(np.abs(col).max()))
+        nonzero = np.nonzero(np.abs(col) > cutoff)[0]
+        if nonzero.size and col[nonzero[0]] < 0.0:
+            funcs[:, j] = -col
+    return funcs
+
+
+def test_spectral_signs_match_the_column_loop(monkeypatch, cycle_chain, glauber_chain):
+    # the eigenvectors eigh returns, mapped and sign-fixed one column at a
+    # time, give the eigenfunctions bit for bit
+    solved, flipped = [], 0
+    symmetric_eigen = markov.densela.symmetric_eigen
+
+    def recorded(m):
+        solved.append(symmetric_eigen(m))
+        return solved[-1]
+
+    monkeypatch.setattr(markov.densela, "symmetric_eigen", recorded)
+    for chain in (cycle_chain, glauber_chain):
+        spec = markov.spectral_decomposition(chain)
+        funcs = solved[-1][1] / np.sqrt(chain.pi)[:, None]
+        funcs[:, 0] = 1.0
+        want = _sign_fixed_by_loop(funcs)
+        assert np.array_equal(spec.eigenfunctions, want)
+        flipped += int((want != funcs).any(axis=0).sum())
+    assert flipped > 0
 
 
 def test_spectral_rejects_imbalanced_chain():
