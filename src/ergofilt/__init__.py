@@ -2,9 +2,9 @@
 reversible Markov chains.
 
 The package splits into six small modules: ``densela`` (typed numerical
-errors and the symmetric eigensolver, numpy ``eigh``), ``markov`` (the
-neighbour-table chain model and its ``aL + bI`` operators, reversible-chain
-geometry, and the Laplacian eigenfunction transform), ``chains`` (the two
+errors and one ``eigh`` call), ``markov`` (the neighbour-table chain model
+and its ``aL + bI`` operators, reversible-chain geometry, and the Laplacian
+eigenfunction transform), ``chains`` (the two
 bundled chain constructors, built as neighbour tables),
 ``filters`` (the running average and the Bernstein / Chebyshev / Legendre
 designs plus the exact frequency-zeroing projector), ``harness`` (the

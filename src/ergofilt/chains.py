@@ -200,29 +200,11 @@ def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
     return markov.ChainModel(*markov.validate_chain(neighbors, weights, pi), lambda_low)
 
 
-def glauber_m_matrix(params: GlauberParams) -> np.ndarray:
-    """Cyclic two-band matrix whose top eigenvalue controls the chain's gap.
-
-    With ``s_i = sinh(2 beta J_i)``, ``c_i = cosh(2 beta J_i)`` and
-    ``D_i = c_{i-1} + c_i`` the bands are ``M(i, i-1) = s_{i-1} / D_i`` and
-    ``M(i, i+1) = s_i / D_i``, indices mod p. Once ``2 beta J_i`` overflows
-    float64 the entries are inf or nan, without a warning;
-    ``glauber_lambda_low`` rejects them.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = np.sinh(2.0 * params.beta * params.couplings)
-        c = np.cosh(2.0 * params.beta * params.couplings)
-        d = np.roll(c, 1) + c
-        rows = np.arange(params.p)
-        m = np.zeros((params.p, params.p))
-        m[rows, rows - 1] = np.roll(s, 1) / d
-        m[rows, (rows + 1) % params.p] = s / d
-    return m
-
-
 def glauber_lambda_low(params: GlauberParams) -> float:
     """Gap bound ``(1 - gamma_1) / p`` where ``gamma_1`` is the largest
-    eigenvalue of the band matrix ``M`` from ``glauber_m_matrix``.
+    eigenvalue of the cyclic two-band matrix ``M(i, i-1) = s_{i-1} / D_i``,
+    ``M(i, i+1) = s_i / D_i`` (indices mod p), with ``s_i = sinh(2 beta J_i)``,
+    ``c_i = cosh(2 beta J_i)`` and ``D_i = c_{i-1} + c_i``.
 
     Uniform couplings ``J`` have closed forms, and no band matrix is built.
     The band matrix is then ``tanh(2 beta J) / 2`` times the adjacency matrix

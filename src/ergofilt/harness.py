@@ -193,11 +193,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[np.ndarray, RunMetadata]:
     return columns.T, metadata
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".12g")
-
-
-# one %-format per table row; "%.12g" % x is the text of _fmt(x)
+# one %-format per table row; every value, the metadata's too, is "%.12g"
 _CSV_ROW = "%d" + ",%.12g" * len(FILTER_ORDER)
 _JSON_ROW = '    {"degree": %d, ' + ", ".join(f'"{name}": %.12g' for name in FILTER_ORDER) + "}"
 
@@ -215,7 +211,7 @@ def _rows(table) -> list[list[float]]:
 
 def metadata_comment(metadata: RunMetadata) -> str:
     """The CSV comment line carrying the run's frequency bound and mean."""
-    return f"# lambda_low={_fmt(metadata.lambda_low)}, pi_f={_fmt(metadata.pi_f)}\n"
+    return "# lambda_low=%.12g, pi_f=%.12g\n" % (metadata.lambda_low, metadata.pi_f)
 
 
 def emit_csv(table, destination=None) -> str:
@@ -244,11 +240,9 @@ def emit_json(table, metadata: RunMetadata, destination=None) -> str:
     buffer = io.StringIO()
     buffer.write("{\n")
     buffer.write(
-        '  "metadata": {'
-        f'"experiment": "{metadata.experiment}", "p": {metadata.p}, '
-        f'"k_max": {metadata.k_max}, "lambda_low": {_fmt(metadata.lambda_low)}, '
-        f'"pi_f": {_fmt(metadata.pi_f)}'
-        "},\n"
+        '  "metadata": {"experiment": "%s", "p": %s, "k_max": %s, '
+        '"lambda_low": %.12g, "pi_f": %.12g},\n'
+        % (metadata.experiment, metadata.p, metadata.k_max, metadata.lambda_low, metadata.pi_f)
     )
     buffer.write('  "rows": [\n')
     buffer.write(",\n".join(_JSON_ROW % (degree, *row) for degree, row in enumerate(rows, start=1)))

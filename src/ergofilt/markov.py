@@ -311,7 +311,9 @@ def spectral_decomposition(chain: ChainModel) -> SpectralDecomposition:
     """Eigenpairs of the Laplacian in the stationary geometry.
 
     Works on the symmetrized matrix ``S = D^{1/2} L D^{-1/2}`` (``D = diag(pi)``),
-    which is symmetric exactly when detailed balance holds, then maps the
+    which is symmetric exactly when detailed balance holds: asymmetry above
+    ``DETAILED_BALANCE_TOL * max|S|`` raises ``DetailedBalanceViolation``, and
+    the round-off below it is folded as ``(S + S^T) / 2``. It then maps the
     Euclidean-orthonormal eigenvectors ``v`` back to stationary-orthonormal
     eigenfunctions ``f = D^{-1/2} v``. The zero-eigenvalue column is replaced
     by the exact all-ones vector and every other column is sign-fixed so its
@@ -320,9 +322,9 @@ def spectral_decomposition(chain: ChainModel) -> SpectralDecomposition:
     d = np.sqrt(chain.pi)
     s = d[:, None] * (np.eye(chain.n) - chain.dense_transition()) / d[None, :]
     asym = float(np.abs(s - s.T).max())
-    if asym > DETAILED_BALANCE_TOL * max(1.0, float(np.abs(s).max())):
+    if asym > DETAILED_BALANCE_TOL * float(np.abs(s).max()):
         raise DetailedBalanceViolation("symmetrized Laplacian is not symmetric", (), asym)
-    eigenvalues, vectors = densela.symmetric_eigen(s)
+    eigenvalues, vectors = densela.symmetric_eigen(0.5 * (s + s.T))
     funcs = vectors / d[:, None]
     if abs(eigenvalues[0]) > ZERO_EIGENVALUE_TOL:
         raise densela.DenseLAError(

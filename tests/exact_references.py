@@ -6,7 +6,9 @@ spectrum, an exact-rational solver for the constrained L2 design problem,
 Gauss-Legendre quadrature on the stopband, and the whole error table of a run
 rebuilt from the eigendecomposition of the chain with textbook forms of the
 four frequency responses. The Glauber chain is rebuilt from whole-state
-(2^p, p) arrays, the construction the per-site lookup build replaced.
+(2^p, p) arrays, the construction the per-site lookup build replaced, and
+its gap bound from the band matrix ``M`` itself, the eigenvalue oracle for
+``chains.glauber_lambda_low``.
 ``filters.lagrange_exact_apply`` (the frequency-zeroing projector) stays in
 the package.
 
@@ -23,7 +25,7 @@ from math import comb
 import numpy as np
 from numpy.polynomial import chebyshev, legendre
 
-from ergofilt import chains, densela
+from ergofilt import densela
 
 ORACLE_DEGREE_CAP = 20
 
@@ -214,6 +216,29 @@ def reference_glauber_table(params):
     return neighbors, weights, gibbs / gibbs.sum(), _reference_glauber_gap(params)
 
 
+def glauber_m_matrix(params) -> np.ndarray:
+    """Cyclic two-band matrix whose top eigenvalue controls the Glauber gap.
+
+    With ``s_i = sinh(2 beta J_i)``, ``c_i = cosh(2 beta J_i)`` and
+    ``D_i = c_{i-1} + c_i`` the bands are ``M(i, i-1) = s_{i-1} / D_i`` and
+    ``M(i, i+1) = s_i / D_i``, indices mod p. Once ``2 beta J_i`` overflows
+    float64 the entries are inf or nan, without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.sinh(2.0 * params.beta * params.couplings)
+        c = np.cosh(2.0 * params.beta * params.couplings)
+        # c_{i-1} + c_i overflows from c near 2^1023 on, though both are
+        # finite: s and c are scaled by 2^-k first, which leaves s / D as is
+        k = max(0, math.frexp(float(c.max()))[1] - 1022)
+        s, c = np.ldexp(s, -k), np.ldexp(c, -k)
+        d = np.roll(c, 1) + c
+        rows = np.arange(params.p)
+        m = np.zeros((params.p, params.p))
+        m[rows, rows - 1] = np.roll(s, 1) / d
+        m[rows, (rows + 1) % params.p] = s / d
+    return m
+
+
 def _reference_glauber_gap(params) -> float:
     """``(1 - gamma_1) / p`` from the band matrix. Uniform couplings take the
     closed forms, with ``t = tanh(2 beta |J|)``: ``gamma_1 = t``, or
@@ -222,7 +247,7 @@ def _reference_glauber_gap(params) -> float:
     of the symmetric band matrix ``S(i, i+1) = S(i+1, i) = s_i / sqrt(D_i
     D_{i+1})``, with ``s_i = sinh(2 beta J_i)`` and ``D_i = c_{i-1} + c_i``
     for ``c_i = cosh(2 beta J_i)``, written entry by entry."""
-    m = chains.glauber_m_matrix(params)
+    m = glauber_m_matrix(params)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"gap bound degenerates: band matrix overflows at beta={params.beta}")
     p = params.p

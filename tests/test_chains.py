@@ -130,7 +130,7 @@ def test_glauber_enumeration_cap():
 
 
 def test_m_matrix_uniform_entries():
-    m = chains.glauber_m_matrix(chains.GlauberParams.uniform(4, 0.2, 1.0))
+    m = exact_references.glauber_m_matrix(chains.GlauberParams.uniform(4, 0.2, 1.0))
     band = np.tanh(0.4) / 2.0
     assert band == pytest.approx(0.189975, abs=1e-6)
     for i in range(4):
@@ -141,7 +141,7 @@ def test_m_matrix_uniform_entries():
 
 
 def test_m_matrix_largest_eigenvalue():
-    m = chains.glauber_m_matrix(chains.GlauberParams.uniform(4, 0.2, 1.0))
+    m = exact_references.glauber_m_matrix(chains.GlauberParams.uniform(4, 0.2, 1.0))
     w, _ = densela.symmetric_eigen(m)
     assert w[-1] == pytest.approx(np.tanh(0.4), abs=1e-12)
 
@@ -173,7 +173,7 @@ def test_glauber_nonuniform_couplings():
     for _ in range(5):
         params = chains.GlauberParams(p=4, beta=0.3, couplings=rng.uniform(0.5, 1.5, 4))
         lam = chains.glauber_lambda_low(params)
-        gamma_oracle = np.linalg.eigvals(chains.glauber_m_matrix(params)).real.max()
+        gamma_oracle = np.linalg.eigvals(exact_references.glauber_m_matrix(params)).real.max()
         assert lam == pytest.approx((1.0 - gamma_oracle) / 4.0, abs=1e-10)
         chain = chains.build_glauber_cycle(params)
         spec = markov.spectral_decomposition(chain)
@@ -188,7 +188,7 @@ def test_glauber_zero_couplings_get_a_sound_bound():
         for beta in (0.3, 0.7, 1.2, 2.0):
             params = chains.GlauberParams(p=len(couplings), beta=beta, couplings=couplings)
             lam = chains.glauber_lambda_low(params)
-            gamma_oracle = np.linalg.eigvals(chains.glauber_m_matrix(params)).real.max()
+            gamma_oracle = np.linalg.eigvals(exact_references.glauber_m_matrix(params)).real.max()
             assert abs((1.0 - params.p * lam) - gamma_oracle) <= 1e-12, (couplings, beta)
             chain = chains.build_glauber_cycle(params)
             assert chain.lambda_low == lam
@@ -201,9 +201,20 @@ def test_glauber_strong_couplings_keep_the_band_matrix_finite():
     # cosh 2 beta J near 1e307: every cosh sum D_i is finite, but the
     # products D_i D_{i+1} under the square roots are not, unless scaled
     params = chains.GlauberParams(p=3, beta=1.0, couplings=[354.0, -355.0, 354.0])
-    gamma_oracle = np.linalg.eigvals(chains.glauber_m_matrix(params)).real.max()
+    gamma_oracle = np.linalg.eigvals(exact_references.glauber_m_matrix(params)).real.max()
     lam = chains.glauber_lambda_low(params)
     assert lam == pytest.approx((1.0 - gamma_oracle) / 3.0, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_band_matrix_oracle_survives_an_overflowing_cosh_sum():
+    # cosh 710 and cosh 710.2 are finite, their sum D_1 is not: unscaled,
+    # row 1 of M would be s / inf, a silent zero row
+    params = chains.GlauberParams(p=3, beta=1.0, couplings=[355.0, 355.1, 100.0])
+    m = exact_references.glauber_m_matrix(params)
+    assert np.all(np.isfinite(m[1])) and np.any(m[1] != 0.0)
+    gamma_oracle = np.linalg.eigvals(m).real.max()
+    assert abs(gamma_oracle - (1.0 - 3 * chains.glauber_lambda_low(params))) <= 1e-12
 
 
 def test_glauber_symmetric_rings_keep_the_band_matrix():
@@ -214,7 +225,7 @@ def test_glauber_symmetric_rings_keep_the_band_matrix():
         for a, b in ((1.0, 0.5), (0.3, -1.0), (0.0, 1.2)):
             for beta in (0.2, 0.7, 1.5):
                 params = chains.GlauberParams(p=p, beta=beta, couplings=[a, b] * (p // 2))
-                m = chains.glauber_m_matrix(params)
+                m = exact_references.glauber_m_matrix(params)
                 assert np.array_equal(m, m.T)
                 gamma1 = float(densela.symmetric_eigen(m)[0][-1])
                 assert chains.glauber_lambda_low(params) == (1.0 - gamma1) / p, (p, a, b, beta)
@@ -234,7 +245,7 @@ def test_glauber_lambda_low_closed_form():
     # form with |J| (0.038 at p = 3, beta = 0.7), but the one with
     # gamma_1 = tanh(2 beta |J|) cos(pi/p)
     params = chains.GlauberParams.uniform(3, 0.7, -1.0)
-    gamma_oracle = np.linalg.eigvals(chains.glauber_m_matrix(params)).real.max()
+    gamma_oracle = np.linalg.eigvals(exact_references.glauber_m_matrix(params)).real.max()
     lam = chains.glauber_lambda_low(params)
     assert lam == pytest.approx((1.0 - gamma_oracle) / 3.0, rel=1e-12)
     assert lam == pytest.approx(0.18577, abs=1e-5)
@@ -261,7 +272,7 @@ def test_glauber_lambda_low_uniform_matches_eigh():
         for beta in (0.05, 0.2, 0.7, 1.5, 3.0):
             for coupling in UNIFORM_COUPLINGS:
                 params = chains.GlauberParams.uniform(p, beta, coupling)
-                gamma1 = np.linalg.eigvalsh(chains.glauber_m_matrix(params))[-1]
+                gamma1 = np.linalg.eigvalsh(exact_references.glauber_m_matrix(params))[-1]
                 want = (1.0 - gamma1) / p
                 lam = chains.glauber_lambda_low(params)
                 assert abs(lam - want) <= 1e-8 * want, (p, beta, coupling)

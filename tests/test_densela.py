@@ -20,13 +20,8 @@ def test_eigen_two_state_swap():
 
 
 def test_eigen_rejects_nonsquare():
-    with pytest.raises(densela.AsymmetricMatrixError):
+    with pytest.raises(densela.DenseLAError):
         densela.symmetric_eigen(np.ones((2, 3)))
-
-
-def test_eigen_rejects_asymmetric():
-    with pytest.raises(densela.AsymmetricMatrixError):
-        densela.symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_eigen_circulant_band_matrix():

@@ -574,6 +574,18 @@ def test_spectral_rejects_imbalanced_chain():
         markov.spectral_decomposition(chain)
 
 
+def test_spectral_asymmetry_below_one_is_judged_against_max_s():
+    # asymmetry 0.8e-10 with max|S| = 0.5: above 1e-10 max|S| but below
+    # 1e-10 max(1, max|S|), so the threshold must scale with |S| alone
+    delta = 0.8e-10
+    neighbors, weights = _table([[0.5, 0.5], [0.5 - delta, 0.5 + delta]])
+    chain = markov.ChainModel(
+        neighbors=neighbors, weights=weights, pi=np.array([0.5, 0.5]), lambda_low=1.0
+    )
+    with pytest.raises(markov.DetailedBalanceViolation):
+        markov.spectral_decomposition(chain)
+
+
 def test_gft_of_eigenfunction_is_basis_vector(cycle_chain, cycle_spec):
     for j in (0, 3, 7):
         fhat = markov.gft(cycle_spec.eigenfunctions[:, j], cycle_spec, cycle_chain.pi)
