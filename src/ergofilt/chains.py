@@ -74,7 +74,7 @@ def build_cycle_walk(p: int) -> markov.ChainModel:
     weights = np.full((p, 3), 0.5)
     weights[:, 0] = 0.0
     pi = np.full(p, 1.0 / p)
-    return markov.ChainModel(*markov.validate_chain(neighbors, weights, pi), cycle_lambda_low(p))
+    return markov.ChainModel(neighbors, weights, pi, cycle_lambda_low(p))
 
 
 def cycle_lambda_low(p: int) -> float:
@@ -165,8 +165,8 @@ def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
     maps row ``x`` onto row ``2^p - 1 - x`` bit for bit, for any couplings,
     so the upper half of the table and of the Gibbs weights is one reversed
     copy. The neighbour table is one XOR of each state with
-    ``0, 1, 2, ..., 2^(p-1)``. The arrays are validated and handed to the
-    chain without a copy, and the build holds about two tables beside the
+    ``0, 1, 2, ..., 2^(p-1)``. The chain validates the arrays and keeps
+    them without a copy, and the build holds about two tables beside the
     chain it returns.
     """
     _check_enumeration(params)
@@ -197,7 +197,7 @@ def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
     del codes
     # state x, then its flips x ^ 2^w: an XOR with 0, 1, 2, ..., 2^(p-1)
     neighbors = states[:, None] ^ ((1 << np.arange(p + 1)) >> 1)
-    return markov.ChainModel(*markov.validate_chain(neighbors, weights, pi), lambda_low)
+    return markov.ChainModel(neighbors, weights, pi, lambda_low)
 
 
 def glauber_lambda_low(params: GlauberParams) -> float:

@@ -53,7 +53,8 @@ class ChainModel:
 
     Row ``x`` of ``neighbors`` lists the states ``x`` can move to, itself
     first; ``weights[x, j] = P(x, neighbors[x, j])``. Storage is O(n d) for
-    ``d`` table columns, and P is never formed on the run path.
+    ``d`` table columns, and P is never formed on the run path. A chain is
+    validated once, as it is made, and keeps ``validate_chain``'s arrays.
     """
 
     neighbors: np.ndarray
@@ -62,10 +63,12 @@ class ChainModel:
     lambda_low: float
 
     def __post_init__(self):
+        arrays = validate_chain(self.neighbors, self.weights, self.pi)
         if not 0.0 < self.lambda_low <= 2.0:
             raise ValueError(f"lambda_low must lie in (0, 2], got {self.lambda_low}")
-        for arr in (self.neighbors, self.weights, self.pi):
+        for name, arr in zip(("neighbors", "weights", "pi"), arrays):
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -193,9 +196,10 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
     neighbour table in O(n d) time for the bundled chains.
 
     Returns the validated ``(neighbors, weights, pi)`` as index and float
-    arrays; raises a ``ChainValidationError`` subclass naming the worst
-    offending state or ``(x, y)`` pair, or the first NaN. Each row is summed
-    in one matrix-vector product. Detailed balance,
+    arrays, the caller's own where they already are; ``ChainModel`` runs it
+    on every chain it makes. Raises a ``ChainValidationError`` subclass
+    naming the worst offending state or ``(x, y)`` pair, or the first NaN.
+    Each row is summed in one matrix-vector product. Detailed balance,
     ``|pi(x) P(x,y) - pi(y) P(y,x)|`` at most ``DETAILED_BALANCE_TOL`` for
     each entry ``(x, y)``, is checked by the one-gather pass
     ``_entry_imbalance``, which both bundled chains pass, and where that
@@ -254,14 +258,8 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def make_chain(neighbors, weights, pi, lambda_low: float) -> ChainModel:
-    """Validate the neighbour table and assemble the chain model from copies,
-    so the caller's arrays stay writeable and a later write to them does not
-    reach the chain. A constructor that does not keep its arrays hands them
-    over instead: ``ChainModel(*validate_chain(...), lambda_low)``."""
-    nbr, w, dist = validate_chain(neighbors, weights, pi)
-    return ChainModel(
-        neighbors=nbr.copy(), weights=w.copy(), pi=dist.copy(), lambda_low=float(lambda_low)
-    )
+    """The chain of copies of the caller's arrays, which stay the caller's to write."""
+    return ChainModel(np.array(neighbors), np.array(weights), np.array(pi), float(lambda_low))
 
 
 def _check_lengths(f: np.ndarray, g: np.ndarray):
@@ -312,24 +310,22 @@ def spectral_decomposition(chain: ChainModel) -> SpectralDecomposition:
 
     Works on the symmetrized matrix ``S = D^{1/2} L D^{-1/2}`` (``D = diag(pi)``),
     which is symmetric exactly when detailed balance holds: asymmetry above
-    ``DETAILED_BALANCE_TOL * max|S|`` raises ``DetailedBalanceViolation``, and
-    the round-off below it is folded as ``(S + S^T) / 2``. It then maps the
-    Euclidean-orthonormal eigenvectors ``v`` back to stationary-orthonormal
-    eigenfunctions ``f = D^{-1/2} v``. The zero-eigenvalue column is replaced
-    by the exact all-ones vector and every other column is sign-fixed so its
-    first non-negligible entry is positive, making the output deterministic.
+    ``DETAILED_BALANCE_TOL * max|S|`` raises ``DetailedBalanceViolation`` at
+    its first largest pair, and the round-off below it is folded as
+    ``(S + S^T) / 2``. It then maps the Euclidean-orthonormal eigenvectors
+    ``v`` back to stationary-orthonormal eigenfunctions ``f = D^{-1/2} v``.
+    The first column (eigenvalue 0 on a validated chain) is replaced by the
+    exact all-ones vector and every other column is sign-fixed so its first
+    non-negligible entry is positive, making the output deterministic.
     """
     d = np.sqrt(chain.pi)
     s = d[:, None] * (np.eye(chain.n) - chain.dense_transition()) / d[None, :]
-    asym = float(np.abs(s - s.T).max())
-    if asym > DETAILED_BALANCE_TOL * float(np.abs(s).max()):
-        raise DetailedBalanceViolation("symmetrized Laplacian is not symmetric", (), asym)
+    asym = np.abs(s - s.T)
+    x, y = divmod(int(asym.argmax()), chain.n)
+    if asym[x, y] > DETAILED_BALANCE_TOL * float(np.abs(s).max()):
+        raise DetailedBalanceViolation("symmetrized Laplacian is not symmetric", (x, y), asym[x, y])
     eigenvalues, vectors = densela.symmetric_eigen(0.5 * (s + s.T))
     funcs = vectors / d[:, None]
-    if abs(eigenvalues[0]) > ZERO_EIGENVALUE_TOL:
-        raise densela.DenseLAError(
-            f"smallest Laplacian eigenvalue {eigenvalues[0]:.3e} is not zero to tolerance"
-        )
     funcs[:, 0] = 1.0
     # non-negligible: above 1e-12 max(1, max|column|); a column with none stays
     magnitude = np.abs(funcs)

@@ -22,6 +22,28 @@ def _dense_laplacian(chain):
     return np.eye(chain.n) - chain.dense_transition()
 
 
+def _rejected(error, neighbors, weights, pi):
+    """The error ``validate_chain`` raises on a table, after checking that
+    ``make_chain`` and ``ChainModel`` built directly raise it too: the same
+    type, message, index and magnitude."""
+    raised = []
+    for entry in (
+        markov.validate_chain,
+        lambda *table: markov.make_chain(*table, 1.0),
+        lambda *table: markov.ChainModel(*table, 1.0),
+    ):
+        with pytest.raises(error) as info:
+            entry(neighbors, weights, pi)
+        raised.append(info.value)
+    first = raised[0]
+    for other in raised[1:]:
+        assert (type(other), str(other)) == (type(first), str(first))
+        if isinstance(first, markov.ChainValidationError):
+            assert other.index == first.index
+            assert np.array_equal(other.magnitude, first.magnitude, equal_nan=True)
+    return first
+
+
 def test_validate_cycle_walk_pair(cycle_chain):
     neighbors, weights, pi = markov.validate_chain(
         cycle_chain.neighbors, cycle_chain.weights, cycle_chain.pi
@@ -36,23 +58,24 @@ def test_validate_two_state_symmetric():
 
 def test_validate_detects_imbalance():
     p = np.array([[0.9, 0.1], [0.5, 0.5]])
-    with pytest.raises(markov.DetailedBalanceViolation):
-        markov.validate_chain(*_table(p), [0.5, 0.5])
+    _rejected(markov.DetailedBalanceViolation, *_table(p), [0.5, 0.5])
 
 
 def test_validate_detects_bad_rows():
-    with pytest.raises(markov.StochasticityViolation):
-        markov.validate_chain(*_table([[0.5, 0.4], [0.5, 0.5]]), [0.5, 0.5])
-    with pytest.raises(markov.StochasticityViolation):
-        markov.validate_chain(*_table([[1.5, -0.5], [0.5, 0.5]]), [0.5, 0.5])
+    _rejected(markov.StochasticityViolation, *_table([[0.5, 0.4], [0.5, 0.5]]), [0.5, 0.5])
+    _rejected(markov.StochasticityViolation, *_table([[1.5, -0.5], [0.5, 0.5]]), [0.5, 0.5])
+    # row 0 sums to 1.2
+    error = _rejected(
+        markov.StochasticityViolation, [[0, 1], [1, 0]], [[0.9, 0.3], [0.5, 0.5]], [0.5, 0.5]
+    )
+    assert error.index == 0
+    assert error.magnitude == pytest.approx(0.2)
 
 
 def test_validate_detects_bad_pi():
     table = _table([[0.5, 0.5], [0.5, 0.5]])
-    with pytest.raises(markov.NonPositivePi):
-        markov.validate_chain(*table, [1.0, 0.0])
-    with pytest.raises(markov.NonPositivePi):
-        markov.validate_chain(*table, [0.6, 0.6])
+    _rejected(markov.NonPositivePi, *table, [1.0, 0.0])
+    _rejected(markov.NonPositivePi, *table, [0.6, 0.6])
 
 
 @pytest.mark.parametrize(
@@ -68,25 +91,19 @@ def test_validate_detects_bad_pi():
 def test_validate_rejects_nan(weights, pi, index):
     # every comparison with NaN is false, so the sign checks are written to
     # fail on it; the error names the first NaN entry
-    with pytest.raises(markov.NotANumber) as info:
-        markov.make_chain([[0, 1], [1, 0]], weights, pi, 0.5)
-    assert info.value.index == index
-    assert np.isnan(info.value.magnitude)
-    assert isinstance(info.value, markov.ChainValidationError)
+    error = _rejected(markov.NotANumber, [[0, 1], [1, 0]], weights, pi)
+    assert error.index == index
+    assert np.isnan(error.magnitude)
+    assert isinstance(error, markov.ChainValidationError)
 
 
 def test_validate_shape_checks():
     neighbors, weights = _table([[0.5, 0.5], [0.5, 0.5]])
-    with pytest.raises(ValueError):
-        markov.validate_chain(neighbors, np.ones((2, 3)), [0.5, 0.5])
-    with pytest.raises(ValueError):
-        markov.validate_chain(neighbors, weights, [1.0])
-    with pytest.raises(ValueError):
-        markov.validate_chain(neighbors.astype(float), weights, [0.5, 0.5])
-    with pytest.raises(ValueError):
-        markov.validate_chain(neighbors[:, ::-1], weights, [0.5, 0.5])
-    with pytest.raises(ValueError):
-        markov.validate_chain(np.array([[0, 2], [1, 0]]), weights, [0.5, 0.5])
+    _rejected(ValueError, neighbors, np.ones((2, 3)), [0.5, 0.5])
+    _rejected(ValueError, neighbors, weights, [1.0])
+    _rejected(ValueError, neighbors.astype(float), weights, [0.5, 0.5])
+    _rejected(ValueError, neighbors[:, ::-1], weights, [0.5, 0.5])
+    _rejected(ValueError, np.array([[0, 2], [1, 0]]), weights, [0.5, 0.5])
 
 
 # a 3-state chain with uniform pi: 0 <-> 1 <-> 2, hand-made tables that
@@ -565,13 +582,13 @@ def test_spectral_signs_match_the_column_loop(monkeypatch, cycle_chain, glauber_
 
 
 def test_spectral_rejects_imbalanced_chain():
-    # bypass make_chain validation to hit the symmetrization check directly
+    # the constructor validates, so a chain out of balance never reaches the
+    # symmetrization check: it cannot be built
     neighbors, weights = _table([[0.9, 0.1], [0.5, 0.5]])
-    chain = markov.ChainModel(
-        neighbors=neighbors, weights=weights, pi=np.array([0.5, 0.5]), lambda_low=1.0
-    )
     with pytest.raises(markov.DetailedBalanceViolation):
-        markov.spectral_decomposition(chain)
+        markov.ChainModel(
+            neighbors=neighbors, weights=weights, pi=np.array([0.5, 0.5]), lambda_low=1.0
+        )
 
 
 def test_spectral_asymmetry_below_one_is_judged_against_max_s():
@@ -582,8 +599,11 @@ def test_spectral_asymmetry_below_one_is_judged_against_max_s():
     chain = markov.ChainModel(
         neighbors=neighbors, weights=weights, pi=np.array([0.5, 0.5]), lambda_low=1.0
     )
-    with pytest.raises(markov.DetailedBalanceViolation):
+    with pytest.raises(markov.DetailedBalanceViolation) as info:
         markov.spectral_decomposition(chain)
+    # the first largest entry of |S - S^T| in row order
+    assert info.value.index == (0, 1)
+    assert info.value.magnitude == pytest.approx(8.0e-11, rel=1e-5)
 
 
 def test_gft_of_eigenfunction_is_basis_vector(cycle_chain, cycle_spec):
