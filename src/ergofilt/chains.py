@@ -57,7 +57,8 @@ class GlauberParams:
 
     @staticmethod
     def uniform(p: int, beta: float, coupling: float = 1.0) -> "GlauberParams":
-        return GlauberParams(p=p, beta=beta, couplings=np.full(p, float(coupling)))
+        # a negative p makes no array, so the ring-size check names it
+        return GlauberParams(p=p, beta=beta, couplings=np.full(max(p, 0), float(coupling)))
 
 
 def build_cycle_walk(p: int) -> markov.ChainModel:

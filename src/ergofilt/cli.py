@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import re
 import sys
 
@@ -113,10 +114,6 @@ def _config_from_args(args: argparse.Namespace) -> harness.ExperimentConfig:
         print(f"note: multiple signal sources given; using {sources[0]}", file=sys.stderr)
     if args.seed is not None and not 0 <= args.seed < 2**64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {args.seed}")
-    if args.p < 1:
-        raise ValueError(f"--p must be positive, got {args.p}")
-    if args.k_max < 1:
-        raise ValueError(f"--k-max must be at least 1, got {args.k_max}")
     return harness.ExperimentConfig(
         experiment=args.command,
         p=args.p,
@@ -139,19 +136,13 @@ def cli_main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         results, metadata = harness.run_experiment(config)
-
-        def write(handle):
-            if args.json:
-                harness.emit_json(results, metadata, handle)
-            else:
-                handle.write(harness.metadata_comment(metadata))
-                harness.emit_csv(results, handle)
-
+        text = (harness.emit_json if args.json else harness.emit_csv)(results, metadata)
         if args.out is None:
-            write(sys.stdout)
+            target = contextlib.nullcontext(sys.stdout)
         else:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                write(handle)
+            target = open(args.out, "w", encoding="utf-8", newline="")
+        with target as handle:
+            handle.write(text)
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -392,15 +392,13 @@ def legendre_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) 
 # ---------------------------------------------------------------------------
 
 
-def lagrange_exact_apply(
-    spec: markov.SpectralDecomposition, f, pi
-) -> np.ndarray:
+def lagrange_exact_apply(spec: markov.SpectralDecomposition, f) -> np.ndarray:
     """Exact stationary projection: zero every nonzero-frequency coefficient.
 
     Equivalent to evaluating the annihilating polynomial of the spectrum on
     the Laplacian; returns the constant signal at the stationary mean of ``f``.
     """
-    fhat = markov.gft(f, spec, pi)
+    fhat = markov.gft(f, spec)
     keep = np.abs(spec.eigenvalues) <= markov.ZERO_EIGENVALUE_TOL
     return markov.igft(np.where(keep, fhat, 0.0), spec)
 

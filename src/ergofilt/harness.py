@@ -11,7 +11,6 @@ configurations produce byte-identical output.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -209,45 +208,33 @@ def _rows(table) -> list[list[float]]:
     return values.tolist()
 
 
-def metadata_comment(metadata: RunMetadata) -> str:
-    """The CSV comment line carrying the run's frequency bound and mean."""
-    return "# lambda_low=%.12g, pi_f=%.12g\n" % (metadata.lambda_low, metadata.pi_f)
-
-
-def emit_csv(table, destination=None) -> str:
-    """Serialize a ``run_experiment`` table as CSV: a header line plus one
-    line per degree.
+def emit_csv(table, metadata: RunMetadata) -> str:
+    """Serialize a ``run_experiment`` table as CSV: a ``# lambda_low=…,
+    pi_f=…`` comment line with the run's frequency bound and mean, a header
+    line, and one line per degree.
 
     Values carry 12 significant digits; line endings are ``\\n``; identical
-    inputs produce byte-identical text. The metadata comment line is emitted
-    separately (see ``metadata_comment``) so the table itself stays plain CSV.
+    inputs produce byte-identical text.
     """
-    lines = ["degree," + ",".join(FILTER_ORDER)]
+    lines = [
+        "# lambda_low=%.12g, pi_f=%.12g" % (metadata.lambda_low, metadata.pi_f),
+        "degree," + ",".join(FILTER_ORDER),
+    ]
     lines += [_CSV_ROW % (degree, *row) for degree, row in enumerate(_rows(table), start=1)]
-    text = "\n".join(lines) + "\n"
-    if destination is not None:
-        destination.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
-def emit_json(table, metadata: RunMetadata, destination=None) -> str:
+def emit_json(table, metadata: RunMetadata) -> str:
     """Serialize the same table as a JSON run summary.
 
     Numbers are embedded with the same 12-significant-digit formatting as the
     CSV, so the two outputs always agree and stay byte-reproducible.
     """
     rows = _rows(table)
-    buffer = io.StringIO()
-    buffer.write("{\n")
-    buffer.write(
-        '  "metadata": {"experiment": "%s", "p": %s, "k_max": %s, '
-        '"lambda_low": %.12g, "pi_f": %.12g},\n'
+    head = (
+        '{\n  "metadata": {"experiment": "%s", "p": %s, "k_max": %s, '
+        '"lambda_low": %.12g, "pi_f": %.12g},\n  "rows": [\n'
         % (metadata.experiment, metadata.p, metadata.k_max, metadata.lambda_low, metadata.pi_f)
     )
-    buffer.write('  "rows": [\n')
-    buffer.write(",\n".join(_JSON_ROW % (degree, *row) for degree, row in enumerate(rows, start=1)))
-    buffer.write("\n  ]\n}\n")
-    text = buffer.getvalue()
-    if destination is not None:
-        destination.write(text)
-    return text
+    body = ",\n".join(_JSON_ROW % (degree, *row) for degree, row in enumerate(rows, start=1))
+    return head + body + "\n  ]\n}\n"

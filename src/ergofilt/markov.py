@@ -104,15 +104,18 @@ class ChainModel:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending Laplacian eigenvalues and stationary-orthonormal eigenfunction
-    columns; the zero-frequency column is exactly the all-ones vector."""
+    """Ascending Laplacian eigenvalues, stationary-orthonormal eigenfunction
+    columns, and the stationary law ``pi`` they are orthonormal under; the
+    zero-frequency column is exactly the all-ones vector."""
 
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
+    pi: np.ndarray
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
         self.eigenfunctions.setflags(write=False)
+        self.pi.setflags(write=False)
 
 
 def _pair_imbalance(neighbors: np.ndarray, flux: np.ndarray) -> np.ndarray:
@@ -293,10 +296,13 @@ def total_variation(f, chain: ChainModel) -> float:
     Sums ``pi(x) P(x,y) |f(x) - f(y)|^2`` over the entries of the neighbour
     table (every directed transition, in O(n d)) and
     returns the square root divided by ``||f||_pi``. Zero signals are rejected
-    since the normalization is undefined for them.
+    since the normalization is undefined for them, and so are signals with
+    a non-finite value.
     """
     fv = np.asarray(f, dtype=float)
     _check_lengths(fv, chain.pi)
+    if not np.isfinite(fv).all():
+        raise ValueError("signal values must be finite")
     norm = pi_norm(fv, chain.pi)
     if norm == 0.0:
         raise ValueError("total variation is undefined for the zero signal")
@@ -312,8 +318,15 @@ def spectral_decomposition(chain: ChainModel) -> SpectralDecomposition:
     which is symmetric exactly when detailed balance holds: asymmetry above
     ``DETAILED_BALANCE_TOL * max|S|`` raises ``DetailedBalanceViolation`` at
     its first largest pair, and the round-off below it is folded as
-    ``(S + S^T) / 2``. It then maps the Euclidean-orthonormal eigenvectors
-    ``v`` back to stationary-orthonormal eigenfunctions ``f = D^{-1/2} v``.
+    ``(S + S^T) / 2``. That scale is not validation's, which allows an
+    absolute flux imbalance of ``DETAILED_BALANCE_TOL``, while an entry of
+    ``S - S^T`` is the imbalance divided by ``sqrt(pi(x) pi(y))``. So a chain
+    can be built and then refused here: P = [[0.5, 0.5], [0.5 - 0.8e-10,
+    0.5 + 0.8e-10]] with uniform pi has imbalance 4e-11 but asymmetry
+    8.0e-11, above ``DETAILED_BALANCE_TOL * max|S|``.
+
+    It then maps the Euclidean-orthonormal eigenvectors ``v`` back to
+    stationary-orthonormal eigenfunctions ``f = D^{-1/2} v``.
     The first column (eigenvalue 0 on a validated chain) is replaced by the
     exact all-ones vector and every other column is sign-fixed so its first
     non-negligible entry is positive, making the output deterministic.
@@ -332,16 +345,16 @@ def spectral_decomposition(chain: ChainModel) -> SpectralDecomposition:
     above = magnitude > 1e-12 * np.maximum(1.0, magnitude.max(axis=0))
     lead = funcs[above.argmax(axis=0), np.arange(chain.n)]
     np.negative(funcs, out=funcs, where=above.any(axis=0) & (lead < 0.0))
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenfunctions=funcs)
+    return SpectralDecomposition(eigenvalues=eigenvalues, eigenfunctions=funcs, pi=chain.pi)
 
 
-def gft(f, spec: SpectralDecomposition, pi) -> np.ndarray:
-    """Forward transform: coefficient of each eigenfunction under ``pi_inner``."""
-    fv, dist = np.asarray(f, float), np.asarray(pi, float)
-    _check_lengths(fv, dist)
-    if fv.shape[0] != spec.eigenfunctions.shape[0]:
+def gft(f, spec: SpectralDecomposition) -> np.ndarray:
+    """Forward transform: coefficient of each eigenfunction under ``pi_inner``
+    with the decomposed chain's ``spec.pi``."""
+    fv = np.asarray(f, float)
+    if fv.shape != spec.pi.shape:
         raise ValueError("signal length does not match the decomposition")
-    return spec.eigenfunctions.T @ (dist * fv)
+    return spec.eigenfunctions.T @ (spec.pi * fv)
 
 
 def igft(fhat, spec: SpectralDecomposition) -> np.ndarray:

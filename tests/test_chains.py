@@ -48,8 +48,9 @@ def test_cycle_lambda_low_below_true_gap():
 
 
 def test_glauber_params_validation():
-    with pytest.raises(ValueError):
-        chains.GlauberParams.uniform(2, 0.2)
+    for p in (2, 0, -1):
+        with pytest.raises(ValueError, match=f"ring size must be at least 3, got {p}"):
+            chains.GlauberParams.uniform(p, 0.2)
     with pytest.raises(ValueError):
         chains.GlauberParams.uniform(4, 0.0)
     with pytest.raises(ValueError):

@@ -54,6 +54,27 @@ def test_even_p_rejected(capsys):
     assert "odd" in captured.err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cycle-walk", "--p", "0"], "cycle length must be at least 3, got 0"),
+        (["glauber", "--p", "-1"], "ring size must be at least 3, got -1"),
+        (["glauber", "--p", "2"], "ring size must be at least 3, got 2"),
+        (["cycle-walk", "--k-max", "0"], "k_max must be at least 1, got 0"),
+    ],
+    ids=["cycle-p0", "glauber-p-1", "glauber-p2", "k-max0"],
+)
+def test_bad_size_rejected_by_its_owner(capsys, argv, message):
+    # the CLI passes --p and --k-max through; the chain builder or the runner
+    # that uses each value names the rule it breaks
+    code = cli_main([*argv, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_unknown_flag_exits_one(capsys):
     code = cli_main(["cycle-walk", "--paper-defaults", "--frobnicate"])
     captured = capsys.readouterr()

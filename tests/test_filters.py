@@ -402,22 +402,22 @@ def test_lagrange_apply_projects(cycle_chain, cycle_spec, glauber_chain, glauber
     for chain, spec in ((cycle_chain, cycle_spec), (glauber_chain, glauber_spec)):
         for _ in range(20):
             f = rng.uniform(0.0, 10.0, chain.n)
-            out = filters.lagrange_exact_apply(spec, f, chain.pi)
+            out = filters.lagrange_exact_apply(spec, f)
             assert np.abs(out - markov.pi_expectation(f, chain.pi)).max() <= 1e-8
 
 
-def test_lagrange_apply_trivials(cycle_chain, cycle_spec):
+def test_lagrange_apply_trivials(cycle_spec):
     ones = np.ones(11)
-    out = filters.lagrange_exact_apply(cycle_spec, ones, cycle_chain.pi)
+    out = filters.lagrange_exact_apply(cycle_spec, ones)
     assert out == pytest.approx(ones, abs=1e-10)
     eigenfunction = cycle_spec.eigenfunctions[:, 3]
-    out = filters.lagrange_exact_apply(cycle_spec, eigenfunction, cycle_chain.pi)
+    out = filters.lagrange_exact_apply(cycle_spec, eigenfunction)
     assert np.abs(out).max() <= 1e-10
 
 
-def test_lagrange_reference_signal_projection(cycle_chain, cycle_spec):
+def test_lagrange_reference_signal_projection(cycle_spec):
     f = harness.CYCLE_REFERENCE_SIGNAL
-    out = filters.lagrange_exact_apply(cycle_spec, f, cycle_chain.pi)
+    out = filters.lagrange_exact_apply(cycle_spec, f)
     assert out == pytest.approx(np.full(11, 3.65), abs=1e-8)
 
 
@@ -433,7 +433,7 @@ def test_lagrange_polynomial_route_matches(cycle_chain, cycle_spec):
     for c in coeffs[1:]:
         power = laplacian @ power
         acc = acc + c * power
-    exact = filters.lagrange_exact_apply(cycle_spec, f, cycle_chain.pi)
+    exact = filters.lagrange_exact_apply(cycle_spec, f)
     assert np.abs(acc - exact).max() <= 1e-7
 
 
@@ -457,7 +457,7 @@ def test_spectral_diagonalization_all_filters(cycle_chain, cycle_spec, glauber_c
     for chain, spec in ((cycle_chain, cycle_spec), (glauber_chain, glauber_spec)):
         f = harness.CYCLE_REFERENCE_SIGNAL if chain.n == 11 else harness.GLAUBER_REFERENCE_SIGNAL
         lam = chain.lambda_low
-        fhat = markov.gft(f, spec, chain.pi)
+        fhat = markov.gft(f, spec)
         eigs = spec.eigenvalues
         for K in range(0, 21):
             pairs = (
@@ -467,7 +467,7 @@ def test_spectral_diagonalization_all_filters(cycle_chain, cycle_spec, glauber_c
                 (filters.legendre_apply(chain, f, K, lam), filters.legendre_scalar(eigs, K, lam)),
             )
             for out, response in pairs:
-                assert np.abs(markov.gft(out, spec, chain.pi) - response * fhat).max() <= 1e-9
+                assert np.abs(markov.gft(out, spec) - response * fhat).max() <= 1e-9
 
 
 def test_max_abs_error_trivials(cycle_chain):
@@ -505,12 +505,12 @@ def test_sweep_finite_past_former_overflow(apply, scalar, lam, former_overflow, 
     # the output is finite, with no numpy warning, and is still the filter's
     # spectral form (in particular not the zero vector)
     f = harness.CYCLE_REFERENCE_SIGNAL
-    fhat = markov.gft(f, cycle_spec, cycle_chain.pi)
+    fhat = markov.gft(f, cycle_spec)
     for K in (former_overflow - 1, former_overflow, 2 * former_overflow):
         out = apply(cycle_chain, f, K, lam)
         assert np.isfinite(out).all(), K
         response = scalar(cycle_spec.eigenvalues, K, lam)
-        assert np.abs(markov.gft(out, cycle_spec, cycle_chain.pi) - response * fhat).max() <= 1e-9, K
+        assert np.abs(markov.gft(out, cycle_spec) - response * fhat).max() <= 1e-9, K
 
 
 def test_non_finite_signal_rejected(cycle_chain):

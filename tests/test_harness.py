@@ -1,6 +1,5 @@
 """Tests for experiment configuration, signal generation, and table output."""
 
-import io
 import json
 import random
 
@@ -45,9 +44,9 @@ def test_glauber_defaults_fill_in():
     defaulted = harness.ExperimentConfig(
         experiment="glauber", p=4, k_max=5, use_reference_signal=True
     )
-    left, _ = harness.run_experiment(explicit)
-    right, _ = harness.run_experiment(defaulted)
-    assert harness.emit_csv(left) == harness.emit_csv(right)
+    assert harness.emit_csv(*harness.run_experiment(explicit)) == harness.emit_csv(
+        *harness.run_experiment(defaulted)
+    )
 
 
 def test_constant_signal_zero_errors():
@@ -92,17 +91,17 @@ def test_signal_source_required_and_length_checked():
 
 def test_signal_precedence():
     values = list(range(1, 12))
-    explicit_only, _ = harness.run_experiment(
+    explicit_only = harness.run_experiment(
         harness.ExperimentConfig(experiment="cycle-walk", p=11, k_max=4, signal=values)
     )
-    explicit_and_seed, _ = harness.run_experiment(
+    explicit_and_seed = harness.run_experiment(
         harness.ExperimentConfig(experiment="cycle-walk", p=11, k_max=4, signal=values, seed=9)
     )
-    assert harness.emit_csv(explicit_only) == harness.emit_csv(explicit_and_seed)
+    assert harness.emit_csv(*explicit_only) == harness.emit_csv(*explicit_and_seed)
 
-    reference_only, _ = harness.run_experiment(_cycle_config(k_max=4))
-    reference_and_seed, _ = harness.run_experiment(_cycle_config(k_max=4, seed=9))
-    assert harness.emit_csv(reference_only) == harness.emit_csv(reference_and_seed)
+    reference_only = harness.run_experiment(_cycle_config(k_max=4))
+    reference_and_seed = harness.run_experiment(_cycle_config(k_max=4, seed=9))
+    assert harness.emit_csv(*reference_only) == harness.emit_csv(*reference_and_seed)
 
 
 def test_lambda_low_override():
@@ -197,55 +196,58 @@ def test_round_cents_matches_round_near_half_cents():
 
 
 def test_emit_csv_shape():
-    results, _ = harness.run_experiment(_cycle_config())
-    text = harness.emit_csv(results)
+    results, metadata = harness.run_experiment(_cycle_config())
+    text = harness.emit_csv(results, metadata)
     lines = text.splitlines()
-    assert len(lines) == 21
-    assert lines[0] == "degree,ergodic,bernstein,chebyshev,legendre"
+    assert len(lines) == 22
+    assert lines[1] == "degree,ergodic,bernstein,chebyshev,legendre"
     assert text.endswith("\n")
     assert "\r" not in text
-    first = lines[1].split(",")
+    first = lines[2].split(",")
     assert first[0] == "1"
     assert float(first[1]) == pytest.approx(_column(results, "ergodic")[0], rel=1e-11)
     assert float(first[4]) == pytest.approx(_column(results, "legendre")[0], rel=1e-11)
 
 
-def test_emit_csv_destination():
-    results, _ = harness.run_experiment(_cycle_config(k_max=3))
-    buffer = io.StringIO()
-    text = harness.emit_csv(results, buffer)
-    assert buffer.getvalue() == text
+def test_emit_csv_destination(tmp_path, capsys):
+    # the --out file holds exactly the emitter's text, and stdout nothing
+    table = harness.run_experiment(_cycle_config(k_max=3))
+    path = tmp_path / "table"
+    for flags, emitter in (([], harness.emit_csv), (["--json"], harness.emit_json)):
+        argv = ["cycle-walk", "--paper-defaults", "--k-max", "3", *flags, "--out", str(path)]
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == emitter(*table).encode()
 
 
 def test_emit_csv_rejects_empty():
+    _, metadata = harness.run_experiment(_cycle_config(k_max=2))
     with pytest.raises(ValueError):
-        harness.emit_csv([])
+        harness.emit_csv([], metadata)
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 5)])
 def test_emit_rejects_table_without_one_column_per_filter(shape):
     _, metadata = harness.run_experiment(_cycle_config(k_max=2))
     with pytest.raises(ValueError, match="table has shape"):
-        harness.emit_csv(np.ones(shape))
+        harness.emit_csv(np.ones(shape), metadata)
     with pytest.raises(ValueError, match="table has shape"):
         harness.emit_json(np.ones(shape), metadata)
 
 
 def test_metadata_comment_format():
-    _, metadata = harness.run_experiment(_cycle_config(k_max=2))
-    comment = harness.metadata_comment(metadata)
+    comment = harness.emit_csv(*harness.run_experiment(_cycle_config(k_max=2))).split("\n")[0]
     assert comment.startswith("# lambda_low=")
-    assert comment.endswith("\n")
-    body = comment[2:].strip()
+    body = comment[2:]
     pairs = dict(part.split("=") for part in body.split(", "))
     assert float(pairs["lambda_low"]) == pytest.approx(88.0 / 1200.0, rel=1e-11)
     assert float(pairs["pi_f"]) == pytest.approx(3.65, rel=1e-11)
 
 
 def test_csv_determinism():
-    first, _ = harness.run_experiment(_cycle_config(k_max=10))
-    second, _ = harness.run_experiment(_cycle_config(k_max=10))
-    assert harness.emit_csv(first) == harness.emit_csv(second)
+    first = harness.run_experiment(_cycle_config(k_max=10))
+    second = harness.run_experiment(_cycle_config(k_max=10))
+    assert harness.emit_csv(*first) == harness.emit_csv(*second)
 
 
 def test_emit_json_matches():
@@ -275,7 +277,10 @@ EMIT_CELLS = [0.0, 5e-324, 1e-300, 0.1 + 0.2, 1 / 3, 1.0, 123456789012.5]
 def _reference_emit(table, metadata):
     """CSV and JSON text built one ``format(v, ".12g")`` per cell."""
     fmt = lambda value: format(value, ".12g")
-    lines = ["degree," + ",".join(harness.FILTER_ORDER)]
+    lines = [
+        f"# lambda_low={fmt(metadata.lambda_low)}, pi_f={fmt(metadata.pi_f)}",
+        "degree," + ",".join(harness.FILTER_ORDER),
+    ]
     for degree, row in enumerate(table.tolist(), start=1):
         lines.append(f"{degree}," + ",".join(fmt(value) for value in row))
     csv = "\n".join(lines) + "\n"
@@ -302,17 +307,17 @@ def test_emit_text_matches_per_cell_format():
     table = np.array([np.roll(EMIT_CELLS, -i)[:4] for i in range(len(EMIT_CELLS))])
     metadata = harness.RunMetadata("glauber", 4, 7, 1 / 3, 0.1 + 0.2)
     csv, json_text = _reference_emit(table, metadata)
-    assert harness.emit_csv(table) == csv
+    assert harness.emit_csv(table, metadata) == csv
     assert harness.emit_json(table, metadata) == json_text
     single = table[:1]
-    assert (harness.emit_csv(single), harness.emit_json(single, metadata)) == _reference_emit(single, metadata)
+    assert (harness.emit_csv(single, metadata), harness.emit_json(single, metadata)) == _reference_emit(single, metadata)
 
 
 def test_seeded_run_deterministic():
     config = harness.ExperimentConfig(experiment="cycle-walk", p=11, k_max=5, seed=7)
     first, first_meta = harness.run_experiment(config)
     second, second_meta = harness.run_experiment(config)
-    assert harness.emit_csv(first) == harness.emit_csv(second)
+    assert harness.emit_csv(first, first_meta) == harness.emit_csv(second, second_meta)
     assert first_meta.pi_f == second_meta.pi_f
 
 

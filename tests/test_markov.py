@@ -475,6 +475,15 @@ def test_total_variation_zero_signal_raises(cycle_chain):
         markov.total_variation(np.zeros(11), cycle_chain)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_total_variation_rejects_non_finite_signal(cycle_chain, bad):
+    f = np.ones(11)
+    f[4] = bad
+    with pytest.raises(ValueError, match="signal values must be finite"):
+        markov.total_variation(f, cycle_chain)
+
+
 def test_total_variation_of_eigenfunctions(cycle_chain, cycle_spec):
     # unit-norm eigenfunctions have variation sqrt(2 * eigenvalue)
     for j in range(1, cycle_chain.n):
@@ -608,14 +617,14 @@ def test_spectral_asymmetry_below_one_is_judged_against_max_s():
 
 def test_gft_of_eigenfunction_is_basis_vector(cycle_chain, cycle_spec):
     for j in (0, 3, 7):
-        fhat = markov.gft(cycle_spec.eigenfunctions[:, j], cycle_spec, cycle_chain.pi)
+        fhat = markov.gft(cycle_spec.eigenfunctions[:, j], cycle_spec)
         expected = np.zeros(cycle_chain.n)
         expected[j] = 1.0
         assert fhat == pytest.approx(expected, abs=1e-10)
 
 
 def test_gft_of_constant(cycle_chain, cycle_spec):
-    fhat = markov.gft(2.5 * np.ones(11), cycle_spec, cycle_chain.pi)
+    fhat = markov.gft(2.5 * np.ones(11), cycle_spec)
     assert fhat[0] == pytest.approx(2.5, abs=1e-12)
     assert np.abs(fhat[1:]).max() <= 1e-12
 
@@ -626,15 +635,20 @@ def test_gft_unitarity(cycle_chain, cycle_spec, glauber_chain, glauber_spec):
         for _ in range(50):
             f = rng.standard_normal(chain.n)
             g = rng.standard_normal(chain.n)
-            fhat = markov.gft(f, spec, chain.pi)
-            ghat = markov.gft(g, spec, chain.pi)
+            fhat = markov.gft(f, spec)
+            ghat = markov.gft(g, spec)
             assert abs(markov.pi_inner(f, g, chain.pi) - fhat @ ghat) <= 1e-10
+
+
+def test_decomposition_keeps_the_chains_pi(cycle_chain, cycle_spec):
+    assert np.array_equal(cycle_spec.pi, cycle_chain.pi)
+    assert not cycle_spec.pi.flags.writeable
 
 
 def test_igft_round_trip(glauber_chain, glauber_spec):
     rng = np.random.default_rng(17)
     f = rng.uniform(0.0, 10.0, glauber_chain.n)
-    back = markov.igft(markov.gft(f, glauber_spec, glauber_chain.pi), glauber_spec)
+    back = markov.igft(markov.gft(f, glauber_spec), glauber_spec)
     assert np.abs(back - f).max() <= 1e-10
 
 
@@ -647,6 +661,6 @@ def test_igft_basics(cycle_spec):
 
 def test_gft_dimension_checks(cycle_spec):
     with pytest.raises(ValueError):
-        markov.gft(np.ones(5), cycle_spec, np.full(5, 0.2))
+        markov.gft(np.ones(5), cycle_spec)
     with pytest.raises(ValueError):
         markov.igft(np.ones(5), cycle_spec)
