@@ -135,9 +135,12 @@ def glauber_energy(x: int, params: GlauberParams) -> float:
     return float(_energies(codes, params)[0])
 
 
-def _check_enumeration(params: GlauberParams):
-    if params.p > MAX_SPIN_SITES:
-        raise ValueError(f"enumeration capped at 2^{MAX_SPIN_SITES} states, got p={params.p}")
+def check_enumeration(p: int):
+    """Refuse a ring of more than ``MAX_SPIN_SITES`` spins, whose 2^p states
+    are not enumerated; it reads ``p`` alone, so a caller can judge a size
+    before ``GlauberParams`` makes its ``p`` couplings."""
+    if p > MAX_SPIN_SITES:
+        raise ValueError(f"enumeration capped at 2^{MAX_SPIN_SITES} states, got p={p}")
 
 
 def gibbs_distribution(params: GlauberParams) -> np.ndarray:
@@ -146,7 +149,7 @@ def gibbs_distribution(params: GlauberParams) -> np.ndarray:
     The unnormalised weights are computed for the lower half of the states
     and mirrored onto the upper half, as in ``build_glauber_cycle``, and then
     normalised over the whole vector."""
-    _check_enumeration(params)
+    check_enumeration(params.p)
     return _mirrored_gibbs(_lower_codes(params.p), params)
 
 
@@ -170,7 +173,7 @@ def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
     them without a copy, and the build holds about two tables beside the
     chain it returns.
     """
-    _check_enumeration(params)
+    check_enumeration(params.p)
     # the gap bound is cheap and fails first when the temperature is so low
     # that the Gibbs weights would overflow in the O(n p) build below
     lambda_low = glauber_lambda_low(params)

@@ -109,6 +109,8 @@ def _build_chain(config: ExperimentConfig) -> markov.ChainModel:
     if config.experiment == "cycle-walk":
         return chains.build_cycle_walk(config.p)
     if config.experiment == "glauber":
+        # before GlauberParams makes p couplings, however large p is
+        chains.check_enumeration(config.p)
         beta = GLAUBER_BETA if config.beta is None else config.beta
         coupling = GLAUBER_COUPLING if config.coupling is None else config.coupling
         return chains.build_glauber_cycle(chains.GlauberParams.uniform(config.p, beta, coupling))

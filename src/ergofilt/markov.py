@@ -64,8 +64,8 @@ class ChainModel:
 
     def __post_init__(self):
         arrays = validate_chain(self.neighbors, self.weights, self.pi)
-        if not 0.0 < self.lambda_low <= 2.0:
-            raise ValueError(f"lambda_low must lie in (0, 2], got {self.lambda_low}")
+        if not 0.0 < self.lambda_low < 2.0:
+            raise ValueError(f"lambda_low must lie in (0, 2), got {self.lambda_low}")
         for name, arr in zip(("neighbors", "weights", "pi"), arrays):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -118,15 +118,16 @@ class SpectralDecomposition:
         self.pi.setflags(write=False)
 
 
-def _pair_imbalance(neighbors: np.ndarray, flux: np.ndarray) -> np.ndarray:
-    """``|pi(x) P(x, y) - pi(y) P(y, x)|`` for each entry ``(x, y)`` of the
-    table, where ``P(x, y)`` sums every entry of row ``x`` that lists ``y``
-    and is 0 if there is none; ``flux[x, j]`` is ``pi(x) weights[x, j]``.
+def _pair_imbalance(neighbors: np.ndarray, sym: np.ndarray) -> np.ndarray:
+    """``|S(x, y) - S(y, x)|`` for each entry ``(x, y)`` of the table, where
+    ``S(x, y)`` sums ``sym`` over every entry of row ``x`` that lists ``y``
+    and is 0 if there is none; ``sym[x, j]`` is ``S(x, y)`` of that one
+    entry, ``weights[x, j] sqrt(pi(x)) / sqrt(pi(y))``.
 
     The exact check for any table, in O(n d log(n d)): one stable sort by
     ``2 (min(x, y) n + max(x, y)) + [x > y]`` puts each pair's entries
     together, in row order, with its reverse pair's right after, so the sums
-    and the reverse lookup share one order; each table-sized array, ``flux``
+    and the reverse lookup share one order; each table-sized array, ``sym``
     too, is freed once used. A table that lists each neighbour once gets the
     bits of ``_entry_imbalance``, and so the same worst entry in row order.
     """
@@ -146,9 +147,9 @@ def _pair_imbalance(neighbors: np.ndarray, flux: np.ndarray) -> np.ndarray:
     # each sorted entry's run, written over its key
     np.cumsum(first, out=key)
     key -= 1
-    flux = flux.ravel()[order]
-    sums = np.bincount(key, weights=flux)
-    del flux
+    sym = sym.ravel()[order]
+    sums = np.bincount(key, weights=sym)
+    del sym
     # a pair and its reverse get |sum - reverse sum|; a pair with no reverse
     # keeps its sum, which is not negative
     gap = np.diff(sums)
@@ -165,16 +166,17 @@ def _pair_imbalance(neighbors: np.ndarray, flux: np.ndarray) -> np.ndarray:
     return out.reshape(n, d)
 
 
-def _entry_imbalance(nbr: np.ndarray, w: np.ndarray, dist: np.ndarray) -> np.ndarray | None:
-    """``|pi(x) P(x, y) - pi(y) P(y, x)|`` for each entry ``(x, j)``, with
-    ``y = nbr[x, j]`` and ``P(y, x)`` read in one gather from column
-    ``tau(j)`` of row ``y``; None if some row ``y`` does not list ``x`` there.
+def _entry_imbalance(nbr: np.ndarray, w: np.ndarray, root: np.ndarray) -> np.ndarray | None:
+    """``|S(x, y) - S(y, x)|`` for each entry ``(x, j)``, with ``y = nbr[x, j]``,
+    ``S(x, y) = w[x, j] root(x) / root(y)`` and ``root = sqrt(pi)``, and
+    ``P(y, x)`` read in one gather from column ``tau(j)`` of row ``y``; None
+    if some row ``y`` does not list ``x`` there.
 
     ``tau(j)`` is the column of row ``nbr[0, j]`` that lists state 0 (the
     identity on a table of bit flips; 2 for 1 and 1 for 2 on the cycle), or
     ``j`` if that map is not an involution. Entries and reverses then pair
-    off one to one, so a check that passes adds up to ``P(x, y)`` against
-    ``P(y, x)`` even where a state lists another twice.
+    off one to one, so a check that passes adds up to ``S(x, y)`` against
+    ``S(y, x)`` even where a state lists another twice.
     """
     n, d = nbr.shape
     tau = (nbr.take(nbr[0], axis=0) == 0).argmax(axis=1)
@@ -188,9 +190,15 @@ def _entry_imbalance(nbr: np.ndarray, w: np.ndarray, dist: np.ndarray) -> np.nda
     back = w.ravel().take(reverse)
     # the index table is freed before the float ones below are made
     del reverse
-    # pi(y) P(y, x) for each entry (x, y), then |pi(x) P(x, y) - pi(y) P(y, x)|
-    back *= dist[nbr]
-    imbalance = np.subtract(dist[:, None] * w, back, out=back)
+    # S(y, x) = P(y, x) root(y) / root(x) in back, S(x, y) over the gathered
+    # root(y), each rounded as _pair_imbalance rounds it. Fancy indexing,
+    # since root.take(nbr) peaks at twice the table it returns
+    gathered = root[nbr]
+    back /= root[:, None]
+    back *= gathered
+    sym = np.divide(w, gathered, out=gathered)
+    sym *= root[:, None]
+    imbalance = np.subtract(sym, back, out=back)
     return np.abs(imbalance, out=imbalance)
 
 
@@ -202,9 +210,14 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
     arrays, the caller's own where they already are; ``ChainModel`` runs it
     on every chain it makes. Raises a ``ChainValidationError`` subclass
     naming the worst offending state or ``(x, y)`` pair, or the first NaN.
-    Each row is summed in one matrix-vector product. Detailed balance,
-    ``|pi(x) P(x,y) - pi(y) P(y,x)|`` at most ``DETAILED_BALANCE_TOL`` for
-    each entry ``(x, y)``, is checked by the one-gather pass
+    Each row is summed in one matrix-vector product.
+
+    Detailed balance is judged on the scale of the symmetrized Laplacian
+    ``S = D^{1/2} L D^{-1/2}`` (``D = diag(pi)``), whose symmetry it is: for
+    each entry ``(x, y)``, ``|S(x, y) - S(y, x)|``, the flux imbalance
+    ``|pi(x) P(x,y) - pi(y) P(y,x)|`` divided by ``sqrt(pi(x) pi(y))``, is
+    at most ``DETAILED_BALANCE_TOL``; a ``DetailedBalanceViolation`` carries
+    the largest such asymmetry. It is checked by the one-gather pass
     ``_entry_imbalance``, which both bundled chains pass, and where that
     does not decide, by the exact pair-by-pair ``_pair_imbalance``. A table
     that lists each neighbour once gets the same verdict, worst pair and
@@ -245,12 +258,13 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
     if abs(dist.sum() - 1.0) > ROW_SUM_TOL:
         raise NonPositivePi("stationary mass does not sum to 1", -1, float(abs(dist.sum() - 1.0)))
 
-    imbalance = _entry_imbalance(nbr, w, dist)
+    root = np.sqrt(dist)
+    imbalance = _entry_imbalance(nbr, w, root)
     if imbalance is not None and imbalance.max() <= DETAILED_BALANCE_TOL:
         return nbr, w, dist
     # freed before the exact check makes its own
     del imbalance
-    imbalance = _pair_imbalance(nbr, dist[:, None] * w)
+    imbalance = _pair_imbalance(nbr, w / root[nbr] * root[:, None])
     worst = int(np.argmax(imbalance))
     if imbalance.flat[worst] > DETAILED_BALANCE_TOL:
         x, j = divmod(worst, d)
@@ -315,15 +329,9 @@ def spectral_decomposition(chain: ChainModel) -> SpectralDecomposition:
     """Eigenpairs of the Laplacian in the stationary geometry.
 
     Works on the symmetrized matrix ``S = D^{1/2} L D^{-1/2}`` (``D = diag(pi)``),
-    which is symmetric exactly when detailed balance holds: asymmetry above
-    ``DETAILED_BALANCE_TOL * max|S|`` raises ``DetailedBalanceViolation`` at
-    its first largest pair, and the round-off below it is folded as
-    ``(S + S^T) / 2``. That scale is not validation's, which allows an
-    absolute flux imbalance of ``DETAILED_BALANCE_TOL``, while an entry of
-    ``S - S^T`` is the imbalance divided by ``sqrt(pi(x) pi(y))``. So a chain
-    can be built and then refused here: P = [[0.5, 0.5], [0.5 - 0.8e-10,
-    0.5 + 0.8e-10]] with uniform pi has imbalance 4e-11 but asymmetry
-    8.0e-11, above ``DETAILED_BALANCE_TOL * max|S|``.
+    which is symmetric exactly when detailed balance holds. Validation has
+    bounded each entry of ``S - S^T`` by ``DETAILED_BALANCE_TOL``, so what is
+    left is round-off, folded as ``(S + S^T) / 2``.
 
     It then maps the Euclidean-orthonormal eigenvectors ``v`` back to
     stationary-orthonormal eigenfunctions ``f = D^{-1/2} v``.
@@ -333,10 +341,6 @@ def spectral_decomposition(chain: ChainModel) -> SpectralDecomposition:
     """
     d = np.sqrt(chain.pi)
     s = d[:, None] * (np.eye(chain.n) - chain.dense_transition()) / d[None, :]
-    asym = np.abs(s - s.T)
-    x, y = divmod(int(asym.argmax()), chain.n)
-    if asym[x, y] > DETAILED_BALANCE_TOL * float(np.abs(s).max()):
-        raise DetailedBalanceViolation("symmetrized Laplacian is not symmetric", (x, y), asym[x, y])
     eigenvalues, vectors = densela.symmetric_eigen(0.5 * (s + s.T))
     funcs = vectors / d[:, None]
     funcs[:, 0] = 1.0

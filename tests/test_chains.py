@@ -128,6 +128,9 @@ def test_glauber_enumeration_cap():
         chains.gibbs_distribution(chains.GlauberParams.uniform(21, 0.2, 1.0))
     with pytest.raises(ValueError):
         chains.build_glauber_cycle(chains.GlauberParams.uniform(21, 0.2, 1.0))
+    # the gap bound enumerates nothing, so it has no cap
+    bound = chains.glauber_lambda_low(chains.GlauberParams.uniform(1000, 0.2, 1.0))
+    assert bound == pytest.approx(2.0 / ((1.0 + np.exp(0.8)) * 1000), rel=1e-12)
 
 
 def test_m_matrix_uniform_entries():
@@ -430,7 +433,7 @@ def test_glauber_window_codes_for_half_the_states(monkeypatch):
 
 def test_glauber_build_and_validation_memory():
     # at p = 14 one (n, p + 1) table is 1.9 MiB; the build measures about 2.1
-    # times the bytes the chain keeps, and validation about 2.2 tables
+    # times the bytes the chain keeps, and validation about 2.4 tables
     params = chains.GlauberParams.uniform(14, 0.2, 1.0)
     tracemalloc.start()
     try:

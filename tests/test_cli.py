@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,22 @@ def test_bad_size_rejected_by_its_owner(capsys, argv, message):
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_oversized_ring_refused_before_allocating(capsys):
+    # the enumeration cap is judged on --p alone, before GlauberParams makes
+    # its p couplings (76 MiB here)
+    tracemalloc.start()
+    try:
+        code = cli_main(["glauber", "--p", "10000000", "--seed", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: enumeration capped at 2^20 states, got p=10000000\n"
+    assert peak < 1 << 20, peak
 
 
 def test_unknown_flag_exits_one(capsys):

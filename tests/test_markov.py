@@ -142,7 +142,8 @@ def test_validate_names_the_offending_entry():
     with pytest.raises(markov.DetailedBalanceViolation) as info:
         markov.validate_chain(_PATH_NEIGHBORS, weights, _PATH_PI)
     assert info.value.index in ((1, 2), (2, 1))
-    assert info.value.magnitude == pytest.approx(0.1 / 3.0)
+    # |S(1, 2) - S(2, 1)| = |P(1, 2) - P(2, 1)| under a uniform pi
+    assert info.value.magnitude == pytest.approx(0.1)
 
 
 def test_validate_missing_reverse_edge():
@@ -153,7 +154,7 @@ def test_validate_missing_reverse_edge():
     with pytest.raises(markov.DetailedBalanceViolation) as info:
         markov.validate_chain(neighbors, weights, _PATH_PI)
     assert info.value.index == (0, 2)
-    assert info.value.magnitude == pytest.approx(0.1 / 3.0)
+    assert info.value.magnitude == pytest.approx(0.1)
 
 
 def test_validate_rejects_unpaired_duplicate():
@@ -167,7 +168,7 @@ def test_validate_rejects_unpaired_duplicate():
     with pytest.raises(markov.DetailedBalanceViolation) as info:
         markov.validate_chain(neighbors, weights, _PATH_PI)
     assert info.value.index == (0, 1)
-    assert info.value.magnitude == pytest.approx(0.1 / 3.0)
+    assert info.value.magnitude == pytest.approx(0.1)
 
 
 @pytest.mark.parametrize(
@@ -283,34 +284,36 @@ def test_pair_check_has_the_bits_of_the_entry_check():
     for name, neighbors, weights, pi in _path_tables():
         if name not in ("valid", "rows kept, balance broken"):
             continue
-        entry = markov._entry_imbalance(neighbors, weights, pi)
+        root = np.sqrt(pi)
+        entry = markov._entry_imbalance(neighbors, weights, root)
         assert (entry.max() > markov.DETAILED_BALANCE_TOL) == (name != "valid")
-        assert np.array_equal(markov._pair_imbalance(neighbors, pi[:, None] * weights), entry)
+        sym = weights / root[neighbors] * root[:, None]
+        assert np.array_equal(markov._pair_imbalance(neighbors, sym), entry)
         checked += 1
     assert checked == 8
 
 
 def test_pair_check_matches_a_pair_loop():
     # tables that list neighbours two or more times, and a state itself past
-    # column 0: each entry gets |pi(x) P(x, y) - pi(y) P(y, x)| with both
-    # sums taken in column order, bit for bit
+    # column 0: each entry gets |S(x, y) - S(y, x)| with both sums taken in
+    # column order, bit for bit
     rng = np.random.default_rng(5)
     for trial in range(300):
         n, d = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         neighbors = rng.integers(0, min(n, 2 + trial % 3), (n, d))
         neighbors[:, 0] = np.arange(n)
-        flux = rng.uniform(0.0, 1.0, (n, d)) * (rng.uniform(0.0, 1.0, (n, d)) > 0.2)
+        sym = rng.uniform(0.0, 1.0, (n, d)) * (rng.uniform(0.0, 1.0, (n, d)) > 0.2)
         want = np.empty((n, d))
         for x in range(n):
             for j, y in enumerate(neighbors[x].tolist()):
                 forward = backward = 0.0
-                for value in flux[x, neighbors[x] == y].tolist():
+                for value in sym[x, neighbors[x] == y].tolist():
                     forward += value
-                for value in flux[y, neighbors[y] == x].tolist():
+                for value in sym[y, neighbors[y] == x].tolist():
                     backward += value
                 want[x, j] = abs(forward - backward)
-        got = markov._pair_imbalance(neighbors.astype(np.intp), flux.copy())
-        assert np.array_equal(got, want), (neighbors, flux)
+        got = markov._pair_imbalance(neighbors.astype(np.intp), sym.copy())
+        assert np.array_equal(got, want), (neighbors, sym)
 
 
 def _bundled_glauber_params(p):
@@ -337,7 +340,7 @@ def test_cycle_validates_in_one_gather(monkeypatch, p):
     "neighbors, outcome, falls_back",
     [
         ([[0, 1, 1], [1, 0, 0]], ("pass",), False),
-        ([[0, 1, 1], [1, 1, 0]], (markov.DetailedBalanceViolation, (0, 1), 0.125), True),
+        ([[0, 1, 1], [1, 1, 0]], (markov.DetailedBalanceViolation, (0, 1), 0.25), True),
     ],
 )
 def test_validate_unpaired_columns(monkeypatch, neighbors, outcome, falls_back):
@@ -427,7 +430,7 @@ def test_laplacian_identity_chain():
 
 
 def test_laplacian_two_state():
-    chain = markov.make_chain(*_table([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5], 2.0)
+    chain = markov.make_chain(*_table([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5], 1.0)
     laplacian = chain.affine(1.0, 0.0)
     columns = np.column_stack([laplacian(e) for e in np.eye(2)])
     assert columns == pytest.approx(np.array([[1.0, -1.0], [-1.0, 1.0]]))
@@ -521,7 +524,7 @@ def test_total_variation_matches_dense_formula(cycle_chain, glauber_chain):
 
 
 def test_spectral_two_state_chain():
-    chain = markov.make_chain(*_table([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5], 2.0)
+    chain = markov.make_chain(*_table([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5], 1.0)
     spec = markov.spectral_decomposition(chain)
     assert spec.eigenvalues == pytest.approx([0.0, 2.0], abs=1e-12)
 
@@ -600,19 +603,59 @@ def test_spectral_rejects_imbalanced_chain():
         )
 
 
-def test_spectral_asymmetry_below_one_is_judged_against_max_s():
-    # asymmetry 0.8e-10 with max|S| = 0.5: above 1e-10 max|S| but below
-    # 1e-10 max(1, max|S|), so the threshold must scale with |S| alone
+def test_spectral_decomposes_every_chain_that_builds():
+    # validation and the decomposition share one rule, the asymmetry of S:
+    # 0.8e-10 here, so the chain builds and decomposes, though its flux
+    # imbalance, 4e-11, is below 1e-10 max|S| = 5e-11; 1.2e-10 is refused
+    # as the chain is made
     delta = 0.8e-10
     neighbors, weights = _table([[0.5, 0.5], [0.5 - delta, 0.5 + delta]])
     chain = markov.ChainModel(
         neighbors=neighbors, weights=weights, pi=np.array([0.5, 0.5]), lambda_low=1.0
     )
-    with pytest.raises(markov.DetailedBalanceViolation) as info:
-        markov.spectral_decomposition(chain)
-    # the first largest entry of |S - S^T| in row order
-    assert info.value.index == (0, 1)
-    assert info.value.magnitude == pytest.approx(8.0e-11, rel=1e-5)
+    spec = markov.spectral_decomposition(chain)
+    # the folded S has trace 1 - delta
+    assert spec.eigenvalues == pytest.approx([0.0, 1.0 - delta], abs=1e-15)
+    delta = 1.2e-10
+    error = _rejected(
+        markov.DetailedBalanceViolation,
+        *_table([[0.5, 0.5], [0.5 - delta, 0.5 + delta]]),
+        [0.5, 0.5],
+    )
+    assert error.index == (0, 1)
+    assert error.magnitude == pytest.approx(1.2e-10, rel=1e-5)
+
+
+def test_validate_judges_a_small_pi_state():
+    # Glauber p = 12 at beta 1 with its lowest-pi state (pi = 7.9e-12) made
+    # absorbing: not reversible, though every flux imbalance is below 1e-10
+    chain = chains.build_glauber_cycle(chains.GlauberParams.uniform(12, 1.0))
+    x = int(np.argmin(chain.pi))
+    weights = chain.weights.copy()
+    weights[x] = 0.0
+    weights[x, 0] = 1.0
+    error = _rejected(markov.DetailedBalanceViolation, chain.neighbors, weights, chain.pi)
+    assert x in error.index
+    assert error.magnitude == pytest.approx(1.1075e-2, rel=1e-3)
+
+
+def test_validate_judges_a_long_cycle():
+    # on the 100 001-cycle a relative 1e-5 change to P(7, 6), with P(7, 8)
+    # taking up the row sum, moves the flux by 5e-11 but S by 5e-6
+    chain = chains.build_cycle_walk(100001)
+    weights = chain.weights.copy()
+    weights[7, 2] *= 1.0 + 1e-5
+    weights[7, 1] -= weights[7, 2] - chain.weights[7, 2]
+    error = _rejected(markov.DetailedBalanceViolation, chain.neighbors, weights, chain.pi)
+    assert error.index == (6, 7)
+    assert error.magnitude == pytest.approx(5e-6, rel=1e-6)
+
+
+@pytest.mark.parametrize("lambda_low", [0.0, 2.0])
+def test_chain_lambda_low_range_is_the_filters(cycle_chain, lambda_low):
+    # the range every filter accepts: a chain that builds can be filtered
+    with pytest.raises(ValueError, match=r"lambda_low must lie in \(0, 2\), got"):
+        markov.ChainModel(cycle_chain.neighbors, cycle_chain.weights, cycle_chain.pi, lambda_low)
 
 
 def test_gft_of_eigenfunction_is_basis_vector(cycle_chain, cycle_spec):
