@@ -17,10 +17,20 @@ most ``_ERROR_BLOCK`` buffered entries). The frequency responses
 frequencies, so each filter has one definition. An exact reference ships
 alongside: the frequency-zeroing projector ``lagrange_exact_apply``.
 
+The float64 range has one rule, here: ``*_apply`` and ``*_errors`` sweep the
+signal at unit scale, ``2^-e f`` with ``2^e`` the power of two just above
+``max |f|``, and scale the output or the errors back by ``2^e``; that is
+exact, so in range the results are bitwise those of an unscaled sweep. The
+sweep runs with numpy's overflow and invalid warnings off, and an output or a
+reduced block of errors that is not finite is a ``FloatingPointError`` naming
+the filter and its first non-finite degree. ``*_scalar`` runs unscaled.
+
 Polynomial coefficient vectors are in ascending monomial order.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -67,13 +77,16 @@ def _stopband_map(chain: markov.ChainModel, lambda_low: float):
     return chain.affine(2.0 / (2.0 - lambda_low), _m0(lambda_low))
 
 
-def _signal_for(chain: markov.ChainModel, f) -> np.ndarray:
+def _unit_scale(chain: markov.ChainModel, f) -> tuple[np.ndarray, int]:
+    """The checked signal scaled by ``2^-e`` into (-1, 1), and ``e``."""
     values = np.asarray(f, dtype=float)
     if values.shape != (chain.n,):
         raise ValueError(f"signal has shape {values.shape}, expected ({chain.n},)")
-    if not np.isfinite(values).all():
+    peak = float(np.abs(values).max())
+    if not math.isfinite(peak):
         raise ValueError("signal values must be finite")
-    return values
+    exponent = math.frexp(peak)[1]
+    return np.ldexp(values, -exponent), exponent
 
 
 def _last(steps):
@@ -104,45 +117,57 @@ def _response(steps, z, *args):
     return float(out[0]) if np.ndim(z) == 0 else out
 
 
-def _errors(chain: markov.ChainModel, f, steps, k_max: int, name: str) -> list[float]:
-    """Max-abs errors of the outputs at degrees 1..k_max (degree 0 skipped)
-    from the stationary mean of ``f``, which the first step has checked.
+def _apply(chain: markov.ChainModel, f, steps, name: str, K: int, *args) -> np.ndarray:
+    """The degree-``K`` output of the generator ``steps`` on ``f``, swept at
+    unit scale and scaled back; a non-finite output is a ``FloatingPointError``."""
+    values, exponent = _unit_scale(chain, f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.ldexp(_last(steps(chain, values, K, *args)), exponent)
+    if not np.isfinite(out).all():
+        raise FloatingPointError(f"non-finite {name} filter output at degree {K}")
+    return out
+
+
+def _errors(chain: markov.ChainModel, f, steps, name: str, k_max: int, *args) -> list[float]:
+    """Max-abs errors from the stationary mean of ``f`` of the outputs of the
+    generator ``steps`` at degrees 1..k_max (degree 0 skipped), swept at unit
+    scale and scaled back.
 
     Each output is copied into a row of a buffer of
     ``min(k_max, _ERROR_BLOCK // n)`` rows (at least one); a full buffer, and
     the rows filled when the sweep ends, if there are any, are reduced in
     place in one pass. Max is exact, so every value is the one a reduction of
-    each output on its own gives. A ``FloatingPointError`` (under
-    ``np.errstate``) in a step or a reduction is raised again naming the
-    filter ``name`` and the degree.
+    each output on its own gives.
     """
-    next(steps)
-    target = float(np.dot(chain.pi, f))
-    rows = max(1, min(k_max, _ERROR_BLOCK // chain.n))
-    block = np.empty((rows, chain.n))
-    errors, row = [], 0
-    try:
-        for out in steps:
+    values, exponent = _unit_scale(chain, f)
+    sweep = steps(chain, values, k_max, *args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        next(sweep)
+        target = float(np.dot(chain.pi, values))
+        rows = max(1, min(k_max, _ERROR_BLOCK // chain.n))
+        block = np.empty((rows, chain.n))
+        errors, row = [], 0
+        for out in sweep:
             block[row] = out
             row += 1
             if row == rows:
-                errors += _max_abs_deviations(block, target)
+                errors += _block_errors(block, target, exponent, name, len(errors))
                 row = 0
         if row:
-            errors += _max_abs_deviations(block[:row], target)
-        return errors
-    except FloatingPointError as exc:
-        # a failed reduction leaves its overflowing rows infinite; with every
-        # buffered row finite, the step after them failed
-        finite = np.isfinite(block[:row]).all(axis=1)
-        degree = len(errors) + (row if finite.all() else int(finite.argmin())) + 1
-        raise FloatingPointError(f"{exc} ({name} filter, degree {degree})") from exc
+            errors += _block_errors(block[:row], target, exponent, name, len(errors))
+    return errors
 
 
-def _max_abs_deviations(block: np.ndarray, target: float) -> list[float]:
-    """``max |row - target|`` of each row, computed in place."""
+def _block_errors(block: np.ndarray, target: float, exponent: int, name: str, done: int) -> list[float]:
+    """``2^exponent max |row - target|`` of each row, reduced in place; the
+    rows follow ``done`` degrees. One that is not finite is an error."""
     np.subtract(block, target, out=block)
-    return np.abs(block, out=block).max(axis=1).tolist()
+    errors = np.ldexp(np.abs(block, out=block).max(axis=1), exponent)
+    finite = np.isfinite(errors)
+    if not finite.all():
+        degree = done + int(finite.argmin()) + 1
+        raise FloatingPointError(f"non-finite {name} filter error at degree {degree}")
+    return errors.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +178,10 @@ def _max_abs_deviations(block: np.ndarray, target: float) -> list[float]:
 def _ergodic_steps(chain: markov.ChainModel, f, K: int):
     """Running averages at degrees 0..K (horizons 1..K+1), one product with P each."""
     _check_degree(K)
-    values = _signal_for(chain, f)
     transition = chain.affine(-1.0, 1.0)
-    acc = values.copy()
-    power = values
-    yield values.copy()
+    acc = f.copy()
+    power = f
+    yield f.copy()
     for k in range(1, K + 1):
         power = transition(power)
         acc += power
@@ -177,13 +201,13 @@ def ergodic_apply(chain: markov.ChainModel, f, t: int) -> np.ndarray:
     is 0.033658 at t = 500 and first drops below 1e-2 at t = 1683.
     """
     _check_horizon(t)
-    return _last(_ergodic_steps(chain, f, t - 1))
+    return _apply(chain, f, _ergodic_steps, "ergodic", t - 1)
 
 
 def ergodic_errors(chain: markov.ChainModel, f, k_max: int) -> list[float]:
     """Max-abs errors of the running average at degrees ``1..k_max``, where
     degree K is horizon ``t = K + 1``; ``k_max`` products with P in all."""
-    return _errors(chain, f, _ergodic_steps(chain, f, k_max), k_max, "ergodic")
+    return _errors(chain, f, _ergodic_steps, "ergodic", k_max)
 
 
 def ergodic_scalar(z, t: int):
@@ -239,14 +263,13 @@ def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     ``c = 0`` only ``b_{k,0}`` is carried, and no weights are computed.
     """
     _check_context(K, lambda_low)
-    values = _signal_for(chain, f)
-    yield values.copy()
+    yield f.copy()
     if K == 0:
         return
     lambda_low = float(lambda_low)
     cap = len(_control_weights(K, lambda_low)) - 1
     half_laplacian = chain.affine(0.5, 0.0)
-    basis = [values]
+    basis = [f]
     for k in range(1, K + 1):
         if k <= cap:
             basis.append(np.zeros(chain.n))
@@ -265,13 +288,13 @@ def bernstein_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> n
     ``sum_l g(2l/K) b_{K,l}`` over the basis signals of ``_bernstein_steps``.
     Takes ``sum_{k<=K} (min(k, c) + 1)`` products with L, where
     ``c < K lambda_low / 2`` is the last nonzero control point."""
-    return _last(_bernstein_steps(chain, f, K, lambda_low))
+    return _apply(chain, f, _bernstein_steps, "bernstein", K, lambda_low)
 
 
 def bernstein_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> list[float]:
     """Max-abs errors of the Bernstein filter at degrees ``1..k_max`` from one
     sweep of ``sum_{k<=k_max} (min(k, c) + 1)`` products with L."""
-    return _errors(chain, f, _bernstein_steps(chain, f, k_max, lambda_low), k_max, "bernstein")
+    return _errors(chain, f, _bernstein_steps, "bernstein", k_max, lambda_low)
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +315,14 @@ def _chebyshev_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     ``omega_{k+1} = 1 / (2 m0 - omega_k)`` from ``omega_1 = 1 / m0``.
     """
     _check_context(K, lambda_low)
-    values = _signal_for(chain, f)
-    prev = values.copy()
+    prev = f.copy()
     yield prev
     if K == 0:
         return
     mapped = _stopband_map(chain, lambda_low)
     m0 = float(_m0(lambda_low))
     omega = 1.0 / m0
-    curr = mapped(values) / m0
+    curr = mapped(f) / m0
     yield curr
     for _ in range(1, K):
         next_omega = 1.0 / (2.0 * m0 - omega)
@@ -318,13 +340,13 @@ def chebyshev_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> n
     (Chebyshev semi-iteration). The ratios do not depend on K, so ``u_k`` is
     also the degree-k output, and none of them grows with k.
     """
-    return _last(_chebyshev_steps(chain, f, K, lambda_low))
+    return _apply(chain, f, _chebyshev_steps, "chebyshev", K, lambda_low)
 
 
 def chebyshev_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> list[float]:
     """Max-abs errors of the Chebyshev filter at degrees ``1..k_max`` from one
     run of the recursion: ``k_max`` products with L."""
-    return _errors(chain, f, _chebyshev_steps(chain, f, k_max, lambda_low), k_max, "chebyshev")
+    return _errors(chain, f, _chebyshev_steps, "chebyshev", k_max, lambda_low)
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +374,11 @@ def _legendre_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     ``w_0 = f`` and ``r_0 = s_0 = 1``.
     """
     _check_context(K, lambda_low)
-    values = _signal_for(chain, f)
-    result = values.copy()
+    result = f.copy()
     yield result
     mapped = _stopband_map(chain, lambda_low)
     m0 = float(_m0(lambda_low))
-    prev = curr = values
+    prev = curr = f
     ratio = sum_ratio = 1.0
     for n in range(K):
         next_ratio = ((2 * n + 1) * m0 - n / ratio) / (n + 1)
@@ -378,13 +399,13 @@ def legendre_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> np
     The ratios use only degrees up to ``n + 1``, so ``q_k`` is also the
     degree-k output.
     """
-    return _last(_legendre_steps(chain, f, K, lambda_low))
+    return _apply(chain, f, _legendre_steps, "legendre", K, lambda_low)
 
 
 def legendre_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> list[float]:
     """Max-abs errors of the Legendre filter at degrees ``1..k_max`` from one
     run of the recursion: ``k_max`` products with L."""
-    return _errors(chain, f, _legendre_steps(chain, f, k_max, lambda_low), k_max, "legendre")
+    return _errors(chain, f, _legendre_steps, "legendre", k_max, lambda_low)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +420,10 @@ def lagrange_exact_apply(spec: markov.SpectralDecomposition, f) -> np.ndarray:
     the Laplacian; returns the constant signal at the stationary mean of ``f``.
     """
     fhat = markov.gft(f, spec)
-    keep = np.abs(spec.eigenvalues) <= markov.ZERO_EIGENVALUE_TOL
-    return markov.igft(np.where(keep, fhat, 0.0), spec)
+    # column 0 is exactly the all-ones vector; a small eigenvalue of another
+    # column, however close to 0, is a nonzero frequency
+    fhat[1:] = 0.0
+    return markov.igft(fhat, spec)
 
 
 def max_abs_error(filtered, f, pi) -> float:

@@ -11,7 +11,6 @@ configurations produce byte-identical output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,8 +121,6 @@ def _resolve_signal(config: ExperimentConfig, n: int) -> np.ndarray:
         values = np.asarray(config.signal, dtype=float)
         if values.shape != (n,):
             raise ValueError(f"signal has {values.size} values, chain has {n} states")
-        if not np.isfinite(values).all():
-            raise ValueError("signal values must be finite")
         return values
     if config.use_reference_signal:
         reference = (
@@ -157,33 +154,12 @@ def run_experiment(config: ExperimentConfig) -> tuple[np.ndarray, RunMetadata]:
         if not 0.0 < lambda_low < 2.0:
             raise ValueError(f"lambda_low override must lie in (0, 2), got {lambda_low}")
 
-    # the running sum grows to (k_max + 1) max|f|, the stopband map by up to
-    # (6 + lambda_low) / (2 - lambda_low) in max-norm; a signal with less than
-    # twice that headroom is swept scaled by 2^-shift, its errors by 2^shift.
-    # Reference and generated signals lie in [0, 10]
-    shift = 0
-    if config.signal is not None:
-        growth = (config.k_max + 1) * (6.0 + lambda_low) / (2.0 - lambda_low)
-        peak = max(float(signal.max()), -float(signal.min()))
-        shift = max(0, math.frexp(peak)[1] + math.frexp(growth)[1] - 1023)
-    swept = np.ldexp(signal, -shift) if shift else signal
-    # an overflow in a sweep raises FloatingPointError, not a RuntimeWarning
-    with np.errstate(over="raise", invalid="raise"):
-        columns = np.array([
-            filters.ergodic_errors(chain, swept, config.k_max),
-            filters.bernstein_errors(chain, swept, config.k_max, lambda_low),
-            filters.chebyshev_errors(chain, swept, config.k_max, lambda_low),
-            filters.legendre_errors(chain, swept, config.k_max, lambda_low),
-        ])
-    if shift:
-        # an error past the float64 maximum is inf, named below
-        with np.errstate(over="ignore"):
-            columns = np.ldexp(columns, shift)
-    if not np.isfinite(columns).all():
-        bad = ~np.isfinite(columns)
-        first = int(np.flatnonzero(bad.any(axis=0))[0])
-        names = [name for name, flag in zip(FILTER_ORDER, bad[:, first]) if flag]
-        raise FloatingPointError(f"non-finite filter error at degree {first + 1}: {names}")
+    columns = np.array([
+        filters.ergodic_errors(chain, signal, config.k_max),
+        filters.bernstein_errors(chain, signal, config.k_max, lambda_low),
+        filters.chebyshev_errors(chain, signal, config.k_max, lambda_low),
+        filters.legendre_errors(chain, signal, config.k_max, lambda_low),
+    ])
     metadata = RunMetadata(
         experiment=config.experiment,
         p=config.p,

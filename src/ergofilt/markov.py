@@ -18,7 +18,6 @@ from . import densela
 
 ROW_SUM_TOL = 1e-12
 DETAILED_BALANCE_TOL = 1e-10
-ZERO_EIGENVALUE_TOL = 1e-8
 
 
 class ChainValidationError(Exception):

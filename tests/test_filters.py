@@ -404,6 +404,14 @@ def test_lagrange_apply_projects(cycle_chain, cycle_spec, glauber_chain, glauber
             f = rng.uniform(0.0, 10.0, chain.n)
             out = filters.lagrange_exact_apply(spec, f)
             assert np.abs(out - markov.pi_expectation(f, chain.pi)).max() <= 1e-8
+    # a cold ring: the first nonzero frequency, 6.9e-10, is nonzero all the
+    # same, and the number of up spins projects to its mean 3
+    cold = chains.build_glauber_cycle(chains.GlauberParams.uniform(6, 5.0))
+    spec = markov.spectral_decomposition(cold)
+    assert 0.0 < spec.eigenvalues[1] < 1e-9
+    up_spins = np.array([bin(x).count("1") for x in range(cold.n)], dtype=float)
+    out = filters.lagrange_exact_apply(spec, up_spins)
+    assert np.abs(out - 3.0).max() <= 1e-8
 
 
 def test_lagrange_apply_trivials(cycle_spec):

@@ -312,13 +312,13 @@ def test_sweeps_reduce_no_empty_block(monkeypatch):
     # k_max is at most the buffer's rows on the paper's sizes, so each sweep
     # reduces its outputs once, at the end, and never an empty block
     blocks = []
-    deviations = filters._max_abs_deviations
+    reduce = filters._block_errors
 
-    def recorded(block, target):
+    def recorded(block, *args):
         blocks.append(block.shape[0])
-        return deviations(block, target)
+        return reduce(block, *args)
 
-    monkeypatch.setattr(filters, "_max_abs_deviations", recorded)
+    monkeypatch.setattr(filters, "_block_errors", recorded)
     for experiment, p in (("cycle-walk", 11), ("glauber", 4)):
         del blocks[:]
         config = harness.ExperimentConfig(

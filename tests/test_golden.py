@@ -24,9 +24,13 @@ from ergofilt.cli import cli_main
 GOLDEN = Path(__file__).with_name("golden_stdout.json")
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
-# the CLI lines of .github/workflows/tests.yml: the console script, the
-# large chain, the eigensolver-free couplings, the high degree, the
-# near-maximum signal and the wide Bernstein weights
+# the CLI lines: the two the CI workflow runs through the console script;
+# the largest chain the tests run (2^16 states, where the error buffer of
+# filters._errors holds a single row); the couplings -1, 0 and 0.5, and
+# beta 5 at coupling -1.3, where eigh's 1 - gamma_1 would cancel, all with
+# no eigensolver; degree 2000, past where T_k(m0) and S_k overflow; eleven
+# values alternating +-1e308; and the widest Bernstein weight loop (c = 379).
+# Tier-1 runs them under -X dev -W error too, so a numpy warning fails
 CI_LINES = [
     "cycle-walk --paper-defaults",
     "glauber --p 10 --beta 400 --seed 1",

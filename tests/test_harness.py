@@ -116,21 +116,38 @@ def test_lambda_low_override():
 
 
 @pytest.mark.filterwarnings("error")
-def test_near_maximum_signal_is_swept_scaled():
-    # every step commutes with scaling by a power of two, so the table of a
-    # signal near the float64 maximum is that of the same signal scaled into
-    # the ordinary range, scaled back, bit for bit; pi_f is the unscaled mean
+def test_near_maximum_signal_is_swept_scaled(cycle_chain):
+    # every step commutes with scaling by a power of two, so each table, error
+    # sweep and output of a signal near the float64 maximum is that of the
+    # same signal scaled into the ordinary range, scaled back, bit for bit;
+    # pi_f is the unscaled mean
     signal = np.array([1e308, -1e308] * 5 + [1e308])
+    small = np.ldexp(signal, -40)
     for k_max, override in ((20, None), (300, None), (20, 1.9)):
         near, meta = harness.run_experiment(
             _cycle_config(k_max=k_max, lambda_low_override=override, signal=signal)
         )
-        small, _ = harness.run_experiment(
-            _cycle_config(k_max=k_max, lambda_low_override=override, signal=np.ldexp(signal, -40))
+        scaled, _ = harness.run_experiment(
+            _cycle_config(k_max=k_max, lambda_low_override=override, signal=small)
         )
         assert np.all(np.isfinite(near))
-        assert np.array_equal(near, np.ldexp(small, 40)), (k_max, override)
+        assert np.array_equal(near, np.ldexp(scaled, 40)), (k_max, override)
         assert meta.pi_f == float(np.dot(np.full(11, 1.0 / 11.0), signal))
+
+        lam = cycle_chain.lambda_low if override is None else override
+        for run in (
+            lambda f: filters.ergodic_errors(cycle_chain, f, k_max),
+            lambda f: filters.bernstein_errors(cycle_chain, f, k_max, lam),
+            lambda f: filters.chebyshev_errors(cycle_chain, f, k_max, lam),
+            lambda f: filters.legendre_errors(cycle_chain, f, k_max, lam),
+            lambda f: filters.ergodic_apply(cycle_chain, f, k_max + 1),
+            lambda f: filters.bernstein_apply(cycle_chain, f, k_max, lam),
+            lambda f: filters.chebyshev_apply(cycle_chain, f, k_max, lam),
+            lambda f: filters.legendre_apply(cycle_chain, f, k_max, lam),
+        ):
+            got = np.array(run(signal))
+            assert np.all(np.isfinite(got)), (k_max, override)
+            assert np.array_equal(got, np.ldexp(run(small), 40)), (k_max, override)
 
 
 def test_generate_signal_pinned_values():
@@ -321,42 +338,46 @@ def test_seeded_run_deterministic():
     assert first_meta.pi_f == second_meta.pi_f
 
 
+
 # ---------------------------------------------------------------------------
-# the one-pass finiteness check of the table
+# a non-finite sweep, from the filter through the harness to the CLI
 # ---------------------------------------------------------------------------
 
 
 def _poisoned(monkeypatch, name, degrees):
-    """Make ``filters.<name>_errors`` return NaN at the given degrees."""
-    real = getattr(filters, f"{name}_errors")
+    """Make the generator behind ``filters.<name>_errors`` yield NaN at the
+    given degrees."""
+    real = getattr(filters, f"_{name}_steps")
 
-    def errors(*args):
-        column = real(*args)
-        for degree in degrees:
-            column[degree - 1] = float("nan")
-        return column
+    def steps(*args):
+        for degree, out in enumerate(real(*args)):
+            yield np.full_like(out, np.nan) if degree in degrees else out
 
-    monkeypatch.setattr(filters, f"{name}_errors", errors)
+    monkeypatch.setattr(filters, f"_{name}_steps", steps)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "poison, message",
     [
-        ({"ergodic": (1,)}, "degree 1: ['ergodic']"),
-        ({"legendre": (20,)}, "degree 20: ['legendre']"),
-        ({"chebyshev": (7, 9)}, "degree 7: ['chebyshev']"),
-        ({"legendre": (5,), "bernstein": (6, 12)}, "degree 5: ['legendre']"),
-        ({"legendre": (4, 8), "bernstein": (4,), "ergodic": (8,)}, "degree 4: ['bernstein', 'legendre']"),
+        ({"ergodic": (1,)}, "ergodic filter error at degree 1"),
+        ({"legendre": (20,)}, "legendre filter error at degree 20"),
+        ({"chebyshev": (7, 9)}, "chebyshev filter error at degree 7"),
+        ({"legendre": (5,), "bernstein": (6, 12)}, "bernstein filter error at degree 6"),
+        ({"legendre": (4, 8), "bernstein": (4,), "ergodic": (8,)}, "ergodic filter error at degree 8"),
     ],
 )
 def test_non_finite_cell_names_first_degree(monkeypatch, capsys, poison, message):
+    # the sweeps run in FILTER_ORDER, and the first one that is not finite
+    # names its first non-finite degree; no table is made, and the CLI
+    # prints that one line with empty stdout
     for name, degrees in poison.items():
         _poisoned(monkeypatch, name, degrees)
     with pytest.raises(FloatingPointError) as info:
         harness.run_experiment(_cycle_config())
-    assert str(info.value) == f"non-finite filter error at {message}"
+    assert str(info.value) == f"non-finite {message}"
     code = cli_main(["cycle-walk", "--paper-defaults"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"numerical failure: non-finite filter error at {message}\n"
+    assert captured.err == f"numerical failure: non-finite {message}\n"

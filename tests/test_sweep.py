@@ -130,26 +130,36 @@ def test_sweeps_reject_bad_input(cycle_chain):
         assert sweep(cycle_chain, f, 0, 0.5) == []
 
 
+@pytest.mark.filterwarnings("error")
 def test_sweep_failure_names_the_degree(cycle_chain):
-    # f has mean 1e308 / 11: a step that overflows, and an output whose
-    # distance from that mean overflows only in the block reduction, in the
-    # first buffer of 65536 // 11 = 5957 rows or in the rows after it
+    # f is swept as 2^-1024 f, whose mean is 0.05. Each failing output names
+    # the filter and the first non-finite degree, with no numpy warning: -2,
+    # an error past the float64 maximum once scaled back; one that overflows
+    # at unit scale; and NaN; in the first buffer of 65536 // 11 = 5957 rows
+    # or in the rows after it
     f = np.array([1e308, -1e308] * 5 + [1e308])
-    zeros, low = np.zeros(11), np.full(11, -1.79e308)
+    zeros, low, nan = np.zeros(11), np.full(11, -2.0), np.full(11, np.nan)
 
-    def steps(outputs):
-        yield f
+    def steps(chain, values, k_max, outputs):
+        assert np.array_equal(values, np.ldexp(f, -1024))
+        yield values
         for out in outputs:
-            yield np.float64(1e308) * 10.0 if out is None else out
+            yield np.full(11, 1e308) * 10.0 if out is None else out
 
-    for outputs, degree, reason in (
-        ([zeros, low, zeros], 2, "overflow encountered in subtract"),
-        ([zeros, zeros, None], 3, "overflow encountered in scalar multiply"),
-        ([zeros] * 5960 + [low], 5961, "overflow encountered in subtract"),
+    for outputs, degree in (
+        ([zeros, low, zeros], 2),
+        ([zeros, zeros, None], 3),
+        ([zeros, nan, low], 2),
+        ([zeros] * 5957 + [nan], 5958),
+        ([zeros] * 5960 + [low], 5961),
     ):
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
-            filters._errors(cycle_chain, f, steps(outputs), len(outputs), "test")
-        assert str(info.value) == f"{reason} (test filter, degree {degree})"
+        with pytest.raises(FloatingPointError) as info:
+            filters._errors(cycle_chain, f, steps, "test", len(outputs), outputs)
+        assert str(info.value) == f"non-finite test filter error at degree {degree}"
+    for last in (low, None, nan):
+        with pytest.raises(FloatingPointError) as info:
+            filters._apply(cycle_chain, f, steps, "test", 3, [zeros, zeros, last])
+        assert str(info.value) == "non-finite test filter output at degree 3"
 
 
 def test_cycle_deep_errors_match_spectral_reference():
