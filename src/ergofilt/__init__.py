@@ -19,7 +19,6 @@ from .filters import (
     ergodic_apply,
     lagrange_exact_apply,
     legendre_apply,
-    max_abs_error,
 )
 from .harness import ExperimentConfig, run_experiment
 from .markov import ChainModel, SpectralDecomposition, gft, igft, make_chain, spectral_decomposition
@@ -37,7 +36,6 @@ __all__ = [
     "ergodic_apply",
     "lagrange_exact_apply",
     "legendre_apply",
-    "max_abs_error",
     "ExperimentConfig",
     "run_experiment",
     "ChainModel",

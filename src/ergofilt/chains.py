@@ -67,21 +67,20 @@ def build_cycle_walk(p: int) -> markov.ChainModel:
     Each step moves to either neighbor with probability 1/2; the stationary
     law is uniform. Even ``p`` is rejected (the walk would be periodic).
     """
-    if p < 3:
-        raise ValueError(f"cycle length must be at least 3, got {p}")
-    if p % 2 == 0:
-        raise ValueError(f"cycle length must be odd, got {p}")
+    lambda_low = cycle_lambda_low(p)
     neighbors = (np.arange(p)[:, None] + np.array([0, 1, -1])) % p
     weights = np.full((p, 3), 0.5)
     weights[:, 0] = 0.0
     pi = np.full(p, 1.0 / p)
-    return markov.ChainModel(neighbors, weights, pi, cycle_lambda_low(p))
+    return markov.ChainModel(neighbors, weights, pi, lambda_low)
 
 
 def cycle_lambda_low(p: int) -> float:
     """Closed-form gap bound ``8p / ((p-1)^2 (p+1))`` for the odd cycle walk."""
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"cycle length must be odd and at least 3, got {p}")
+    if p < 3:
+        raise ValueError(f"cycle length must be at least 3, got {p}")
+    if p % 2 == 0:
+        raise ValueError(f"cycle length must be odd, got {p}")
     return 8.0 * p / ((p - 1) ** 2 * (p + 1))
 
 
@@ -174,8 +173,9 @@ def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
     chain it returns.
     """
     check_enumeration(params.p)
-    # the gap bound is cheap and fails first when the temperature is so low
-    # that the Gibbs weights would overflow in the O(n p) build below
+    # the gap bound is cheap, and fails first on an unfrustrated ring too cold
+    # for the Gibbs weights below; a frustrated ring's bound stays positive, so
+    # its overflow is built and left to the chain's validation of pi
     lambda_low = glauber_lambda_low(params)
     p = params.p
     spins = _WINDOW_SPINS
@@ -184,20 +184,23 @@ def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
         params.couplings[np.arange(-1, p - 1)][:, None] * spins[:, 0]
         + params.couplings[:, None] * spins[:, 2]
     )
-    # e^a / (e^a + e^-a) written as a sigmoid so large fields cannot overflow;
-    # the flipped spin sees the same field with the opposite sign
+    # e^a / (e^a + e^-a) as a sigmoid, whose exp overflows to inf only where
+    # the probability is 0 to rounding; the flipped spin sees the opposite field
     aligned = params.beta * spins[:, 1] * field
-    keep = 1.0 / (p * (1.0 + np.exp(-2.0 * aligned)))
-    flip = 1.0 / (p * (1.0 + np.exp(2.0 * aligned)))
-    states = np.arange(1 << p)
-    codes = _lower_codes(p)
-    half = len(codes)
-    weights = np.empty((states.size, p + 1))
-    keep.take(codes).sum(axis=1, out=weights[:half, 0])
-    weights[:half, 1:] = flip.take(codes)
-    # the reversed state 2^p - 1 - x has row x, bit for bit
-    weights[half:] = weights[half - 1 :: -1]
-    pi = _mirrored_gibbs(codes, params)
+    # a cold ring's exp overflows in the sigmoids and the Gibbs weights, and
+    # pi may come out nan or 0: validation alone judges it, without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        keep = 1.0 / (p * (1.0 + np.exp(-2.0 * aligned)))
+        flip = 1.0 / (p * (1.0 + np.exp(2.0 * aligned)))
+        states = np.arange(1 << p)
+        codes = _lower_codes(p)
+        half = len(codes)
+        weights = np.empty((states.size, p + 1))
+        keep.take(codes).sum(axis=1, out=weights[:half, 0])
+        weights[:half, 1:] = flip.take(codes)
+        # the reversed state 2^p - 1 - x has row x, bit for bit
+        weights[half:] = weights[half - 1 :: -1]
+        pi = _mirrored_gibbs(codes, params)
     del codes
     # state x, then its flips x ^ 2^w: an XOR with 0, 1, 2, ..., 2^(p-1)
     neighbors = states[:, None] ^ ((1 << np.arange(p + 1)) >> 1)

@@ -1,6 +1,7 @@
 """Typed numerical errors and one ``eigh`` call.
 
-The CLI maps every ``DenseLAError`` to exit code 2.
+No CLI path reaches an eigensolver: the CLI builds cycles and uniform rings,
+whose gap bounds have closed forms.
 """
 
 from __future__ import annotations

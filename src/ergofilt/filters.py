@@ -425,12 +425,3 @@ def lagrange_exact_apply(spec: markov.SpectralDecomposition, f) -> np.ndarray:
     fhat[1:] = 0.0
     return markov.igft(fhat, spec)
 
-
-def max_abs_error(filtered, f, pi) -> float:
-    """Largest pointwise deviation of a filtered signal from the constant
-    signal at the stationary mean of ``f``."""
-    out = np.asarray(filtered, dtype=float)
-    target = markov.pi_expectation(f, pi)
-    if out.shape != np.asarray(f, dtype=float).shape:
-        raise ValueError("filtered signal and input signal differ in shape")
-    return float(np.abs(out - target).max())

@@ -43,9 +43,16 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; exactly one signal source should be set
+    """Everything a run needs; at least one signal source must be set
     (explicit values take precedence over the bundled reference signal,
-    which takes precedence over seeded generation)."""
+    which takes precedence over seeded generation).
+
+    Construction judges, in this order, every rule that reads the config
+    alone: a signal source is set, the seed is in [0, 2^64), ``k_max >= 1``,
+    the experiment is known, a Glauber ring is within the enumeration cap,
+    and the ``lambda_low`` override lies in (0, 2). Values that need the
+    chain (cycle length, ring temperature, signal length) are judged where
+    they are used."""
 
     experiment: str
     p: int
@@ -56,6 +63,22 @@ class ExperimentConfig:
     use_reference_signal: bool = False
     seed: int | None = None
     lambda_low_override: float | None = None
+
+    def __post_init__(self):
+        if self.signal is None and not self.use_reference_signal and self.seed is None:
+            raise ValueError("no signal source: provide explicit values, the reference signal, or a seed")
+        if self.seed is not None and not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        if self.k_max < 1:
+            raise ValueError(f"k_max must be at least 1, got {self.k_max}")
+        if self.experiment not in ("cycle-walk", "glauber"):
+            raise ValueError(f"unknown experiment {self.experiment!r}")
+        if self.experiment == "glauber":
+            # before GlauberParams makes p couplings, however large p is
+            chains.check_enumeration(self.p)
+        override = self.lambda_low_override
+        if override is not None and not 0.0 < float(override) < 2.0:
+            raise ValueError(f"lambda_low override must lie in (0, 2), got {float(override)}")
 
 
 @dataclass(frozen=True)
@@ -107,21 +130,15 @@ def _round_cents(x: np.ndarray) -> np.ndarray:
 def _build_chain(config: ExperimentConfig) -> markov.ChainModel:
     if config.experiment == "cycle-walk":
         return chains.build_cycle_walk(config.p)
-    if config.experiment == "glauber":
-        # before GlauberParams makes p couplings, however large p is
-        chains.check_enumeration(config.p)
-        beta = GLAUBER_BETA if config.beta is None else config.beta
-        coupling = GLAUBER_COUPLING if config.coupling is None else config.coupling
-        return chains.build_glauber_cycle(chains.GlauberParams.uniform(config.p, beta, coupling))
-    raise ValueError(f"unknown experiment {config.experiment!r}")
+    beta = GLAUBER_BETA if config.beta is None else config.beta
+    coupling = GLAUBER_COUPLING if config.coupling is None else config.coupling
+    return chains.build_glauber_cycle(chains.GlauberParams.uniform(config.p, beta, coupling))
 
 
 def _resolve_signal(config: ExperimentConfig, n: int) -> np.ndarray:
+    # an explicit signal's length is judged by the filters, which use it
     if config.signal is not None:
-        values = np.asarray(config.signal, dtype=float)
-        if values.shape != (n,):
-            raise ValueError(f"signal has {values.size} values, chain has {n} states")
-        return values
+        return np.asarray(config.signal, dtype=float)
     if config.use_reference_signal:
         reference = (
             CYCLE_REFERENCE_SIGNAL
@@ -134,9 +151,7 @@ def _resolve_signal(config: ExperimentConfig, n: int) -> np.ndarray:
                 f"this chain has {n} states — pass --signal or --seed instead"
             )
         return reference.copy()
-    if config.seed is not None:
-        return generate_signal(config.seed, n)
-    raise ValueError("no signal source: provide explicit values, the reference signal, or a seed")
+    return generate_signal(config.seed, n)
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[np.ndarray, RunMetadata]:
@@ -144,15 +159,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[np.ndarray, RunMetadata]:
 
     Returns the (k_max, 4) error table, columns in ``FILTER_ORDER``, and the
     run's metadata."""
-    if config.k_max < 1:
-        raise ValueError(f"k_max must be at least 1, got {config.k_max}")
     chain = _build_chain(config)
     signal = _resolve_signal(config, chain.n)
-    lambda_low = chain.lambda_low
-    if config.lambda_low_override is not None:
-        lambda_low = float(config.lambda_low_override)
-        if not 0.0 < lambda_low < 2.0:
-            raise ValueError(f"lambda_low override must lie in (0, 2), got {lambda_low}")
+    override = config.lambda_low_override
+    lambda_low = chain.lambda_low if override is None else float(override)
 
     columns = np.array([
         filters.ergodic_errors(chain, signal, config.k_max),

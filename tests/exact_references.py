@@ -1,8 +1,8 @@
 """Exact references the tests compare against.
 
-None of these is on a run path: the running average written as a polynomial
-in the Laplacian, the coefficients of the annihilating polynomial of a
-spectrum, an exact-rational solver for the constrained L2 design problem,
+None of these is on a run path: one output's max-abs error, unscaled, the
+running average written as a polynomial in the Laplacian, the coefficients
+of the annihilating polynomial of a spectrum, an exact-rational solver for the constrained L2 design problem,
 Gauss-Legendre quadrature on the stopband, and the whole error table of a run
 rebuilt from the eigendecomposition of the chain with textbook forms of the
 four frequency responses. The Glauber chain is rebuilt from whole-state
@@ -28,6 +28,11 @@ from numpy.polynomial import chebyshev, legendre
 from ergofilt import densela
 
 ORACLE_DEGREE_CAP = 20
+
+
+def max_abs_error(out, f, pi) -> float:
+    """Largest deviation of one filter output from the stationary mean of ``f``."""
+    return float(np.abs(np.asarray(out) - float(np.dot(pi, f))).max())
 
 
 def ergodic_laplacian_coeffs(t: int) -> np.ndarray:

@@ -67,8 +67,8 @@ def test_even_p_rejected(capsys):
     ids=["cycle-p0", "glauber-p-1", "glauber-p2", "k-max0"],
 )
 def test_bad_size_rejected_by_its_owner(capsys, argv, message):
-    # the CLI passes --p and --k-max through; the chain builder or the runner
-    # that uses each value names the rule it breaks
+    # the CLI passes --p and --k-max through; the chain builder or the
+    # run's config names the rule each breaks
     code = cli_main([*argv, "--seed", "1"])
     captured = capsys.readouterr()
     assert code == 1
@@ -76,20 +76,56 @@ def test_bad_size_rejected_by_its_owner(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+def _traced_main(argv):
+    """``cli_main(argv)`` and the peak of its traced allocations."""
+    tracemalloc.start()
+    try:
+        return cli_main(argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_oversized_ring_refused_before_allocating(capsys):
     # the enumeration cap is judged on --p alone, before GlauberParams makes
     # its p couplings (76 MiB here)
-    tracemalloc.start()
-    try:
-        code = cli_main(["glauber", "--p", "10000000", "--seed", "1"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = _traced_main(["glauber", "--p", "10000000", "--seed", "1"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: enumeration capped at 2^20 states, got p=10000000\n"
     assert peak < 1 << 20, peak
+
+
+def test_bad_override_refused_before_building(capsys):
+    # the override is judged with the config, before the 2^20-state chain
+    # (344 MiB) is built and validated
+    code, peak = _traced_main(["glauber", "--p", "20", "--lambda-low", "5", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: lambda_low override must lie in (0, 2), got 5.0\n"
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("glauber --p 9 --coupling -1 --beta 110 --seed 1", "stationary mass is NaN"),
+        ("glauber --p 5 --coupling -1 --beta 200 --seed 1", "stationary mass is not strictly positive"),
+    ],
+    ids=["p9-beta110", "p5-beta200"],
+)
+def test_cold_frustrated_ring_exits_two(capsys, line, message):
+    # a frustrated ring's gap bound stays positive at any temperature, so its
+    # overflowing sigmoids and Gibbs weights are built, and validation of pi
+    # alone refuses them, with no numpy warning
+    code = cli_main(line.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"numerical failure: {message}")
+    assert captured.err.count("\n") == 1
 
 
 def test_unknown_flag_exits_one(capsys):

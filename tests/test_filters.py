@@ -478,25 +478,6 @@ def test_spectral_diagonalization_all_filters(cycle_chain, cycle_spec, glauber_c
                 assert np.abs(markov.gft(out, spec) - response * fhat).max() <= 1e-9
 
 
-def test_max_abs_error_trivials(cycle_chain):
-    f = harness.CYCLE_REFERENCE_SIGNAL
-    target = np.full(11, markov.pi_expectation(f, cycle_chain.pi))
-    assert filters.max_abs_error(target, f, cycle_chain.pi) == pytest.approx(0.0, abs=1e-12)
-    ones = np.ones(11)
-    assert filters.max_abs_error(ones, ones, cycle_chain.pi) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_max_abs_error_at_t1(cycle_chain):
-    f = harness.CYCLE_REFERENCE_SIGNAL
-    err = filters.max_abs_error(filters.ergodic_apply(cycle_chain, f, 1), f, cycle_chain.pi)
-    assert err == pytest.approx(4.88, abs=1e-12)
-
-
-def test_max_abs_error_shape_check(cycle_chain):
-    with pytest.raises(ValueError):
-        filters.max_abs_error(np.ones(5), np.ones(11), cycle_chain.pi)
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "apply, scalar, lam, former_overflow",

@@ -29,8 +29,10 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 # filters._errors holds a single row); the couplings -1, 0 and 0.5, and
 # beta 5 at coupling -1.3, where eigh's 1 - gamma_1 would cancel, all with
 # no eigensolver; degree 2000, past where T_k(m0) and S_k overflow; eleven
-# values alternating +-1e308; and the widest Bernstein weight loop (c = 379).
-# Tier-1 runs them under -X dev -W error too, so a numpy warning fails
+# values alternating +-1e308; the widest Bernstein weight loop (c = 379); and
+# two cold frustrated rings, whose Gibbs weights and sigmoids overflow and
+# which exit 2 on validation of pi alone. Warnings are errors in Tier-1, so a
+# numpy warning fails
 CI_LINES = [
     "cycle-walk --paper-defaults",
     "glauber --p 10 --beta 400 --seed 1",
@@ -44,6 +46,8 @@ CI_LINES = [
     "cycle-walk --p 11 --k-max 2000 --paper-defaults",
     "cycle-walk --signal=" + ",".join(["1e308", "-1e308"] * 5 + ["1e308"]),
     "cycle-walk --p 11 --k-max 400 --lambda-low 1.9 --paper-defaults",
+    "glauber --p 9 --coupling -1 --beta 110 --seed 1",
+    "glauber --p 5 --coupling -1 --beta 200 --seed 1",
 ]
 
 

@@ -89,6 +89,20 @@ def test_signal_source_required_and_length_checked():
         )
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (dict(seed=-1), "seed must be an unsigned 64-bit integer, got -1"),
+        (dict(seed=2**64), f"seed must be an unsigned 64-bit integer, got {2**64}"),
+        (dict(seed=None), "no signal source"),
+    ],
+    ids=["seed-1", "seed2^64", "no-source"],
+)
+def test_config_refused_at_construction(changes, message):
+    with pytest.raises(ValueError, match=message):
+        harness.ExperimentConfig(**{**dict(experiment="cycle-walk", p=11, seed=1), **changes})
+
+
 def test_signal_precedence():
     values = list(range(1, 12))
     explicit_only = harness.run_experiment(
