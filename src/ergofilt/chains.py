@@ -147,9 +147,11 @@ def gibbs_distribution(params: GlauberParams) -> np.ndarray:
 
     The unnormalised weights are computed for the lower half of the states
     and mirrored onto the upper half, as in ``build_glauber_cycle``, and then
-    normalised over the whole vector."""
+    normalised over the whole vector. It is judged as a chain's law is, so a
+    cold ring's NaN or 0 raises ``markov.check_law``'s error, with no warning."""
     check_enumeration(params.p)
-    return _mirrored_gibbs(_lower_codes(params.p), params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return markov.check_law(_mirrored_gibbs(_lower_codes(params.p), params))
 
 
 def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:

@@ -90,8 +90,6 @@ def _parse_signal(raw: str) -> np.ndarray:
         tokens = [tok for tok in re.split(r"[\s,]+", text.strip()) if tok]
     else:
         tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    if not tokens:
-        raise ValueError("signal is empty")
     try:
         return np.array([float(tok) for tok in tokens])
     except ValueError as exc:

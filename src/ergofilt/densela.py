@@ -10,7 +10,7 @@ import numpy as np
 
 
 class DenseLAError(Exception):
-    """Base class for numerical failures in this package."""
+    """A symmetric eigensolve refused for non-finite input, or failed."""
 
 
 def symmetric_eigen(m) -> tuple[np.ndarray, np.ndarray]:

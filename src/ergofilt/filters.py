@@ -52,16 +52,11 @@ def _check_horizon(t: int):
         raise ValueError(f"averaging horizon must be a positive integer, got {t}")
 
 
-def _check_context(k: int, lambda_low: float):
-    _check_degree(k)
-    if not 0.0 < lambda_low < 2.0:
-        raise ValueError(f"lambda_low must lie in (0, 2), got {lambda_low}")
-
-
 def _band_values(z) -> np.ndarray:
-    """Validate frequencies against [0, 2] (with round-off slop) and clip."""
+    """Validate frequencies against [0, 2] (with round-off slop) and clip;
+    a NaN fails both bounds."""
     values = np.atleast_1d(np.asarray(z, dtype=float))
-    if values.size and (values.min() < -_BAND_SLOP or values.max() > 2.0 + _BAND_SLOP):
+    if values.size and not (values.min() >= -_BAND_SLOP and values.max() <= 2.0 + _BAND_SLOP):
         raise ValueError("frequency outside the Laplacian band [0, 2]")
     return np.clip(values, 0.0, 2.0)
 
@@ -78,13 +73,8 @@ def _stopband_map(chain: markov.ChainModel, lambda_low: float):
 
 
 def _unit_scale(chain: markov.ChainModel, f) -> tuple[np.ndarray, int]:
-    """The checked signal scaled by ``2^-e`` into (-1, 1), and ``e``."""
-    values = np.asarray(f, dtype=float)
-    if values.shape != (chain.n,):
-        raise ValueError(f"signal has shape {values.shape}, expected ({chain.n},)")
-    peak = float(np.abs(values).max())
-    if not math.isfinite(peak):
-        raise ValueError("signal values must be finite")
+    """The checked signal scaled by ``2^-e`` into (-1, 1), and ``e``, from the check's peak."""
+    values, peak = markov.check_signal(f, chain.n)
     exponent = math.frexp(peak)[1]
     return np.ldexp(values, -exponent), exponent
 
@@ -224,7 +214,7 @@ def ergodic_scalar(z, t: int):
 def triangle(z, lambda_low: float):
     """Ideal low-pass target: 1 at frequency 0, linear down to 0 at
     ``lambda_low``, 0 across the rest of the band."""
-    _check_context(0, lambda_low)
+    markov.check_lambda_low(lambda_low)
     values = _band_values(z)
     result = np.where(values < lambda_low, 1.0 - values / lambda_low, 0.0)
     return float(result[0]) if np.ndim(z) == 0 else result
@@ -262,7 +252,8 @@ def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     whose only weight is ``w_0 = 1`` yields ``b_{k,0}`` itself. With
     ``c = 0`` only ``b_{k,0}`` is carried, and no weights are computed.
     """
-    _check_context(K, lambda_low)
+    _check_degree(K)
+    markov.check_lambda_low(lambda_low)
     yield f.copy()
     if K == 0:
         return
@@ -314,7 +305,8 @@ def _chebyshev_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     (-1, 0), rather than ``T_k(m0)``, which grows geometrically in k:
     ``omega_{k+1} = 1 / (2 m0 - omega_k)`` from ``omega_1 = 1 / m0``.
     """
-    _check_context(K, lambda_low)
+    _check_degree(K)
+    markov.check_lambda_low(lambda_low)
     prev = f.copy()
     yield prev
     if K == 0:
@@ -373,7 +365,8 @@ def _legendre_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     ``s_{n+1} = 1 + s_n (2n + 1) / ((2n + 3) r_{n+1}^2)``, starting from
     ``w_0 = f`` and ``r_0 = s_0 = 1``.
     """
-    _check_context(K, lambda_low)
+    _check_degree(K)
+    markov.check_lambda_low(lambda_low)
     result = f.copy()
     yield result
     mapped = _stopband_map(chain, lambda_low)

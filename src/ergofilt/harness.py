@@ -136,7 +136,7 @@ def _build_chain(config: ExperimentConfig) -> markov.ChainModel:
 
 
 def _resolve_signal(config: ExperimentConfig, n: int) -> np.ndarray:
-    # an explicit signal's length is judged by the filters, which use it
+    # an explicit signal is judged by markov.check_signal where it is read
     if config.signal is not None:
         return np.asarray(config.signal, dtype=float)
     if config.use_reference_signal:

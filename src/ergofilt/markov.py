@@ -10,6 +10,7 @@ graph signals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,35 @@ class NotANumber(ChainValidationError):
     """A NaN transition probability or stationary mass."""
 
 
+def check_lambda_low(lambda_low: float):
+    """Refuse a gap bound outside (0, 2), the range every filter accepts."""
+    if not 0.0 < lambda_low < 2.0:
+        raise ValueError(f"lambda_low must lie in (0, 2), got {lambda_low}")
+
+
+def check_law(dist: np.ndarray) -> np.ndarray:
+    """``dist``, judged a law: no NaN, every mass positive, sum 1 to ``ROW_SUM_TOL``."""
+    if not dist.min() > 0.0:
+        idx = int(np.argmin(dist))
+        if np.isnan(dist[idx]):
+            raise NotANumber("stationary mass is NaN", idx, float(dist[idx]))
+        raise NonPositivePi("stationary mass is not strictly positive", idx, float(dist[idx]))
+    if abs(dist.sum() - 1.0) > ROW_SUM_TOL:
+        raise NonPositivePi("stationary mass does not sum to 1", -1, float(abs(dist.sum() - 1.0)))
+    return dist
+
+
+def check_signal(f, n: int) -> tuple[np.ndarray, float]:
+    """``f`` as ``n`` finite floats and its peak ``max |f(x)|``, else a ``ValueError``."""
+    values = np.asarray(f, dtype=float)
+    if values.shape != (n,):
+        raise ValueError(f"signal has shape {values.shape}, expected ({n},)")
+    peak = float(np.abs(values).max())
+    if not math.isfinite(peak):
+        raise ValueError("signal values must be finite")
+    return values, peak
+
+
 @dataclass(frozen=True)
 class ChainModel:
     """A validated reversible chain as a neighbour table, its stationary law,
@@ -63,8 +93,7 @@ class ChainModel:
 
     def __post_init__(self):
         arrays = validate_chain(self.neighbors, self.weights, self.pi)
-        if not 0.0 < self.lambda_low < 2.0:
-            raise ValueError(f"lambda_low must lie in (0, 2), got {self.lambda_low}")
+        check_lambda_low(self.lambda_low)
         for name, arr in zip(("neighbors", "weights", "pi"), arrays):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -249,13 +278,7 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
         idx = int(np.argmax(row_err))
         raise StochasticityViolation("row sum differs from 1", idx, float(row_err[idx]))
 
-    if not dist.min() > 0.0:
-        idx = int(np.argmin(dist))
-        if np.isnan(dist[idx]):
-            raise NotANumber("stationary mass is NaN", idx, float(dist[idx]))
-        raise NonPositivePi("stationary mass is not strictly positive", idx, float(dist[idx]))
-    if abs(dist.sum() - 1.0) > ROW_SUM_TOL:
-        raise NonPositivePi("stationary mass does not sum to 1", -1, float(abs(dist.sum() - 1.0)))
+    check_law(dist)
 
     root = np.sqrt(dist)
     imbalance = _entry_imbalance(nbr, w, root)
@@ -278,24 +301,17 @@ def make_chain(neighbors, weights, pi, lambda_low: float) -> ChainModel:
     return ChainModel(np.array(neighbors), np.array(weights), np.array(pi), float(lambda_low))
 
 
-def _check_lengths(f: np.ndarray, g: np.ndarray):
-    if f.shape != g.shape:
-        raise ValueError(f"dimension mismatch: {f.shape} vs {g.shape}")
-
-
 def pi_inner(f, g, pi) -> float:
-    """Stationary-weighted inner product ``sum_x f(x) g(x) pi(x)``."""
-    fv, gv, dist = np.asarray(f, float), np.asarray(g, float), np.asarray(pi, float)
-    _check_lengths(fv, gv)
-    _check_lengths(fv, dist)
+    """Stationary-weighted inner product ``sum_x f(x) g(x) pi(x)`` of two signals."""
+    dist = np.asarray(pi, float)
+    fv, gv = check_signal(f, len(dist))[0], check_signal(g, len(dist))[0]
     return float(np.sum(fv * gv * dist))
 
 
 def pi_expectation(f, pi) -> float:
     """Stationary mean ``sum_x f(x) pi(x)``."""
-    fv, dist = np.asarray(f, float), np.asarray(pi, float)
-    _check_lengths(fv, dist)
-    return float(np.dot(dist, fv))
+    dist = np.asarray(pi, float)
+    return float(np.dot(dist, check_signal(f, len(dist))[0]))
 
 
 def pi_norm(f, pi) -> float:
@@ -309,13 +325,9 @@ def total_variation(f, chain: ChainModel) -> float:
     Sums ``pi(x) P(x,y) |f(x) - f(y)|^2`` over the entries of the neighbour
     table (every directed transition, in O(n d)) and
     returns the square root divided by ``||f||_pi``. Zero signals are rejected
-    since the normalization is undefined for them, and so are signals with
-    a non-finite value.
+    since the normalization is undefined for them.
     """
-    fv = np.asarray(f, dtype=float)
-    _check_lengths(fv, chain.pi)
-    if not np.isfinite(fv).all():
-        raise ValueError("signal values must be finite")
+    fv = check_signal(f, chain.n)[0]
     norm = pi_norm(fv, chain.pi)
     if norm == 0.0:
         raise ValueError("total variation is undefined for the zero signal")
@@ -343,26 +355,20 @@ def spectral_decomposition(chain: ChainModel) -> SpectralDecomposition:
     eigenvalues, vectors = densela.symmetric_eigen(0.5 * (s + s.T))
     funcs = vectors / d[:, None]
     funcs[:, 0] = 1.0
-    # non-negligible: above 1e-12 max(1, max|column|); a column with none stays
+    # non-negligible: above 1e-12 max(1, max|column|); each column's largest entry is
     magnitude = np.abs(funcs)
     above = magnitude > 1e-12 * np.maximum(1.0, magnitude.max(axis=0))
     lead = funcs[above.argmax(axis=0), np.arange(chain.n)]
-    np.negative(funcs, out=funcs, where=above.any(axis=0) & (lead < 0.0))
+    np.negative(funcs, out=funcs, where=lead < 0.0)
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenfunctions=funcs, pi=chain.pi)
 
 
 def gft(f, spec: SpectralDecomposition) -> np.ndarray:
     """Forward transform: coefficient of each eigenfunction under ``pi_inner``
     with the decomposed chain's ``spec.pi``."""
-    fv = np.asarray(f, float)
-    if fv.shape != spec.pi.shape:
-        raise ValueError("signal length does not match the decomposition")
-    return spec.eigenfunctions.T @ (spec.pi * fv)
+    return spec.eigenfunctions.T @ (spec.pi * check_signal(f, len(spec.pi))[0])
 
 
 def igft(fhat, spec: SpectralDecomposition) -> np.ndarray:
-    """Inverse transform: weighted sum of eigenfunction columns."""
-    coeffs = np.asarray(fhat, dtype=float)
-    if coeffs.shape[0] != spec.eigenfunctions.shape[1]:
-        raise ValueError("coefficient length does not match the decomposition")
-    return spec.eigenfunctions @ coeffs
+    """Inverse transform: the eigenfunction columns weighted by ``n`` coefficients."""
+    return spec.eigenfunctions @ check_signal(fhat, len(spec.pi))[0]

@@ -94,6 +94,22 @@ def test_gibbs_flip_symmetry():
     assert pi == pytest.approx(flipped, abs=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "p, beta, error, message",
+    [
+        (9, 110.0, markov.NotANumber, r"stationary mass is NaN \(worst at 85,"),
+        (5, 200.0, markov.NonPositivePi, "stationary mass is not strictly positive"),
+    ],
+    ids=["p9-beta110", "p5-beta200"],
+)
+def test_gibbs_of_cold_frustrated_ring_is_refused(p, beta, error, message):
+    # the weights overflow to NaN or underflow to 0; the law is judged as the
+    # build's is, with the errors the CLI prints for these rings
+    with pytest.raises(error, match=message):
+        chains.gibbs_distribution(chains.GlauberParams.uniform(p, beta, -1.0))
+
+
 def test_glauber_rows_and_balance(glauber_chain):
     transition = glauber_chain.dense_transition()
     assert np.abs(transition.sum(axis=1) - 1.0).max() <= 1e-12

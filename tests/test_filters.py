@@ -106,6 +106,26 @@ def test_triangle_rejects_out_of_band():
         filters.triangle(2.5, 0.5)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "response",
+    [
+        lambda z: filters.triangle(z, 0.5),
+        lambda z: filters.ergodic_scalar(z, 3),
+        lambda z: filters.bernstein_scalar(z, 5, 0.5),
+        lambda z: filters.chebyshev_scalar(z, 5, 0.5),
+        lambda z: filters.legendre_scalar(z, 4, 0.5),
+    ],
+    ids=["triangle", "ergodic", "bernstein", "chebyshev", "legendre"],
+)
+@pytest.mark.parametrize("z", [np.nan, [0.1, np.nan]], ids=["scalar", "array"])
+def test_nan_frequency_is_outside_the_band(response, z):
+    # a NaN fails both comparisons of an in-band test, so it is refused
+    # rather than answered with 0.0 or NaN
+    with pytest.raises(ValueError, match=r"frequency outside the Laplacian band \[0, 2\]"):
+        response(z)
+
+
 def test_bernstein_scalar_endpoints():
     for K in (1, 2, 7, 40, 400):
         assert filters.bernstein_scalar(0.0, K, CYCLE_LAM) == pytest.approx(1.0, abs=1e-12)

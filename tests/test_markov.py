@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ergofilt import chains, harness, markov
+from ergofilt import chains, filters, harness, markov
 
 
 def _table(transition):
@@ -460,6 +460,51 @@ def test_pi_expectation_indicator(cycle_chain):
 def test_pi_inner_dimension_mismatch(cycle_chain):
     with pytest.raises(ValueError):
         markov.pi_inner(np.ones(3), np.ones(11), cycle_chain.pi)
+
+
+# every public function that reads a signal, on the 11-cycle: (chain, spec, f)
+_SIGNAL_READERS = {
+    "pi_inner": lambda chain, spec, f: markov.pi_inner(f, np.ones(11), chain.pi),
+    "pi_inner_second": lambda chain, spec, f: markov.pi_inner(np.ones(11), f, chain.pi),
+    "pi_expectation": lambda chain, spec, f: markov.pi_expectation(f, chain.pi),
+    "pi_norm": lambda chain, spec, f: markov.pi_norm(f, chain.pi),
+    "total_variation": lambda chain, spec, f: markov.total_variation(f, chain),
+    "gft": lambda chain, spec, f: markov.gft(f, spec),
+    "igft": lambda chain, spec, f: markov.igft(f, spec),
+    "lagrange_exact_apply": lambda chain, spec, f: filters.lagrange_exact_apply(spec, f),
+    "ergodic_apply": lambda chain, spec, f: filters.ergodic_apply(chain, f, 3),
+    "bernstein_apply": lambda chain, spec, f: filters.bernstein_apply(chain, f, 3, 0.5),
+    "chebyshev_apply": lambda chain, spec, f: filters.chebyshev_apply(chain, f, 3, 0.5),
+    "legendre_apply": lambda chain, spec, f: filters.legendre_apply(chain, f, 3, 0.5),
+    "ergodic_errors": lambda chain, spec, f: filters.ergodic_errors(chain, f, 3),
+    "bernstein_errors": lambda chain, spec, f: filters.bernstein_errors(chain, f, 3, 0.5),
+    "chebyshev_errors": lambda chain, spec, f: filters.chebyshev_errors(chain, f, 3, 0.5),
+    "legendre_errors": lambda chain, spec, f: filters.legendre_errors(chain, f, 3, 0.5),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("reader", sorted(_SIGNAL_READERS))
+@pytest.mark.parametrize(
+    "signal, message",
+    [
+        (np.ones(3), r"signal has shape \(3,\), expected \(11,\)"),
+        (np.full(11, np.nan), "signal values must be finite"),
+        (np.full(11, np.inf), "signal values must be finite"),
+    ],
+    ids=["length-3", "all-nan", "all-inf"],
+)
+def test_signal_readers_share_one_rule(cycle_chain, cycle_spec, reader, signal, message):
+    # markov.check_signal judges every signal a public function reads, so a
+    # wrong length or a non-finite value is refused with the CLI's message
+    with pytest.raises(ValueError, match=message):
+        _SIGNAL_READERS[reader](cycle_chain, cycle_spec, signal)
+
+
+def test_check_signal_returns_values_and_peak():
+    values, peak = markov.check_signal([1, -3.5, 2], 3)
+    assert values.dtype == float and values.tolist() == [1.0, -3.5, 2.0]
+    assert peak == 3.5
 
 
 def test_pi_norm_matches_inner(cycle_chain):
