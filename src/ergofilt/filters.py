@@ -17,20 +17,18 @@ most ``_ERROR_BLOCK`` buffered entries). The frequency responses
 frequencies, so each filter has one definition. An exact reference ships
 alongside: the frequency-zeroing projector ``lagrange_exact_apply``.
 
-The float64 range has one rule, here: ``*_apply`` and ``*_errors`` sweep the
-signal at unit scale, ``2^-e f`` with ``2^e`` the power of two just above
-``max |f|``, and scale the output or the errors back by ``2^e``; that is
-exact, so in range the results are bitwise those of an unscaled sweep. The
-sweep runs with numpy's overflow and invalid warnings off, and an output or a
-reduced block of errors that is not finite is a ``FloatingPointError`` naming
-the filter and its first non-finite degree. ``*_scalar`` runs unscaled.
+The float64 range is ``markov.check_signal``'s rule: ``*_apply`` and
+``*_errors`` sweep the unit-scale signal ``2^-e f`` it hands back and scale
+the output or the errors back by ``2^e``; that is exact, so in range the
+results are bitwise those of an unscaled sweep. The sweep runs with numpy's
+overflow and invalid warnings off, and an output or a reduced block of errors
+that is not finite is a ``FloatingPointError`` naming the filter and its
+first non-finite degree. ``*_scalar`` runs unscaled.
 
 Polynomial coefficient vectors are in ascending monomial order.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -72,13 +70,6 @@ def _stopband_map(chain: markov.ChainModel, lambda_low: float):
     return chain.affine(2.0 / (2.0 - lambda_low), _m0(lambda_low))
 
 
-def _unit_scale(chain: markov.ChainModel, f) -> tuple[np.ndarray, int]:
-    """The checked signal scaled by ``2^-e`` into (-1, 1), and ``e``, from the check's peak."""
-    values, peak = markov.check_signal(f, chain.n)
-    exponent = math.frexp(peak)[1]
-    return np.ldexp(values, -exponent), exponent
-
-
 def _last(steps):
     for out in steps:
         pass
@@ -110,7 +101,7 @@ def _response(steps, z, *args):
 def _apply(chain: markov.ChainModel, f, steps, name: str, K: int, *args) -> np.ndarray:
     """The degree-``K`` output of the generator ``steps`` on ``f``, swept at
     unit scale and scaled back; a non-finite output is a ``FloatingPointError``."""
-    values, exponent = _unit_scale(chain, f)
+    values, exponent = markov.check_signal(f, chain.n)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.ldexp(_last(steps(chain, values, K, *args)), exponent)
     if not np.isfinite(out).all():
@@ -129,7 +120,7 @@ def _errors(chain: markov.ChainModel, f, steps, name: str, k_max: int, *args) ->
     place in one pass. Max is exact, so every value is the one a reduction of
     each output on its own gives.
     """
-    values, exponent = _unit_scale(chain, f)
+    values, exponent = markov.check_signal(f, chain.n)
     sweep = steps(chain, values, k_max, *args)
     with np.errstate(over="ignore", invalid="ignore"):
         next(sweep)

@@ -64,15 +64,29 @@ def check_law(dist: np.ndarray) -> np.ndarray:
     return dist
 
 
-def check_signal(f, n: int) -> tuple[np.ndarray, float]:
-    """``f`` as ``n`` finite floats and its peak ``max |f(x)|``, else a ``ValueError``."""
+def check_signal(f, n: int) -> tuple[np.ndarray, int]:
+    """``f``, ``n`` finite floats, at unit scale ``2^-e f`` in (-1, 1), and ``e``,
+    else a ``ValueError``; ``2^e`` is the power of two just above ``max |f(x)|``
+    (``e = 0`` for the zero signal). The one float64-range rule: each signal
+    reader works at this scale and scales its result back by ``2^e``, exactly
+    while the products stay normal."""
     values = np.asarray(f, dtype=float)
     if values.shape != (n,):
         raise ValueError(f"signal has shape {values.shape}, expected ({n},)")
     peak = float(np.abs(values).max())
     if not math.isfinite(peak):
         raise ValueError("signal values must be finite")
-    return values, peak
+    exponent = math.frexp(peak)[1]
+    return np.ldexp(values, -exponent), exponent
+
+
+def _scaled_back(values, exponent: int, name: str):
+    """``2^exponent values``, or a ``FloatingPointError`` naming the reader if not finite."""
+    with np.errstate(over="ignore"):
+        out = np.ldexp(values, exponent)
+    if not np.isfinite(out).all():
+        raise FloatingPointError(f"non-finite {name} result")
+    return out
 
 
 @dataclass(frozen=True)
@@ -304,19 +318,24 @@ def make_chain(neighbors, weights, pi, lambda_low: float) -> ChainModel:
 def pi_inner(f, g, pi) -> float:
     """Stationary-weighted inner product ``sum_x f(x) g(x) pi(x)`` of two signals."""
     dist = np.asarray(pi, float)
-    fv, gv = check_signal(f, len(dist))[0], check_signal(g, len(dist))[0]
-    return float(np.sum(fv * gv * dist))
+    fv, fe = check_signal(f, len(dist))
+    gv, ge = check_signal(g, len(dist))
+    return float(_scaled_back(np.sum(fv * gv * dist), fe + ge, "pi_inner"))
 
 
 def pi_expectation(f, pi) -> float:
     """Stationary mean ``sum_x f(x) pi(x)``."""
     dist = np.asarray(pi, float)
-    return float(np.dot(dist, check_signal(f, len(dist))[0]))
+    values, exponent = check_signal(f, len(dist))
+    return float(_scaled_back(np.dot(dist, values), exponent, "pi_expectation"))
 
 
 def pi_norm(f, pi) -> float:
-    """Stationary-weighted 2-norm of a signal."""
-    return float(np.sqrt(pi_inner(f, f, pi)))
+    """Stationary-weighted 2-norm of a signal, its square root taken at unit
+    scale, where ``sqrt`` of ``2^-2e`` times a sum is exactly ``2^-e`` times its root."""
+    dist = np.asarray(pi, float)
+    values, exponent = check_signal(f, len(dist))
+    return float(_scaled_back(np.sqrt(np.sum(values * values * dist)), exponent, "pi_norm"))
 
 
 def total_variation(f, chain: ChainModel) -> float:
@@ -325,7 +344,8 @@ def total_variation(f, chain: ChainModel) -> float:
     Sums ``pi(x) P(x,y) |f(x) - f(y)|^2`` over the entries of the neighbour
     table (every directed transition, in O(n d)) and
     returns the square root divided by ``||f||_pi``. Zero signals are rejected
-    since the normalization is undefined for them.
+    since the normalization is undefined for them. Both are taken at unit
+    scale, and their ratio has no scale to take back.
     """
     fv = check_signal(f, chain.n)[0]
     norm = pi_norm(fv, chain.pi)
@@ -366,9 +386,11 @@ def spectral_decomposition(chain: ChainModel) -> SpectralDecomposition:
 def gft(f, spec: SpectralDecomposition) -> np.ndarray:
     """Forward transform: coefficient of each eigenfunction under ``pi_inner``
     with the decomposed chain's ``spec.pi``."""
-    return spec.eigenfunctions.T @ (spec.pi * check_signal(f, len(spec.pi))[0])
+    values, exponent = check_signal(f, len(spec.pi))
+    return _scaled_back(spec.eigenfunctions.T @ (spec.pi * values), exponent, "gft")
 
 
 def igft(fhat, spec: SpectralDecomposition) -> np.ndarray:
     """Inverse transform: the eigenfunction columns weighted by ``n`` coefficients."""
-    return spec.eigenfunctions @ check_signal(fhat, len(spec.pi))[0]
+    values, exponent = check_signal(fhat, len(spec.pi))
+    return _scaled_back(spec.eigenfunctions @ values, exponent, "igft")

@@ -501,10 +501,63 @@ def test_signal_readers_share_one_rule(cycle_chain, cycle_spec, reader, signal, 
         _SIGNAL_READERS[reader](cycle_chain, cycle_spec, signal)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("reader", sorted(_SIGNAL_READERS))
+def test_signal_readers_keep_large_finite_signals_finite(cycle_chain, cycle_spec, reader):
+    # each reader works at the unit scale check_signal hands back, so a
+    # finite signal near the float64 maximum gives a finite result
+    signal = np.arange(11) * 1e200
+    assert np.isfinite(_SIGNAL_READERS[reader](cycle_chain, cycle_spec, signal)).all()
+
+
 def test_check_signal_returns_values_and_peak():
-    values, peak = markov.check_signal([1, -3.5, 2], 3)
-    assert values.dtype == float and values.tolist() == [1.0, -3.5, 2.0]
-    assert peak == 3.5
+    # the values at unit scale and the exponent of the power of two just
+    # above the peak
+    values, exponent = markov.check_signal([1, -3.5, 2], 3)
+    assert values.dtype == float and values.tolist() == [0.25, -0.875, 0.5]
+    assert exponent == 2
+    values, exponent = markov.check_signal(np.zeros(4), 4)
+    assert values.tolist() == [0.0] * 4 and exponent == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_pi_norm_of_a_large_signal(cycle_chain):
+    norm = markov.pi_norm(np.full(11, 1e200), cycle_chain.pi)
+    assert abs(norm - 1e200) <= np.spacing(1e200)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [900, -900])
+def test_total_variation_is_scale_free(cycle_chain, k):
+    f = harness.CYCLE_REFERENCE_SIGNAL
+    assert markov.total_variation(f * 2.0**k, cycle_chain) == markov.total_variation(f, cycle_chain)
+
+
+@pytest.mark.filterwarnings("error")
+def test_results_past_the_float64_range_are_errors(cycle_chain, glauber_spec):
+    big = np.full(11, 1e200)
+    with pytest.raises(FloatingPointError, match="non-finite pi_inner result"):
+        markov.pi_inner(big, big, cycle_chain.pi)
+    # the column with the largest |phi| (about 3.65) times 1e308
+    fhat = np.zeros(glauber_spec.pi.size)
+    fhat[np.abs(glauber_spec.eigenfunctions).max(axis=0).argmax()] = 1e308
+    with pytest.raises(FloatingPointError, match="non-finite igft result"):
+        markov.igft(fhat, glauber_spec)
+
+
+def test_readers_are_bitwise_the_unscaled_formulas(cycle_spec, glauber_spec):
+    # scaling by a power of two is exact, so on the reference signals the
+    # unit-scale readers give the bits of the plain formulas
+    for spec, f in (
+        (cycle_spec, harness.CYCLE_REFERENCE_SIGNAL),
+        (glauber_spec, harness.GLAUBER_REFERENCE_SIGNAL),
+    ):
+        pi, funcs = spec.pi, spec.eigenfunctions
+        assert markov.pi_expectation(f, pi) == np.dot(pi, f)
+        assert markov.pi_norm(f, pi) == np.sqrt(np.sum(f * f * pi))
+        fhat = markov.gft(f, spec)
+        assert np.array_equal(fhat, funcs.T @ (pi * f))
+        assert np.array_equal(markov.igft(fhat, spec), funcs @ fhat)
 
 
 def test_pi_norm_matches_inner(cycle_chain):
