@@ -21,7 +21,7 @@ from .filters import (
     legendre_apply,
 )
 from .harness import ExperimentConfig, run_experiment
-from .markov import ChainModel, SpectralDecomposition, gft, igft, make_chain, spectral_decomposition
+from .markov import ChainModel, SpectralDecomposition, gft, igft, spectral_decomposition
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "SpectralDecomposition",
     "gft",
     "igft",
-    "make_chain",
     "spectral_decomposition",
     "__version__",
 ]

@@ -175,7 +175,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[np.ndarray, RunMetadata]:
         p=config.p,
         k_max=config.k_max,
         lambda_low=lambda_low,
-        pi_f=markov.pi_expectation(signal, chain.pi),
+        pi_f=markov.pi_expectation(signal, chain),
     )
     return columns.T, metadata
 

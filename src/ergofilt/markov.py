@@ -69,7 +69,8 @@ def check_signal(f, n: int) -> tuple[np.ndarray, int]:
     else a ``ValueError``; ``2^e`` is the power of two just above ``max |f(x)|``
     (``e = 0`` for the zero signal). The one float64-range rule: each signal
     reader works at this scale and scales its result back by ``2^e``, exactly
-    while the products stay normal."""
+    while the products stay normal. A bilinear reader (``pi_inner``) takes its
+    scale from the product instead, and calls this for the rule alone."""
     values = np.asarray(f, dtype=float)
     if values.shape != (n,):
         raise ValueError(f"signal has shape {values.shape}, expected ({n},)")
@@ -310,32 +311,30 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
     return nbr, w, dist
 
 
-def make_chain(neighbors, weights, pi, lambda_low: float) -> ChainModel:
-    """The chain of copies of the caller's arrays, which stay the caller's to write."""
-    return ChainModel(np.array(neighbors), np.array(weights), np.array(pi), float(lambda_low))
+def pi_inner(f, g, chain: ChainModel | SpectralDecomposition) -> float:
+    """``sum_x f(x) g(x) pi(x)`` under the chain's validated law, at the scale of
+    the product: each ``f(x) g(x)`` as its ``frexp`` mantissas times ``2^(e - top)``,
+    ``e`` its exponent sum and ``top`` the largest, so no signal's spread is lost."""
+    check_signal(f, len(chain.pi))
+    check_signal(g, len(chain.pi))
+    fm, fe = np.frexp(np.asarray(f, dtype=float))
+    gm, ge = np.frexp(np.asarray(g, dtype=float))
+    top = int((fe + ge).max())
+    products = np.ldexp(fm * gm, fe + ge - top)
+    return float(_scaled_back(np.sum(products * chain.pi), top, "pi_inner"))
 
 
-def pi_inner(f, g, pi) -> float:
-    """Stationary-weighted inner product ``sum_x f(x) g(x) pi(x)`` of two signals."""
-    dist = np.asarray(pi, float)
-    fv, fe = check_signal(f, len(dist))
-    gv, ge = check_signal(g, len(dist))
-    return float(_scaled_back(np.sum(fv * gv * dist), fe + ge, "pi_inner"))
+def pi_expectation(f, chain: ChainModel | SpectralDecomposition) -> float:
+    """Mean ``sum_x f(x) pi(x)`` under the chain's validated law ``chain.pi``."""
+    values, exponent = check_signal(f, len(chain.pi))
+    return float(_scaled_back(np.dot(chain.pi, values), exponent, "pi_expectation"))
 
 
-def pi_expectation(f, pi) -> float:
-    """Stationary mean ``sum_x f(x) pi(x)``."""
-    dist = np.asarray(pi, float)
-    values, exponent = check_signal(f, len(dist))
-    return float(_scaled_back(np.dot(dist, values), exponent, "pi_expectation"))
-
-
-def pi_norm(f, pi) -> float:
-    """Stationary-weighted 2-norm of a signal, its square root taken at unit
-    scale, where ``sqrt`` of ``2^-2e`` times a sum is exactly ``2^-e`` times its root."""
-    dist = np.asarray(pi, float)
-    values, exponent = check_signal(f, len(dist))
-    return float(_scaled_back(np.sqrt(np.sum(values * values * dist)), exponent, "pi_norm"))
+def pi_norm(f, chain: ChainModel | SpectralDecomposition) -> float:
+    """2-norm of a signal under the chain's validated law, its square root taken at
+    unit scale, where ``sqrt`` of ``2^-2e`` times a sum is exactly ``2^-e`` times its root."""
+    values, exponent = check_signal(f, len(chain.pi))
+    return float(_scaled_back(np.sqrt(np.sum(values * values * chain.pi)), exponent, "pi_norm"))
 
 
 def total_variation(f, chain: ChainModel) -> float:
@@ -348,7 +347,7 @@ def total_variation(f, chain: ChainModel) -> float:
     scale, and their ratio has no scale to take back.
     """
     fv = check_signal(f, chain.n)[0]
-    norm = pi_norm(fv, chain.pi)
+    norm = pi_norm(fv, chain)
     if norm == 0.0:
         raise ValueError("total variation is undefined for the zero signal")
     diff = fv[:, None] - fv[chain.neighbors]

@@ -423,7 +423,7 @@ def test_lagrange_apply_projects(cycle_chain, cycle_spec, glauber_chain, glauber
         for _ in range(20):
             f = rng.uniform(0.0, 10.0, chain.n)
             out = filters.lagrange_exact_apply(spec, f)
-            assert np.abs(out - markov.pi_expectation(f, chain.pi)).max() <= 1e-8
+            assert np.abs(out - markov.pi_expectation(f, chain)).max() <= 1e-8
     # a cold ring: the first nonzero frequency, 6.9e-10, is nonzero all the
     # same, and the number of up spins projects to its mean 3
     cold = chains.build_glauber_cycle(chains.GlauberParams.uniform(6, 5.0))

@@ -37,7 +37,7 @@ def _signal(chain):
 def _errors(chain, f, steps):
     """Max-abs errors at degrees 1, 2, ..., one output at a time."""
     next(steps)
-    target = markov.pi_expectation(f, chain.pi)
+    target = markov.pi_expectation(f, chain)
     return [float(np.abs(out - target).max()) for out in steps]
 
 
@@ -167,7 +167,7 @@ def test_sweep_errors_bitwise_equal_reference(cycle_chain, glauber_chain, name):
     errors = getattr(filters, f"{name}_errors")
     for chain in (cycle_chain, glauber_chain):
         f = _signal(chain)
-        tol = 0.0 if name == "bernstein" else 1e-13 * np.abs(f - markov.pi_expectation(f, chain.pi)).max()
+        tol = 0.0 if name == "bernstein" else 1e-13 * np.abs(f - markov.pi_expectation(f, chain)).max()
         for lam in (chain.lambda_low, 0.5, 1.9):
             for k_max in range(1, K_MAX + 1):
                 want = _errors(chain, f, REFERENCES[name](chain, f, k_max, lam))

@@ -24,14 +24,10 @@ def _dense_laplacian(chain):
 
 def _rejected(error, neighbors, weights, pi):
     """The error ``validate_chain`` raises on a table, after checking that
-    ``make_chain`` and ``ChainModel`` built directly raise it too: the same
-    type, message, index and magnitude."""
+    ``ChainModel`` built directly raises it too: the same type, message,
+    index and magnitude."""
     raised = []
-    for entry in (
-        markov.validate_chain,
-        lambda *table: markov.make_chain(*table, 1.0),
-        lambda *table: markov.ChainModel(*table, 1.0),
-    ):
+    for entry in (markov.validate_chain, lambda *table: markov.ChainModel(*table, 1.0)):
         with pytest.raises(error) as info:
             entry(neighbors, weights, pi)
         raised.append(info.value)
@@ -368,20 +364,6 @@ def test_validate_row_sums_of_a_wide_table():
     markov.validate_chain(neighbors, weights, pi)
 
 
-def test_make_chain_copies_the_callers_arrays():
-    neighbors, weights = _table([[0.5, 0.5], [0.5, 0.5]])
-    pi = np.array([0.5, 0.5])
-    chain = markov.make_chain(neighbors, weights, pi, 1.0)
-    for array in (neighbors, weights, pi):
-        assert array.flags.writeable
-    neighbors[1] = [1, 1]
-    weights[0] = [1.0, 0.0]
-    pi[0] = 0.25
-    assert np.array_equal(chain.neighbors, [[0, 1], [1, 0]])
-    assert np.array_equal(chain.weights, np.full((2, 2), 0.5))
-    assert np.array_equal(chain.pi, [0.5, 0.5])
-
-
 def test_chain_model_is_frozen(cycle_chain):
     with pytest.raises(ValueError):
         cycle_chain.weights[0, 0] = 1.0
@@ -423,14 +405,14 @@ def test_transition_operator_needs_no_copy():
 
 
 def test_laplacian_identity_chain():
-    chain = markov.make_chain(np.arange(4)[:, None], np.ones((4, 1)), np.full(4, 0.25), 1.0)
+    chain = markov.ChainModel(np.arange(4)[:, None], np.ones((4, 1)), np.full(4, 0.25), 1.0)
     v = np.random.default_rng(3).standard_normal(4)
     assert np.array_equal(chain.affine(1.0, 0.0)(v), np.zeros(4))
     assert chain.dense_transition() == pytest.approx(np.eye(4))
 
 
 def test_laplacian_two_state():
-    chain = markov.make_chain(*_table([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5], 1.0)
+    chain = markov.ChainModel(*_table([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5], 1.0)
     laplacian = chain.affine(1.0, 0.0)
     columns = np.column_stack([laplacian(e) for e in np.eye(2)])
     assert columns == pytest.approx(np.array([[1.0, -1.0], [-1.0, 1.0]]))
@@ -442,32 +424,35 @@ def test_laplacian_rows_sum_to_zero(glauber_chain):
 
 def test_pi_inner_basics(cycle_chain):
     ones = np.ones(cycle_chain.n)
-    assert markov.pi_inner(ones, ones, cycle_chain.pi) == pytest.approx(1.0, abs=1e-14)
+    assert markov.pi_inner(ones, ones, cycle_chain) == pytest.approx(1.0, abs=1e-14)
     f = harness.CYCLE_REFERENCE_SIGNAL
-    mean = markov.pi_inner(f, ones, cycle_chain.pi)
-    assert mean == pytest.approx(markov.pi_expectation(f, cycle_chain.pi), abs=1e-14)
+    mean = markov.pi_inner(f, ones, cycle_chain)
+    assert mean == pytest.approx(markov.pi_expectation(f, cycle_chain), abs=1e-14)
     assert mean == pytest.approx(3.65, abs=1e-12)
 
 
 def test_pi_expectation_indicator(cycle_chain):
     indicator = np.zeros(cycle_chain.n)
     indicator[4] = 1.0
-    value = markov.pi_expectation(indicator, cycle_chain.pi)
+    value = markov.pi_expectation(indicator, cycle_chain)
     assert value == pytest.approx(cycle_chain.pi[4], abs=1e-15)
-    assert markov.pi_expectation(np.ones(11), cycle_chain.pi) == pytest.approx(1.0, abs=1e-14)
+    assert markov.pi_expectation(np.ones(11), cycle_chain) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_pi_inner_dimension_mismatch(cycle_chain):
     with pytest.raises(ValueError):
-        markov.pi_inner(np.ones(3), np.ones(11), cycle_chain.pi)
+        markov.pi_inner(np.ones(3), np.ones(11), cycle_chain)
 
 
 # every public function that reads a signal, on the 11-cycle: (chain, spec, f)
 _SIGNAL_READERS = {
-    "pi_inner": lambda chain, spec, f: markov.pi_inner(f, np.ones(11), chain.pi),
-    "pi_inner_second": lambda chain, spec, f: markov.pi_inner(np.ones(11), f, chain.pi),
-    "pi_expectation": lambda chain, spec, f: markov.pi_expectation(f, chain.pi),
-    "pi_norm": lambda chain, spec, f: markov.pi_norm(f, chain.pi),
+    "pi_inner": lambda chain, spec, f: markov.pi_inner(f, np.ones(11), chain),
+    "pi_inner_second": lambda chain, spec, f: markov.pi_inner(np.ones(11), f, chain),
+    "pi_expectation": lambda chain, spec, f: markov.pi_expectation(f, chain),
+    "pi_norm": lambda chain, spec, f: markov.pi_norm(f, chain),
+    "pi_inner_spec": lambda chain, spec, f: markov.pi_inner(f, np.ones(11), spec),
+    "pi_expectation_spec": lambda chain, spec, f: markov.pi_expectation(f, spec),
+    "pi_norm_spec": lambda chain, spec, f: markov.pi_norm(f, spec),
     "total_variation": lambda chain, spec, f: markov.total_variation(f, chain),
     "gft": lambda chain, spec, f: markov.gft(f, spec),
     "igft": lambda chain, spec, f: markov.igft(f, spec),
@@ -522,7 +507,7 @@ def test_check_signal_returns_values_and_peak():
 
 @pytest.mark.filterwarnings("error")
 def test_pi_norm_of_a_large_signal(cycle_chain):
-    norm = markov.pi_norm(np.full(11, 1e200), cycle_chain.pi)
+    norm = markov.pi_norm(np.full(11, 1e200), cycle_chain)
     assert abs(norm - 1e200) <= np.spacing(1e200)
 
 
@@ -537,7 +522,7 @@ def test_total_variation_is_scale_free(cycle_chain, k):
 def test_results_past_the_float64_range_are_errors(cycle_chain, glauber_spec):
     big = np.full(11, 1e200)
     with pytest.raises(FloatingPointError, match="non-finite pi_inner result"):
-        markov.pi_inner(big, big, cycle_chain.pi)
+        markov.pi_inner(big, big, cycle_chain)
     # the column with the largest |phi| (about 3.65) times 1e308
     fhat = np.zeros(glauber_spec.pi.size)
     fhat[np.abs(glauber_spec.eigenfunctions).max(axis=0).argmax()] = 1e308
@@ -553,18 +538,28 @@ def test_readers_are_bitwise_the_unscaled_formulas(cycle_spec, glauber_spec):
         (glauber_spec, harness.GLAUBER_REFERENCE_SIGNAL),
     ):
         pi, funcs = spec.pi, spec.eigenfunctions
-        assert markov.pi_expectation(f, pi) == np.dot(pi, f)
-        assert markov.pi_norm(f, pi) == np.sqrt(np.sum(f * f * pi))
+        assert markov.pi_expectation(f, spec) == np.dot(pi, f)
+        assert markov.pi_norm(f, spec) == np.sqrt(np.sum(f * f * pi))
+        g = f[::-1] - 2.0
+        assert markov.pi_inner(f, g, spec) == np.sum(f * g * pi)
         fhat = markov.gft(f, spec)
         assert np.array_equal(fhat, funcs.T @ (pi * f))
         assert np.array_equal(markov.igft(fhat, spec), funcs @ fhat)
 
 
+@pytest.mark.filterwarnings("error")
+def test_pi_inner_takes_its_scale_from_the_product():
+    # each signal spans 600 decades but every product is 1, so only a scale
+    # taken from the products keeps both terms
+    chain = markov.ChainModel(*_table([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5], 1.0)
+    assert markov.pi_inner([1e300, 1e-300], [1e-300, 1e300], chain) == 1.0
+
+
 def test_pi_norm_matches_inner(cycle_chain):
     rng = np.random.default_rng(2)
     f = rng.standard_normal(11)
-    norm = markov.pi_norm(f, cycle_chain.pi)
-    assert norm * norm == pytest.approx(markov.pi_inner(f, f, cycle_chain.pi), rel=1e-12)
+    norm = markov.pi_norm(f, cycle_chain)
+    assert norm * norm == pytest.approx(markov.pi_inner(f, f, cycle_chain), rel=1e-12)
 
 
 def test_total_variation_constant_is_zero(cycle_chain):
@@ -602,8 +597,8 @@ def test_total_variation_matches_quadratic_form(cycle_chain, glauber_chain):
         for _ in range(100):
             f = rng.standard_normal(chain.n)
             direct = markov.total_variation(f, chain)
-            quad = markov.pi_inner(f, laplacian @ f, chain.pi)
-            oracle = np.sqrt(2.0 * quad) / markov.pi_norm(f, chain.pi)
+            quad = markov.pi_inner(f, laplacian @ f, chain)
+            oracle = np.sqrt(2.0 * quad) / markov.pi_norm(f, chain)
             assert abs(direct - oracle) <= 1e-10
 
 
@@ -617,12 +612,12 @@ def test_total_variation_matches_dense_formula(cycle_chain, glauber_chain):
             f = rng.standard_normal(chain.n)
             diff = f[:, None] - f[None, :]
             rough = np.sum(chain.pi[:, None] * transition * diff * diff)
-            dense = np.sqrt(rough) / markov.pi_norm(f, chain.pi)
+            dense = np.sqrt(rough) / markov.pi_norm(f, chain)
             assert abs(markov.total_variation(f, chain) - dense) <= 1e-13 * dense
 
 
 def test_spectral_two_state_chain():
-    chain = markov.make_chain(*_table([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5], 1.0)
+    chain = markov.ChainModel(*_table([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5], 1.0)
     spec = markov.spectral_decomposition(chain)
     assert spec.eigenvalues == pytest.approx([0.0, 2.0], abs=1e-12)
 
@@ -778,12 +773,14 @@ def test_gft_unitarity(cycle_chain, cycle_spec, glauber_chain, glauber_spec):
             g = rng.standard_normal(chain.n)
             fhat = markov.gft(f, spec)
             ghat = markov.gft(g, spec)
-            assert abs(markov.pi_inner(f, g, chain.pi) - fhat @ ghat) <= 1e-10
+            assert abs(markov.pi_inner(f, g, chain) - fhat @ ghat) <= 1e-10
 
 
 def test_decomposition_keeps_the_chains_pi(cycle_chain, cycle_spec):
     assert np.array_equal(cycle_spec.pi, cycle_chain.pi)
     assert not cycle_spec.pi.flags.writeable
+    f = harness.CYCLE_REFERENCE_SIGNAL
+    assert markov.pi_expectation(f, cycle_spec) == markov.pi_expectation(f, cycle_chain)
 
 
 def test_igft_round_trip(glauber_chain, glauber_spec):

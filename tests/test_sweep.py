@@ -27,7 +27,7 @@ def _lambdas(chain):
 
 
 def _spread(chain, f):
-    return float(np.abs(f - markov.pi_expectation(f, chain.pi)).max())
+    return float(np.abs(f - markov.pi_expectation(f, chain)).max())
 
 
 def de_casteljau_bernstein(chain, f, K, lambda_low):
