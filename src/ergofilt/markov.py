@@ -19,6 +19,8 @@ from . import densela
 
 ROW_SUM_TOL = 1e-12
 DETAILED_BALANCE_TOL = 1e-10
+# rows per block of the one-gather pass: a 2^10-state chain is one block
+_BLOCK_ROWS = 1024
 
 
 class ChainValidationError(Exception):
@@ -171,8 +173,8 @@ def _pair_imbalance(neighbors: np.ndarray, sym: np.ndarray) -> np.ndarray:
     ``2 (min(x, y) n + max(x, y)) + [x > y]`` puts each pair's entries
     together, in row order, with its reverse pair's right after, so the sums
     and the reverse lookup share one order; each table-sized array, ``sym``
-    too, is freed once used. A table that lists each neighbour once gets the
-    bits of ``_entry_imbalance``, and so the same worst entry in row order.
+    too, is freed once used. On a table that lists each neighbour once, the
+    largest entry has the bits of ``_entry_imbalance``'s worst value.
     """
     n, d = neighbors.shape
     states = np.arange(n)[:, None]
@@ -209,40 +211,39 @@ def _pair_imbalance(neighbors: np.ndarray, sym: np.ndarray) -> np.ndarray:
     return out.reshape(n, d)
 
 
-def _entry_imbalance(nbr: np.ndarray, w: np.ndarray, root: np.ndarray) -> np.ndarray | None:
-    """``|S(x, y) - S(y, x)|`` for each entry ``(x, j)``, with ``y = nbr[x, j]``,
-    ``S(x, y) = w[x, j] root(x) / root(y)`` and ``root = sqrt(pi)``, and
-    ``P(y, x)`` read in one gather from column ``tau(j)`` of row ``y``; None
-    if some row ``y`` does not list ``x`` there.
+def _symmetrized(nbr: np.ndarray, w: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """S's table ``w / root[nbr] * root[:, None]``, rounded alike, over one gather of ``root``."""
+    sym = root[nbr]
+    return np.multiply(np.divide(w, sym, out=sym), root[:, None], out=sym)
+
+
+def _entry_imbalance(nbr: np.ndarray, sym: np.ndarray) -> float | None:
+    """The largest ``|S(x, y) - S(y, x)|`` over the entries ``(x, j)`` of the
+    table ``sym`` of S, ``y = nbr[x, j]``, with ``S(y, x)`` gathered from column
+    ``tau(j)`` of row ``y``, ``_BLOCK_ROWS`` rows at a time; None if some row
+    ``y`` does not list ``x`` there.
 
     ``tau(j)`` is the column of row ``nbr[0, j]`` that lists state 0 (the
     identity on a table of bit flips; 2 for 1 and 1 for 2 on the cycle), or
     ``j`` if that map is not an involution. Entries and reverses then pair
-    off one to one, so a check that passes adds up to ``S(x, y)`` against
-    ``S(y, x)`` even where a state lists another twice.
-    """
+    off one to one, so a check that passes weighs ``S(x, y)`` against
+    ``S(y, x)`` even where a state lists another twice."""
     n, d = nbr.shape
     tau = (nbr.take(nbr[0], axis=0) == 0).argmax(axis=1)
     order = tau.tolist()
     if [order[k] for k in order] != list(range(d)):
         tau = np.arange(d)
-    reverse = nbr * d
-    reverse += tau
-    if not (nbr.ravel().take(reverse) == np.arange(n)[:, None]).all():
-        return None
-    back = w.ravel().take(reverse)
-    # the index table is freed before the float ones below are made
-    del reverse
-    # S(y, x) = P(y, x) root(y) / root(x) in back, S(x, y) over the gathered
-    # root(y), each rounded as _pair_imbalance rounds it. Fancy indexing,
-    # since root.take(nbr) peaks at twice the table it returns
-    gathered = root[nbr]
-    back /= root[:, None]
-    back *= gathered
-    sym = np.divide(w, gathered, out=gathered)
-    sym *= root[:, None]
-    imbalance = np.subtract(sym, back, out=back)
-    return np.abs(imbalance, out=imbalance)
+    worst = 0.0
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        reverse = nbr[start:stop] * d
+        reverse += tau
+        if not (nbr.ravel().take(reverse) == np.arange(start, stop)[:, None]).all():
+            return None
+        imbalance = sym.ravel().take(reverse)
+        imbalance -= sym[start:stop]
+        worst = max(worst, np.abs(imbalance, out=imbalance).max())
+    return worst
 
 
 def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -296,12 +297,11 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
     check_law(dist)
 
     root = np.sqrt(dist)
-    imbalance = _entry_imbalance(nbr, w, root)
-    if imbalance is not None and imbalance.max() <= DETAILED_BALANCE_TOL:
+    # each check gets S as a temporary: the pair-by-pair one frees it once sorted
+    worst = _entry_imbalance(nbr, _symmetrized(nbr, w, root))
+    if worst is not None and worst <= DETAILED_BALANCE_TOL:
         return nbr, w, dist
-    # freed before the exact check makes its own
-    del imbalance
-    imbalance = _pair_imbalance(nbr, w / root[nbr] * root[:, None])
+    imbalance = _pair_imbalance(nbr, _symmetrized(nbr, w, root))
     worst = int(np.argmax(imbalance))
     if imbalance.flat[worst] > DETAILED_BALANCE_TOL:
         x, j = divmod(worst, d)
