@@ -11,11 +11,12 @@ an affine Laplacian operator from ``ChainModel.affine`` per degree (per
 carried basis signal for Bernstein), its per-degree scalars computed in the
 loop as Python floats: the IEEE arithmetic of numpy scalars at a fraction of
 the cost. ``*_apply`` returns the last output, and ``*_errors`` the max-abs
-error at each degree of one sweep, reduced a block of degrees at a time (at
-most ``_ERROR_BLOCK`` buffered entries). The frequency responses
-``*_scalar`` run the same generators on the diagonal operator of the
-frequencies, so each filter has one definition. An exact reference ships
-alongside: the frequency-zeroing projector ``lagrange_exact_apply``.
+error at each degree of one sweep, reduced a block of degrees at a time as
+the sweep yields them (``_ERROR_BLOCK`` entries at most, or one output). The
+frequency responses ``*_scalar`` run the same generators on the diagonal
+operator of the frequencies, so each filter has one definition. An exact
+reference ships alongside: the frequency-zeroing projector
+``lagrange_exact_apply``.
 
 The float64 range is ``markov.check_signal``'s rule: ``*_apply`` and
 ``*_errors`` sweep the unit-scale signal ``2^-e f`` it hands back and scale
@@ -30,13 +31,15 @@ Polynomial coefficient vectors are in ascending monomial order.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import markov
 
 _BAND_SLOP = 1e-9
-# entries of the buffer ``_errors`` stacks outputs in before one reduction:
-# 512 KiB of float64, or a single row once n exceeds it
+# entries of a block of outputs ``_errors`` stacks for one reduction:
+# 512 KiB of float64, or a single output once n exceeds it
 _ERROR_BLOCK = 1 << 16
 
 
@@ -114,28 +117,21 @@ def _errors(chain: markov.ChainModel, f, steps, name: str, k_max: int, *args) ->
     generator ``steps`` at degrees 1..k_max (degree 0 skipped), swept at unit
     scale and scaled back.
 
-    Each output is copied into a row of a buffer of
-    ``min(k_max, _ERROR_BLOCK // n)`` rows (at least one); a full buffer, and
-    the rows filled when the sweep ends, if there are any, are reduced in
-    place in one pass. Max is exact, so every value is the one a reduction of
-    each output on its own gives.
+    The outputs are stacked and reduced ``max(1, _ERROR_BLOCK // n)`` degrees
+    at a time, the last block holding what is left; max is exact, so each
+    value is the one a reduction of that output alone gives. A block holds
+    the arrays the sweep yielded, so a generator must never write to an
+    output after yielding it, which none of the four does.
     """
     values, exponent = markov.check_signal(f, chain.n)
     sweep = steps(chain, values, k_max, *args)
     with np.errstate(over="ignore", invalid="ignore"):
         next(sweep)
         target = float(np.dot(chain.pi, values))
-        rows = max(1, min(k_max, _ERROR_BLOCK // chain.n))
-        block = np.empty((rows, chain.n))
-        errors, row = [], 0
-        for out in sweep:
-            block[row] = out
-            row += 1
-            if row == rows:
-                errors += _block_errors(block, target, exponent, name, len(errors))
-                row = 0
-        if row:
-            errors += _block_errors(block[:row], target, exponent, name, len(errors))
+        rows = max(1, _ERROR_BLOCK // chain.n)
+        errors = []
+        while block := list(itertools.islice(sweep, rows)):
+            errors += _block_errors(np.array(block), target, exponent, name, len(errors))
     return errors
 
 

@@ -11,6 +11,7 @@ configurations produce byte-identical output.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,9 +221,9 @@ def emit_json(table, metadata: RunMetadata) -> str:
     """
     rows = _rows(table)
     head = (
-        '{\n  "metadata": {"experiment": "%s", "p": %s, "k_max": %s, '
+        '{\n  "metadata": {"experiment": %s, "p": %s, "k_max": %s, '
         '"lambda_low": %.12g, "pi_f": %.12g},\n  "rows": [\n'
-        % (metadata.experiment, metadata.p, metadata.k_max, metadata.lambda_low, metadata.pi_f)
+        % (json.dumps(metadata.experiment), metadata.p, metadata.k_max, metadata.lambda_low, metadata.pi_f)
     )
     body = ",\n".join(_JSON_ROW % (degree, *row) for degree, row in enumerate(rows, start=1))
     return head + body + "\n  ]\n}\n"

@@ -141,7 +141,7 @@ class ChainModel:
         return apply
 
     def dense_transition(self) -> np.ndarray:
-        """P as an n-by-n array, for small-n spectral references only."""
+        """P as an n-by-n array, the small-n tests' reference P."""
         p = np.zeros((self.n, self.n))
         np.add.at(p, (np.arange(self.n)[:, None], self.neighbors), self.weights)
         return p
@@ -270,8 +270,8 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
     nbr = np.asarray(neighbors)
     w = np.asarray(weights, dtype=float)
     dist = np.asarray(pi, dtype=float)
-    if nbr.ndim != 2 or nbr.shape[1] == 0 or nbr.dtype.kind not in "iu":
-        raise ValueError(f"neighbour table must be a 2-d integer array, got {nbr.dtype} {nbr.shape}")
+    if nbr.ndim != 2 or 0 in nbr.shape or nbr.dtype.kind not in "iu":
+        raise ValueError(f"neighbour table must be a nonempty 2-d integer array, got {nbr.dtype} {nbr.shape}")
     if w.shape != nbr.shape:
         raise ValueError(f"weights have shape {w.shape}, expected {nbr.shape}")
     n, d = nbr.shape
@@ -358,10 +358,10 @@ def total_variation(f, chain: ChainModel) -> float:
 def spectral_decomposition(chain: ChainModel) -> SpectralDecomposition:
     """Eigenpairs of the Laplacian in the stationary geometry.
 
-    Works on the symmetrized matrix ``S = D^{1/2} L D^{-1/2}`` (``D = diag(pi)``),
-    which is symmetric exactly when detailed balance holds. Validation has
-    bounded each entry of ``S - S^T`` by ``DETAILED_BALANCE_TOL``, so what is
-    left is round-off, folded as ``(S + S^T) / 2``.
+    Works on ``S = D^{1/2} L D^{-1/2}`` (``D = diag(pi)``), symmetric exactly
+    under detailed balance, as the identity minus validation's table of S
+    (``_symmetrized``), whose ``S - S^T`` validation bounded entrywise by
+    ``DETAILED_BALANCE_TOL``; the round-off left is folded as ``(S + S^T) / 2``.
 
     It then maps the Euclidean-orthonormal eigenvectors ``v`` back to
     stationary-orthonormal eigenfunctions ``f = D^{-1/2} v``.
@@ -370,7 +370,9 @@ def spectral_decomposition(chain: ChainModel) -> SpectralDecomposition:
     non-negligible entry is positive, making the output deterministic.
     """
     d = np.sqrt(chain.pi)
-    s = d[:, None] * (np.eye(chain.n) - chain.dense_transition()) / d[None, :]
+    s = np.eye(chain.n)
+    sym = _symmetrized(chain.neighbors, chain.weights, d)
+    np.subtract.at(s, (np.arange(chain.n)[:, None], chain.neighbors), sym)
     eigenvalues, vectors = densela.symmetric_eigen(0.5 * (s + s.T))
     funcs = vectors / d[:, None]
     funcs[:, 0] = 1.0

@@ -148,6 +148,20 @@ def test_wrong_signal_length(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "signal, message",
+    [("1,x,3", "could not parse signal value: "), ("@{absent}", "{absent}")],
+    ids=["unparsable", "missing-file"],
+)
+def test_unreadable_signal_exits_one(tmp_path, capsys, signal, message):
+    absent = tmp_path / "absent.txt"
+    code = cli_main(["cycle-walk", "--signal", signal.format(absent=absent)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: ") and message.format(absent=absent) in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_inline_signal(capsys):
     values = ",".join(str(v) for v in range(1, 12))
     code = cli_main(["cycle-walk", "--signal", values, "--k-max", "2"])

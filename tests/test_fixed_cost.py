@@ -241,28 +241,32 @@ ERROR_BLOCKS = {
 def test_error_blocks_equal_per_degree_reduction(monkeypatch, cycle_chain, glauber_chain, entries):
     # one row per block (1 to 2n - 1 entries), blocks of 2 and 10 rows, and
     # more rows than a sweep has degrees (10n at k_max = 1); k_max = 37
-    # leaves a part-filled last block. The buffers are seen through np.empty
-    buffers = []
-    empty = np.empty
+    # leaves a part-filled last block. The blocks are seen through _block_errors
+    shapes = []
+    reduce = filters._block_errors
 
-    def spy(shape, *args, **kw):
-        buffers.append(shape)
-        return empty(shape, *args, **kw)
+    def spy(block, *args):
+        shapes.append(block.shape)
+        return reduce(block, *args)
 
-    monkeypatch.setattr(np, "empty", spy)
+    monkeypatch.setattr(filters, "_block_errors", spy)
     for chain in (cycle_chain, glauber_chain):
         n = chain.n
         block = ERROR_BLOCKS[entries](n)
         monkeypatch.setattr(filters, "_ERROR_BLOCK", block)
         f = _signal(chain)
         for k_max in (K_MAX, 37, 1):
+            sweeps = 0
             for lam in (chain.lambda_low, 1.9):
                 for name, got, want in _sweeps(chain, f, k_max, lam):
                     assert len(got) == k_max and got == want, (name, n, block, k_max, lam)
-            rows = min(k_max, max(1, block // n))
-            assert set(buffers) == {(rows, n)}, (n, block, k_max)
+                    sweeps += 1
+            rows = max(1, block // n)
+            full, last = divmod(k_max, rows)
+            blocks = [(rows, n)] * full + [(last, n)] * (last > 0)
+            assert shapes == blocks * sweeps, (n, block, k_max)
             assert rows * n <= max(n, block)
-            buffers.clear()
+            shapes.clear()
 
 
 LONG_SWEEP = 10**4

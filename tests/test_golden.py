@@ -25,8 +25,8 @@ GOLDEN = Path(__file__).with_name("golden_stdout.json")
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 # the CLI lines: the two the CI workflow runs through the console script;
-# the largest chain the tests run (2^16 states, where the error buffer of
-# filters._errors holds a single row); the couplings -1, 0 and 0.5, and
+# the largest chain the tests run (2^16 states, where each block that
+# filters._errors reduces holds a single output); the couplings -1, 0 and 0.5, and
 # beta 5 at coupling -1.3, where eigh's 1 - gamma_1 would cancel, all with
 # no eigensolver; degree 2000, past where T_k(m0) and S_k overflow; eleven
 # values alternating +-1e308; the widest Bernstein weight loop (c = 379); and

@@ -302,6 +302,13 @@ def test_emit_json_formatting():
     assert token in text
 
 
+@pytest.mark.parametrize("name", ['a"b', "a\tb", "a\\b", "a\nb", "\u00e9t\u00e9"])
+def test_emit_json_round_trips_experiment_name(name):
+    metadata = harness.RunMetadata(name, 4, 1, 1 / 3, 0.1 + 0.2)
+    payload = json.loads(harness.emit_json(np.ones((1, 4)), metadata))
+    assert payload["metadata"]["experiment"] == name
+
+
 EMIT_CELLS = [0.0, 5e-324, 1e-300, 0.1 + 0.2, 1 / 3, 1.0, 123456789012.5]
 
 

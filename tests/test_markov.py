@@ -100,6 +100,10 @@ def test_validate_shape_checks():
     _rejected(ValueError, neighbors.astype(float), weights, [0.5, 0.5])
     _rejected(ValueError, neighbors[:, ::-1], weights, [0.5, 0.5])
     _rejected(ValueError, np.array([[0, 2], [1, 0]]), weights, [0.5, 0.5])
+    # a table with no states or no columns, refused before any reduction
+    for shape in ((0, 1), (2, 0), (0, 0)):
+        error = _rejected(ValueError, np.zeros(shape, int), np.zeros(shape), np.zeros(shape[0]))
+        assert "nonempty 2-d integer array" in str(error), shape
 
 
 # a 3-state chain with uniform pi: 0 <-> 1 <-> 2, hand-made tables that

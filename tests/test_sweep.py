@@ -135,7 +135,7 @@ def test_sweep_failure_names_the_degree(cycle_chain):
     # f is swept as 2^-1024 f, whose mean is 0.05. Each failing output names
     # the filter and the first non-finite degree, with no numpy warning: -2,
     # an error past the float64 maximum once scaled back; one that overflows
-    # at unit scale; and NaN; in the first buffer of 65536 // 11 = 5957 rows
+    # at unit scale; and NaN; in the first block of 65536 // 11 = 5957 rows
     # or in the rows after it
     f = np.array([1e308, -1e308] * 5 + [1e308])
     zeros, low, nan = np.zeros(11), np.full(11, -2.0), np.full(11, np.nan)
