@@ -68,10 +68,16 @@ def build_cycle_walk(p: int) -> markov.ChainModel:
     law is uniform. Even ``p`` is rejected (the walk would be periodic).
     """
     lambda_low = cycle_lambda_low(p)
-    neighbors = (np.arange(p)[:, None] + np.array([0, 1, -1])) % p
-    weights = np.full((p, 3), 0.5)
+    # state x, then x + 1 and x - 1: only the last state's successor and the
+    # first state's predecessor wrap
+    neighbors = np.arange(p)[:, None] + np.array([0, 1, -1])
+    neighbors[-1, 1] = 0
+    neighbors[0, 2] = p - 1
+    weights = np.empty((p, 3))
+    weights.fill(0.5)
     weights[:, 0] = 0.0
-    pi = np.full(p, 1.0 / p)
+    pi = np.empty(p)
+    pi.fill(1.0 / p)
     return markov.ChainModel(neighbors, weights, pi, lambda_low)
 
 

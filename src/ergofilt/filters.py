@@ -44,12 +44,13 @@ _ERROR_BLOCK = 1 << 16
 
 
 def _check_degree(k: int):
-    if int(k) != k or k < 0:
+    # an integral float would pass a value test, and range() refuses it
+    if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"filter degree must be a nonnegative integer, got {k}")
 
 
 def _check_horizon(t: int):
-    if int(t) != t or t < 1:
+    if not isinstance(t, (int, np.integer)) or t < 1:
         raise ValueError(f"averaging horizon must be a positive integer, got {t}")
 
 

@@ -139,7 +139,7 @@ def _build_chain(config: ExperimentConfig) -> markov.ChainModel:
 def _resolve_signal(config: ExperimentConfig, n: int) -> np.ndarray:
     # an explicit signal is judged by markov.check_signal where it is read
     if config.signal is not None:
-        return np.asarray(config.signal, dtype=float)
+        return np.asarray(config.signal)
     if config.use_reference_signal:
         reference = (
             CYCLE_REFERENCE_SIGNAL

@@ -73,7 +73,11 @@ def check_signal(f, n: int) -> tuple[np.ndarray, int]:
     reader works at this scale and scales its result back by ``2^e``, exactly
     while the products stay normal. A bilinear reader (``pi_inner``) takes its
     scale from the product instead, and calls this for the rule alone."""
-    values = np.asarray(f, dtype=float)
+    values = np.asarray(f)
+    # a cast to float would drop the imaginary part
+    if values.dtype.kind == "c":
+        raise ValueError("signal values must be real")
+    values = values.astype(float, copy=False)
     if values.shape != (n,):
         raise ValueError(f"signal has shape {values.shape}, expected ({n},)")
     peak = float(np.abs(values).max())
@@ -139,12 +143,6 @@ class ChainModel:
             return np.vecdot(table, v[neighbors])
 
         return apply
-
-    def dense_transition(self) -> np.ndarray:
-        """P as an n-by-n array, the small-n tests' reference P."""
-        p = np.zeros((self.n, self.n))
-        np.add.at(p, (np.arange(self.n)[:, None], self.neighbors), self.weights)
-        return p
 
 
 @dataclass(frozen=True)
@@ -227,7 +225,11 @@ def _entry_imbalance(nbr: np.ndarray, sym: np.ndarray) -> float | None:
     identity on a table of bit flips; 2 for 1 and 1 for 2 on the cycle), or
     ``j`` if that map is not an involution. Entries and reverses then pair
     off one to one, so a check that passes weighs ``S(x, y)`` against
-    ``S(y, x)`` even where a state lists another twice."""
+    ``S(y, x)`` even where a state lists another twice, and each entry is
+    the reverse of its reverse: the rounded differences ``S(y, x) - S(x, y)``
+    come in pairs ``v, -v``, and their largest is the largest ``|v|``.
+    Column 0 must list each row's own state, as ``validate_chain`` checks
+    first."""
     n, d = nbr.shape
     tau = (nbr.take(nbr[0], axis=0) == 0).argmax(axis=1)
     order = tau.tolist()
@@ -238,11 +240,11 @@ def _entry_imbalance(nbr: np.ndarray, sym: np.ndarray) -> float | None:
         stop = min(start + _BLOCK_ROWS, n)
         reverse = nbr[start:stop] * d
         reverse += tau
-        if not (nbr.ravel().take(reverse) == np.arange(start, stop)[:, None]).all():
+        if not (nbr.ravel().take(reverse) == nbr[start:stop, :1]).all():
             return None
         imbalance = sym.ravel().take(reverse)
         imbalance -= sym[start:stop]
-        worst = max(worst, np.abs(imbalance, out=imbalance).max())
+        worst = max(worst, imbalance.max())
     return worst
 
 
@@ -278,7 +280,8 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
     if dist.shape != (n,):
         raise ValueError(f"pi has shape {dist.shape}, expected ({n},)")
     nbr = nbr.astype(np.intp, copy=False)
-    if nbr.min() < 0 or nbr.max() >= n:
+    # one reduction: a negative index reads as 2^63 or more in the unsigned view
+    if nbr.view(np.uintp).max() >= n:
         raise ValueError(f"neighbour index outside 0..{n - 1}")
     if (nbr[:, 0] != np.arange(n)).any():
         raise ValueError("column 0 of the neighbour table must list each state itself")
@@ -289,7 +292,9 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
         if np.isnan(w[x, j]):
             raise NotANumber("transition probability is NaN", pair, float(w[x, j]))
         raise StochasticityViolation("negative transition probability", pair, float(-w[x, j]))
-    row_err = np.abs(w @ np.ones(d) - 1.0)
+    ones = np.empty(d)
+    ones.fill(1.0)
+    row_err = np.abs(w @ ones - 1.0)
     if row_err.max() > ROW_SUM_TOL:
         idx = int(np.argmax(row_err))
         raise StochasticityViolation("row sum differs from 1", idx, float(row_err[idx]))

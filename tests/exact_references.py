@@ -1,10 +1,11 @@
 """Exact references the tests compare against.
 
-None of these is on a run path: one output's max-abs error, unscaled, the
-running average written as a polynomial in the Laplacian, the coefficients
-of the annihilating polynomial of a spectrum, an exact-rational solver for the constrained L2 design problem,
-Gauss-Legendre quadrature on the stopband, and the whole error table of a run
-rebuilt from the eigendecomposition of the chain with textbook forms of the
+None of these is on a run path: a chain's P as an n-by-n array, one
+output's max-abs error, unscaled, the running average written as a
+polynomial in the Laplacian, the coefficients of the annihilating
+polynomial of a spectrum, an exact-rational solver for the constrained L2
+design problem, Gauss-Legendre quadrature on the stopband, and the whole
+error table of a run rebuilt from the eigendecomposition of the chain with textbook forms of the
 four frequency responses. The Glauber chain is rebuilt from whole-state
 (2^p, p) arrays, the construction the per-site lookup build replaced, and
 its gap bound from the band matrix ``M`` itself, the eigenvalue oracle for
@@ -28,6 +29,13 @@ from numpy.polynomial import chebyshev, legendre
 from ergofilt import densela
 
 ORACLE_DEGREE_CAP = 20
+
+
+def dense_transition(chain) -> np.ndarray:
+    """P of a ``markov.ChainModel`` as an n-by-n array, the small-n tests' reference P."""
+    p = np.zeros((chain.n, chain.n))
+    np.add.at(p, (np.arange(chain.n)[:, None], chain.neighbors), chain.weights)
+    return p
 
 
 def max_abs_error(out, f, pi) -> float:

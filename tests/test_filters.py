@@ -63,7 +63,7 @@ def test_ergodic_coefficient_values():
 def test_ergodic_power_sum_equals_coefficient_form(cycle_chain, glauber_chain):
     rng = np.random.default_rng(23)
     for chain in (cycle_chain, glauber_chain):
-        laplacian = np.eye(chain.n) - chain.dense_transition()
+        laplacian = np.eye(chain.n) - exact_references.dense_transition(chain)
         f = rng.uniform(0.0, 10.0, chain.n)
         for t in range(1, 16):
             direct = filters.ergodic_apply(chain, f, t)
@@ -155,7 +155,7 @@ def test_bernstein_approximation_bound():
 
 def test_bernstein_apply_degree_one(cycle_chain):
     f = harness.CYCLE_REFERENCE_SIGNAL
-    laplacian = np.eye(cycle_chain.n) - cycle_chain.dense_transition()
+    laplacian = np.eye(cycle_chain.n) - exact_references.dense_transition(cycle_chain)
     expected = f - (laplacian @ f) / 2.0
     out = filters.bernstein_apply(cycle_chain, f, 1, CYCLE_LAM)
     assert out == pytest.approx(expected, abs=1e-12)
@@ -455,7 +455,7 @@ def test_lagrange_polynomial_route_matches(cycle_chain, cycle_spec):
     coeffs = exact_references.lagrange_coefficients(cycle_spec.eigenvalues)
     rng = np.random.default_rng(19)
     f = rng.uniform(0.0, 10.0, 11)
-    laplacian = np.eye(cycle_chain.n) - cycle_chain.dense_transition()
+    laplacian = np.eye(cycle_chain.n) - exact_references.dense_transition(cycle_chain)
     acc = coeffs[0] * f
     power = f.copy()
     for c in coeffs[1:]:
@@ -546,3 +546,16 @@ def test_context_validation(cycle_chain):
         filters.ergodic_scalar(3.0, 2)
     with pytest.raises(ValueError):
         filters.bernstein_apply(cycle_chain, np.ones(4), 3, 0.5)
+    # a degree or horizon is judged by its type too: an integral float is
+    # refused, and a numpy integer passes
+    for call in (
+        lambda: filters.chebyshev_apply(cycle_chain, np.ones(11), 2.0, 0.5),
+        lambda: filters.ergodic_apply(cycle_chain, np.ones(11), 3.0),
+        lambda: filters.chebyshev_scalar(0.5, 2.0, 0.5),
+        lambda: filters.ergodic_scalar(0.5, 3.0),
+        lambda: filters.legendre_errors(cycle_chain, np.ones(11), 2.0, 0.5),
+    ):
+        with pytest.raises(ValueError, match="must be a (nonnegative|positive) integer"):
+            call()
+    assert filters.chebyshev_scalar(0.5, np.int64(2), 0.5) == filters.chebyshev_scalar(0.5, 2, 0.5)
+    assert filters.ergodic_scalar(0.5, np.int32(3)) == filters.ergodic_scalar(0.5, 3)

@@ -313,8 +313,9 @@ def _fresh_process(argv):
 
 
 def test_sweeps_reduce_no_empty_block(monkeypatch):
-    # k_max is at most the buffer's rows on the paper's sizes, so each sweep
-    # reduces its outputs once, at the end, and never an empty block
+    # k_max is at most the error block's _ERROR_BLOCK // n rows on the
+    # paper's sizes, so each sweep reduces its outputs once, at the end, and
+    # never an empty block
     blocks = []
     reduce = filters._block_errors
 

@@ -81,6 +81,11 @@ def test_signal_source_required_and_length_checked():
         harness.run_experiment(
             harness.ExperimentConfig(experiment="cycle-walk", p=11, k_max=3, signal=[1.0] * 5)
         )
+    # an explicit signal reaches markov.check_signal with its own dtype
+    with pytest.raises(ValueError, match="signal values must be real"):
+        harness.run_experiment(
+            harness.ExperimentConfig(experiment="cycle-walk", p=5, k_max=3, signal=[1 + 2j, 1, 1, 1, 1])
+        )
     with pytest.raises(ValueError):
         harness.run_experiment(
             harness.ExperimentConfig(

@@ -3,6 +3,7 @@ and the eigenfunction transform."""
 
 import tracemalloc
 
+import exact_references
 import numpy as np
 import pytest
 
@@ -19,7 +20,7 @@ def _table(transition):
 
 
 def _dense_laplacian(chain):
-    return np.eye(chain.n) - chain.dense_transition()
+    return np.eye(chain.n) - exact_references.dense_transition(chain)
 
 
 def _rejected(error, neighbors, weights, pi):
@@ -382,7 +383,7 @@ def test_chain_model_is_frozen(cycle_chain):
 
 def test_bundled_chains_pi_is_stationary(cycle_chain, glauber_chain):
     for chain in (cycle_chain, glauber_chain):
-        assert np.abs(chain.pi @ chain.dense_transition() - chain.pi).max() <= 1e-12
+        assert np.abs(chain.pi @ exact_references.dense_transition(chain) - chain.pi).max() <= 1e-12
 
 
 def test_affine_matches_dense(cycle_chain, glauber_chain):
@@ -417,7 +418,7 @@ def test_laplacian_identity_chain():
     chain = markov.ChainModel(np.arange(4)[:, None], np.ones((4, 1)), np.full(4, 0.25), 1.0)
     v = np.random.default_rng(3).standard_normal(4)
     assert np.array_equal(chain.affine(1.0, 0.0)(v), np.zeros(4))
-    assert chain.dense_transition() == pytest.approx(np.eye(4))
+    assert exact_references.dense_transition(chain) == pytest.approx(np.eye(4))
 
 
 def test_laplacian_two_state():
@@ -485,12 +486,14 @@ _SIGNAL_READERS = {
         (np.ones(3), r"signal has shape \(3,\), expected \(11,\)"),
         (np.full(11, np.nan), "signal values must be finite"),
         (np.full(11, np.inf), "signal values must be finite"),
+        (np.r_[1 + 2j, np.ones(10)], "signal values must be real"),
     ],
-    ids=["length-3", "all-nan", "all-inf"],
+    ids=["length-3", "all-nan", "all-inf", "complex"],
 )
 def test_signal_readers_share_one_rule(cycle_chain, cycle_spec, reader, signal, message):
     # markov.check_signal judges every signal a public function reads, so a
-    # wrong length or a non-finite value is refused with the CLI's message
+    # wrong length or a non-finite value is refused with the CLI's message,
+    # and a complex value is refused, not cast to its real part
     with pytest.raises(ValueError, match=message):
         _SIGNAL_READERS[reader](cycle_chain, cycle_spec, signal)
 
@@ -616,7 +619,7 @@ def test_total_variation_matches_dense_formula(cycle_chain, glauber_chain):
     params = chains.GlauberParams(p=6, beta=0.7, couplings=[0.3, 1.0, 0.7, 0.3, 1.0, 0.7])
     rng = np.random.default_rng(37)
     for chain in (cycle_chain, glauber_chain, chains.build_glauber_cycle(params)):
-        transition = chain.dense_transition()
+        transition = exact_references.dense_transition(chain)
         for _ in range(20):
             f = rng.standard_normal(chain.n)
             diff = f[:, None] - f[None, :]

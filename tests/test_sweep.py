@@ -36,7 +36,7 @@ def de_casteljau_bernstein(chain, f, K, lambda_low):
     values = np.asarray(f, dtype=float)
     if K == 0:
         return values.copy()
-    laplacian = np.eye(chain.n) - chain.dense_transition()
+    laplacian = np.eye(chain.n) - exact_references.dense_transition(chain)
     blend_lo = np.eye(chain.n) - laplacian / 2.0
     blend_hi = laplacian / 2.0
     weights = filters.triangle(2.0 * np.arange(K + 1) / K, lambda_low)
@@ -168,7 +168,8 @@ def test_cycle_deep_errors_match_spectral_reference():
     chain = chains.build_cycle_walk(101)
     f = harness.generate_signal(1, chain.n)
     lam = chain.lambda_low
-    want = exact_references.spectral_error_table(chain.dense_transition(), chain.pi, f, 100, lam)
+    transition = exact_references.dense_transition(chain)
+    want = exact_references.spectral_error_table(transition, chain.pi, f, 100, lam)
     columns = (
         filters.ergodic_errors(chain, f, 100),
         filters.bernstein_errors(chain, f, 100, lam),
