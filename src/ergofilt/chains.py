@@ -43,8 +43,7 @@ class GlauberParams:
     couplings: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.p < 3:
-            raise ValueError(f"ring size must be at least 3, got {self.p}")
+        markov.check_integer(self.p, "ring size", 3)
         if not self.beta > 0.0:
             raise ValueError(f"inverse temperature must be positive, got {self.beta}")
         couplings = np.array(
@@ -57,8 +56,9 @@ class GlauberParams:
 
     @staticmethod
     def uniform(p: int, beta: float, coupling: float = 1.0) -> "GlauberParams":
-        # a negative p makes no array, so the ring-size check names it
-        return GlauberParams(p=p, beta=beta, couplings=np.full(max(p, 0), float(coupling)))
+        # judged before the couplings array is made
+        markov.check_integer(p, "ring size", 3)
+        return GlauberParams(p=p, beta=beta, couplings=np.full(p, float(coupling)))
 
 
 def build_cycle_walk(p: int) -> markov.ChainModel:
@@ -83,8 +83,7 @@ def build_cycle_walk(p: int) -> markov.ChainModel:
 
 def cycle_lambda_low(p: int) -> float:
     """Closed-form gap bound ``8p / ((p-1)^2 (p+1))`` for the odd cycle walk."""
-    if p < 3:
-        raise ValueError(f"cycle length must be at least 3, got {p}")
+    markov.check_integer(p, "cycle length", 3)
     if p % 2 == 0:
         raise ValueError(f"cycle length must be odd, got {p}")
     return 8.0 * p / ((p - 1) ** 2 * (p + 1))
@@ -177,8 +176,8 @@ def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
     so the upper half of the table and of the Gibbs weights is one reversed
     copy. The neighbour table is one XOR of each state with
     ``0, 1, 2, ..., 2^(p-1)``. The chain validates the arrays and keeps
-    them without a copy, and the build holds about two tables beside the
-    chain it returns.
+    them without a copy, and the build peaks at about 1.4 tables beside the
+    chain it returns (p = 14).
     """
     check_enumeration(params.p)
     # the gap bound is cheap, and fails first on an unfrustrated ring too cold

@@ -43,17 +43,6 @@ _BAND_SLOP = 1e-9
 _ERROR_BLOCK = 1 << 16
 
 
-def _check_degree(k: int):
-    # an integral float would pass a value test, and range() refuses it
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"filter degree must be a nonnegative integer, got {k}")
-
-
-def _check_horizon(t: int):
-    if not isinstance(t, (int, np.integer)) or t < 1:
-        raise ValueError(f"averaging horizon must be a positive integer, got {t}")
-
-
 def _band_values(z) -> np.ndarray:
     """Validate frequencies against [0, 2] (with round-off slop) and clip;
     a NaN fails both bounds."""
@@ -155,7 +144,7 @@ def _block_errors(block: np.ndarray, target: float, exponent: int, name: str, do
 
 def _ergodic_steps(chain: markov.ChainModel, f, K: int):
     """Running averages at degrees 0..K (horizons 1..K+1), one product with P each."""
-    _check_degree(K)
+    markov.check_integer(K, "filter degree", 0)
     transition = chain.affine(-1.0, 1.0)
     acc = f.copy()
     power = f
@@ -178,7 +167,7 @@ def ergodic_apply(chain: markov.ChainModel, f, t: int) -> np.ndarray:
     rather than by the degree: on the 11-cycle with the reference signal it
     is 0.033658 at t = 500 and first drops below 1e-2 at t = 1683.
     """
-    _check_horizon(t)
+    markov.check_integer(t, "averaging horizon", 1)
     return _apply(chain, f, _ergodic_steps, "ergodic", t - 1)
 
 
@@ -190,7 +179,7 @@ def ergodic_errors(chain: markov.ChainModel, f, k_max: int) -> list[float]:
 
 def ergodic_scalar(z, t: int):
     """Frequency response of the running average: ``(1/t) sum_k (1-z)^k``."""
-    _check_horizon(t)
+    markov.check_integer(t, "averaging horizon", 1)
     return _response(_ergodic_steps, z, t - 1)
 
 
@@ -240,7 +229,7 @@ def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     whose only weight is ``w_0 = 1`` yields ``b_{k,0}`` itself. With
     ``c = 0`` only ``b_{k,0}`` is carried, and no weights are computed.
     """
-    _check_degree(K)
+    markov.check_integer(K, "filter degree", 0)
     markov.check_lambda_low(lambda_low)
     yield f.copy()
     if K == 0:
@@ -293,7 +282,7 @@ def _chebyshev_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     (-1, 0), rather than ``T_k(m0)``, which grows geometrically in k:
     ``omega_{k+1} = 1 / (2 m0 - omega_k)`` from ``omega_1 = 1 / m0``.
     """
-    _check_degree(K)
+    markov.check_integer(K, "filter degree", 0)
     markov.check_lambda_low(lambda_low)
     prev = f.copy()
     yield prev
@@ -353,7 +342,7 @@ def _legendre_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     ``s_{n+1} = 1 + s_n (2n + 1) / ((2n + 3) r_{n+1}^2)``, starting from
     ``w_0 = f`` and ``r_0 = s_0 = 1``.
     """
-    _check_degree(K)
+    markov.check_integer(K, "filter degree", 0)
     markov.check_lambda_low(lambda_low)
     result = f.copy()
     yield result

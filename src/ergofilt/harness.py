@@ -35,7 +35,6 @@ GLAUBER_REFERENCE_SIGNAL = np.array(
 CYCLE_REFERENCE_SIGNAL.setflags(write=False)
 GLAUBER_REFERENCE_SIGNAL.setflags(write=False)
 
-_MASK64 = (1 << 64) - 1
 # splitmix64: the state increment and the two multipliers of its mixer
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -49,11 +48,12 @@ class ExperimentConfig:
     which takes precedence over seeded generation).
 
     Construction judges, in this order, every rule that reads the config
-    alone: a signal source is set, the seed is in [0, 2^64), ``k_max >= 1``,
-    the experiment is known, a Glauber ring is within the enumeration cap,
-    and the ``lambda_low`` override lies in (0, 2). Values that need the
-    chain (cycle length, ring temperature, signal length) are judged where
-    they are used."""
+    alone: a signal source is set, the seed and ``k_max`` pass
+    ``markov.check_integer`` (in [0, 2^64), and ``>= 1``), the experiment is
+    known, a Glauber ring is within the enumeration cap, and the
+    ``lambda_low`` override passes ``markov.check_lambda_low``. Values that
+    need the chain (cycle length, ring temperature, signal length) are judged
+    where they are used."""
 
     experiment: str
     p: int
@@ -68,18 +68,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.signal is None and not self.use_reference_signal and self.seed is None:
             raise ValueError("no signal source: provide explicit values, the reference signal, or a seed")
-        if self.seed is not None and not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be at least 1, got {self.k_max}")
+        if self.seed is not None:
+            markov.check_integer(self.seed, "seed", 0, 2**64)
+        markov.check_integer(self.k_max, "k_max", 1)
         if self.experiment not in ("cycle-walk", "glauber"):
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.experiment == "glauber":
             # before GlauberParams makes p couplings, however large p is
             chains.check_enumeration(self.p)
-        override = self.lambda_low_override
-        if override is not None and not 0.0 < float(override) < 2.0:
-            raise ValueError(f"lambda_low override must lie in (0, 2), got {float(override)}")
+        if self.lambda_low_override is not None:
+            markov.check_lambda_low(float(self.lambda_low_override))
 
 
 @dataclass(frozen=True)
@@ -102,10 +100,12 @@ def generate_signal(seed: int, count: int) -> np.ndarray:
     The i-th state (from 1) is ``seed + i * gamma mod 2^64``, so every state
     and both mixing rounds are computed at once in wrapping ``uint64``
     arithmetic; rounding gives what Python's correctly rounded ``round``
-    gives per value (see ``_round_cents``).
+    gives per value (see ``_round_cents``). A seed outside [0, 2^64) is
+    refused by ``markov.check_integer``, not wrapped.
     """
+    markov.check_integer(seed, "seed", 0, 2**64)
     steps = np.arange(1, count + 1, dtype=np.uint64)
-    z = steps * _GAMMA + np.uint64(int(seed) & _MASK64)
+    z = steps * _GAMMA + np.uint64(seed)
     z = (z ^ (z >> 30)) * _MIX1
     z = (z ^ (z >> 27)) * _MIX2
     z ^= z >> 31

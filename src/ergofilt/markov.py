@@ -54,6 +54,18 @@ def check_lambda_low(lambda_low: float):
         raise ValueError(f"lambda_low must lie in (0, 2), got {lambda_low}")
 
 
+def check_integer(value, name: str, least: int, below: int | None = None):
+    """Refuse ``value`` unless it is an ``int`` or numpy integer in ``[least, below)``:
+    the one rule for every integer input (a filter degree, an averaging horizon,
+    ``k_max``, a seed, a chain size). An integral float is refused by its type."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if below is not None and not least <= int(value) < below:
+        raise ValueError(f"{name} must lie in [{least}, {below}), got {value}")
+    if int(value) < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def check_law(dist: np.ndarray) -> np.ndarray:
     """``dist``, judged a law: no NaN, every mass positive, sum 1 to ``ROW_SUM_TOL``."""
     if not dist.min() > 0.0:

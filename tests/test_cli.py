@@ -103,7 +103,7 @@ def test_bad_override_refused_before_building(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == "error: lambda_low override must lie in (0, 2), got 5.0\n"
+    assert captured.err == "error: lambda_low must lie in (0, 2), got 5.0\n"
     assert peak < 1 << 20, peak
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -97,15 +98,25 @@ def test_signal_source_required_and_length_checked():
 @pytest.mark.parametrize(
     "changes, message",
     [
-        (dict(seed=-1), "seed must be an unsigned 64-bit integer, got -1"),
-        (dict(seed=2**64), f"seed must be an unsigned 64-bit integer, got {2**64}"),
+        (dict(seed=-1), re.escape(f"seed must lie in [0, {2**64}), got -1")),
+        (dict(seed=2**64), re.escape(f"seed must lie in [0, {2**64}), got {2**64}")),
+        (dict(seed=5.5), "seed must be an integer, got 5.5"),
         (dict(seed=None), "no signal source"),
+        (dict(k_max=0), "k_max must be at least 1, got 0"),
+        (dict(k_max=2.0), "k_max must be an integer, got 2.0"),
+        # numpy integers pass
+        (dict(p=np.int64(11), k_max=np.int64(3), seed=np.uint64(2**64 - 1)), None),
     ],
-    ids=["seed-1", "seed2^64", "no-source"],
+    ids=["seed-1", "seed2^64", "seed5.5", "no-source", "k_max0", "k_max2.0", "numpy-ints"],
 )
 def test_config_refused_at_construction(changes, message):
+    config = dict(experiment="cycle-walk", p=11, seed=1)
+    if message is None:
+        table, _ = harness.run_experiment(harness.ExperimentConfig(**{**config, **changes}))
+        assert table.shape == (3, 4)
+        return
     with pytest.raises(ValueError, match=message):
-        harness.ExperimentConfig(**{**dict(experiment="cycle-walk", p=11, seed=1), **changes})
+        harness.ExperimentConfig(**{**config, **changes})
 
 
 def test_signal_precedence():
@@ -175,6 +186,17 @@ def test_generate_signal_pinned_values():
     )
     assert harness.generate_signal(0, 3) == pytest.approx([8.83, 4.32, 0.26], abs=1e-12)
     assert harness.generate_signal(2**64 - 1, 2) == pytest.approx([8.94, 9.13], abs=1e-12)
+    assert np.array_equal(
+        harness.generate_signal(np.uint64(2**64 - 1), 2), harness.generate_signal(2**64 - 1, 2)
+    )
+    # a seed outside [0, 2^64) is refused, not wrapped or truncated to another
+    for seed, message in (
+        (-1, re.escape(f"seed must lie in [0, {2**64}), got -1")),
+        (2**64, re.escape(f"seed must lie in [0, {2**64}), got {2**64}")),
+        (5.5, "seed must be an integer, got 5.5"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            harness.generate_signal(seed, 3)
 
 
 def test_generate_signal_shape_and_rounding():
