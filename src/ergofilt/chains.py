@@ -110,53 +110,14 @@ _WINDOW_SPINS = np.where((np.arange(8)[:, None] >> np.arange(3)) & 1, 1.0, -1.0)
 _WINDOW_SPINS.setflags(write=False)
 
 
-def _energies(codes: np.ndarray, params: GlauberParams) -> np.ndarray:
-    # the energies of the states with window codes ``codes``: couplings[i]
-    # sits on the edge (i, i+1), and each edge term is looked up by the two
-    # spins it joins, bits 1 and 2 of site i's code
-    edge_terms = params.couplings[:, None] * _WINDOW_SPINS[:, 1] * _WINDOW_SPINS[:, 2]
-    return -edge_terms.take(codes).sum(axis=1)
-
-
-def _lower_codes(p: int) -> np.ndarray:
-    # window codes of the states 0 .. 2^(p-1) - 1, those with the top spin
-    # down; reversing every spin maps them onto the other half
-    return _window_codes(np.arange(1 << (p - 1)), p)
-
-
-def _mirrored_gibbs(codes: np.ndarray, params: GlauberParams) -> np.ndarray:
-    # pi of all 2^p states from the window codes of ``_lower_codes``; Z sums
-    # the mirrored vector, which holds every state's own weight, in order
-    lower = np.exp(-params.beta * _energies(codes, params))
-    weights = np.concatenate((lower, lower[::-1]))
-    return weights / weights.sum()
-
-
-def glauber_energy(x: int, params: GlauberParams) -> float:
-    """Ising ring energy ``-sum_i J_i s(i) s(i+1)``, each edge counted once.
-    Only bits ``0 .. p-1`` of ``x`` are read."""
-    codes = _window_codes(np.array([x & ((1 << params.p) - 1)]), params.p)
-    return float(_energies(codes, params)[0])
-
-
 def check_enumeration(p: int):
-    """Refuse a ring of more than ``MAX_SPIN_SITES`` spins, whose 2^p states
-    are not enumerated; it reads ``p`` alone, so a caller can judge a size
-    before ``GlauberParams`` makes its ``p`` couplings."""
+    """Refuse a ``p`` that is not an integer of at least 3, and then a ring of
+    more than ``MAX_SPIN_SITES`` spins, whose 2^p states are not enumerated;
+    it reads ``p`` alone, so a caller can judge a size before
+    ``GlauberParams`` makes its ``p`` couplings."""
+    markov.check_integer(p, "ring size", 3)
     if p > MAX_SPIN_SITES:
         raise ValueError(f"enumeration capped at 2^{MAX_SPIN_SITES} states, got p={p}")
-
-
-def gibbs_distribution(params: GlauberParams) -> np.ndarray:
-    """Boltzmann law ``exp(-beta H(x)) / Z`` of the 2^p states.
-
-    The unnormalised weights are computed for the lower half of the states
-    and mirrored onto the upper half, as in ``build_glauber_cycle``, and then
-    normalised over the whole vector. It is judged as a chain's law is, so a
-    cold ring's NaN or 0 raises ``markov.check_law``'s error, with no warning."""
-    check_enumeration(params.p)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return markov.check_law(_mirrored_gibbs(_lower_codes(params.p), params))
 
 
 def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
@@ -200,15 +161,24 @@ def build_glauber_cycle(params: GlauberParams) -> markov.ChainModel:
         keep = 1.0 / (p * (1.0 + np.exp(-2.0 * aligned)))
         flip = 1.0 / (p * (1.0 + np.exp(2.0 * aligned)))
         states = np.arange(1 << p)
-        codes = _lower_codes(p)
-        half = len(codes)
+        half = states.size >> 1
+        # the states with the top spin down; reversing every spin maps them
+        # onto the other half
+        codes = _window_codes(states[:half], p)
         weights = np.empty((states.size, p + 1))
         keep.take(codes).sum(axis=1, out=weights[:half, 0])
         weights[:half, 1:] = flip.take(codes)
         # the reversed state 2^p - 1 - x has row x, bit for bit
         weights[half:] = weights[half - 1 :: -1]
-        pi = _mirrored_gibbs(codes, params)
-    del codes
+        # -H(x) sums couplings[i] s(i) s(i+1) over the edges (i, i+1); each
+        # edge term is looked up by the two spins it joins, bits 1 and 2 of
+        # site i's code
+        edge_terms = params.couplings[:, None] * spins[:, 1] * spins[:, 2]
+        lower = np.exp(params.beta * edge_terms.take(codes).sum(axis=1))
+        # Z sums the mirrored vector, which holds every state's own weight, in order
+        pi = np.concatenate((lower, lower[::-1]))
+        pi /= pi.sum()
+    del codes, lower
     # state x, then its flips x ^ 2^w: an XOR with 0, 1, 2, ..., 2^(p-1)
     neighbors = states[:, None] ^ ((1 << np.arange(p + 1)) >> 1)
     return markov.ChainModel(neighbors, weights, pi, lambda_low)

@@ -68,31 +68,37 @@ def test_glauber_params_validation():
     assert chains.GlauberParams.uniform(np.int64(4), 0.2).couplings.shape == (4,)
 
 
+def _ring_pi():
+    # the energies are read through pi = exp(-0.2 H) / Z of a 4-spin ring, J = 1
+    return chains.build_glauber_cycle(chains.GlauberParams.uniform(4, 0.2, 1.0)).pi
+
+
 def test_energy_all_up():
-    params = chains.GlauberParams.uniform(4, 0.2, 1.0)
-    assert chains.glauber_energy(0b1111, params) == pytest.approx(-4.0)
+    # the transfer matrix gives Z = (2 cosh 0.2)^4 + (2 sinh 0.2)^4
+    z = (2.0 * math.cosh(0.2)) ** 4 + (2.0 * math.sinh(0.2)) ** 4
+    assert _ring_pi()[0b1111] == pytest.approx(math.exp(-0.2 * -4.0) / z, rel=1e-14)
 
 
 def test_energy_alternating():
-    params = chains.GlauberParams.uniform(4, 0.2, 1.0)
-    assert chains.glauber_energy(0b0101, params) == pytest.approx(4.0)
+    # pi(x) / pi(0b1111) = exp(-0.2 (H(x) + 4)), since H(0b1111) = -4
+    pi = _ring_pi()
+    assert pi[0b0101] / pi[0b1111] == pytest.approx(math.exp(-0.2 * (4.0 + 4.0)), rel=1e-14)
 
 
 def test_energy_single_flip():
     # two aligned and two anti-aligned edges cancel
-    params = chains.GlauberParams.uniform(4, 0.2, 1.0)
-    assert chains.glauber_energy(0b1110, params) == pytest.approx(0.0)
+    pi = _ring_pi()
+    assert pi[0b1110] / pi[0b1111] == pytest.approx(math.exp(-0.2 * (0.0 + 4.0)), rel=1e-14)
 
 
 def test_gibbs_near_infinite_temperature():
     params = chains.GlauberParams.uniform(4, 1e-12, 1.0)
-    pi = chains.gibbs_distribution(params)
+    pi = chains.build_glauber_cycle(params).pi
     assert pi == pytest.approx(np.full(16, 1.0 / 16.0), abs=1e-10)
 
 
 def test_gibbs_normalized_with_ground_states():
-    params = chains.GlauberParams.uniform(4, 0.2, 1.0)
-    pi = chains.gibbs_distribution(params)
+    pi = _ring_pi()
     assert pi.sum() == pytest.approx(1.0, abs=1e-14)
     top_two = set(np.argsort(pi)[-2:])
     assert top_two == {0b0000, 0b1111}
@@ -100,7 +106,7 @@ def test_gibbs_normalized_with_ground_states():
 
 def test_gibbs_flip_symmetry():
     params = chains.GlauberParams.uniform(4, 0.7, 1.3)
-    pi = chains.gibbs_distribution(params)
+    pi = chains.build_glauber_cycle(params).pi
     flipped = np.array([pi[x ^ 0b1111] for x in range(16)])
     assert pi == pytest.approx(flipped, abs=1e-15)
 
@@ -115,10 +121,10 @@ def test_gibbs_flip_symmetry():
     ids=["p9-beta110", "p5-beta200"],
 )
 def test_gibbs_of_cold_frustrated_ring_is_refused(p, beta, error, message):
-    # the weights overflow to NaN or underflow to 0; the law is judged as the
-    # build's is, with the errors the CLI prints for these rings
+    # the Gibbs weights overflow to NaN or underflow to 0; the build's
+    # validation judges pi, with the errors the CLI prints for these rings
     with pytest.raises(error, match=message):
-        chains.gibbs_distribution(chains.GlauberParams.uniform(p, beta, -1.0))
+        chains.build_glauber_cycle(chains.GlauberParams.uniform(p, beta, -1.0))
 
 
 def test_glauber_rows_and_balance(glauber_chain):
@@ -151,8 +157,6 @@ def test_glauber_spin_flip_symmetry(glauber_chain):
 
 
 def test_glauber_enumeration_cap():
-    with pytest.raises(ValueError):
-        chains.gibbs_distribution(chains.GlauberParams.uniform(21, 0.2, 1.0))
     with pytest.raises(ValueError):
         chains.build_glauber_cycle(chains.GlauberParams.uniform(21, 0.2, 1.0))
     # the gap bound enumerates nothing, so it has no cap
@@ -386,9 +390,6 @@ def test_glauber_table_matches_double_loop():
         assert np.array_equal(chain.neighbors[:, 0], np.arange(n))
         assert np.abs(exact_references.dense_transition(chain) - transition).max() <= 1e-15, params
         assert np.abs(chain.pi - pi).max() <= 1e-15, params
-        assert np.abs(chains.gibbs_distribution(params) - pi).max() <= 1e-15, params
-        for x in (0, 1, n // 3, n - 1):
-            assert abs(chains.glauber_energy(x, params) - _reference_energy(x, params)) <= 1e-15
 
 
 def _reference_table_cases():
@@ -412,12 +413,7 @@ def test_glauber_table_matches_vectorised_reference():
         assert np.array_equal(chain.neighbors, neighbors), params
         assert np.array_equal(chain.weights, weights), params
         assert np.array_equal(chain.pi, pi), params
-        assert np.array_equal(chains.gibbs_distribution(params), pi), params
         assert chain.lambda_low == lambda_low, params
-        # a state index names its spins by its low p bits only
-        n = 1 << params.p
-        for x in (1, n - 2):
-            assert chains.glauber_energy(x + 3 * n, params) == chains.glauber_energy(x, params)
 
 
 def _mirror_cases():
@@ -440,8 +436,8 @@ def test_glauber_spin_reversal_mirrors_rows():
 
 
 def test_glauber_window_codes_for_half_the_states(monkeypatch):
-    # the build and gibbs_distribution gather window codes for the states
-    # with the top spin down only; the rest is the mirrored copy
+    # the build gathers window codes once, for the states with the top spin
+    # down only; the rest is the mirrored copy
     sizes = []
     window_codes = chains._window_codes
 
@@ -453,8 +449,7 @@ def test_glauber_window_codes_for_half_the_states(monkeypatch):
     for p in (3, 4, 10):
         params = chains.GlauberParams.uniform(p, 0.5)
         chains.build_glauber_cycle(params)
-        chains.gibbs_distribution(params)
-        assert sizes == [1 << (p - 1)] * 2, (p, sizes)
+        assert sizes == [1 << (p - 1)], (p, sizes)
         sizes.clear()
 
 

@@ -104,10 +104,17 @@ def test_signal_source_required_and_length_checked():
         (dict(seed=None), "no signal source"),
         (dict(k_max=0), "k_max must be at least 1, got 0"),
         (dict(k_max=2.0), "k_max must be an integer, got 2.0"),
+        # a ring size is judged an integer before it is compared with the cap
+        (dict(experiment="glauber", p="4"), "ring size must be an integer, got '4'"),
+        (dict(experiment="glauber", p=None), "ring size must be an integer, got None"),
+        (dict(experiment="glauber", p=4.0), "ring size must be an integer, got 4.0"),
         # numpy integers pass
         (dict(p=np.int64(11), k_max=np.int64(3), seed=np.uint64(2**64 - 1)), None),
     ],
-    ids=["seed-1", "seed2^64", "seed5.5", "no-source", "k_max0", "k_max2.0", "numpy-ints"],
+    ids=[
+        "seed-1", "seed2^64", "seed5.5", "no-source", "k_max0", "k_max2.0",
+        "glauber-p-str", "glauber-p-None", "glauber-p4.0", "numpy-ints",
+    ],
 )
 def test_config_refused_at_construction(changes, message):
     config = dict(experiment="cycle-walk", p=11, seed=1)
