@@ -90,15 +90,15 @@ def cycle_lambda_low(p: int) -> float:
 
 
 def _window_codes(states: np.ndarray, p: int) -> np.ndarray:
-    """The (len(states), p) lookup indices ``8 w + c`` of each state's sites
-    ``w``, where bits 0, 1, 2 of ``c`` are the spins of sites ``w - 1``,
-    ``w``, ``w + 1`` (mod p).
+    """The (len(states), p) lookup indices ``8 w + c`` of each lower-half
+    state's sites ``w``, where bits 0, 1, 2 of ``c`` are the spins of sites
+    ``w - 1``, ``w``, ``w + 1`` (mod p).
 
-    The ring is unrolled into one integer, with its top site wrapped below
-    site 0 and site 0 repeated above site ``p - 1``, so each window is one
-    shift and one mask.
+    The ring is unrolled into one integer, with the top site wrapped below
+    site 0 as bit 0 (spin down: the states lie below ``2^(p - 1)``) and site
+    0 repeated above site ``p - 1``, so each window is one shift and one mask.
     """
-    ring = (states << 1) | (states >> (p - 1)) | ((states & 1) << (p + 1))
+    ring = (states << 1) | ((states & 1) << (p + 1))
     codes = ring[:, None] >> np.arange(p)
     codes &= 7
     codes += np.arange(0, 8 * p, 8)

@@ -52,15 +52,12 @@ def _band_values(z) -> np.ndarray:
     return np.clip(values, 0.0, 2.0)
 
 
-def _m0(lambda_low: float) -> float:
-    """Image of frequency 0 under the stopband map; always < -1."""
-    return -(2.0 + lambda_low) / (2.0 - lambda_low)
-
-
 def _stopband_map(chain: markov.ChainModel, lambda_low: float):
     """The operator ``M = (2L - (2 + lambda_low) I) / (2 - lambda_low)``, which
-    sends the stopband [lambda_low, 2] onto [-1, 1]."""
-    return chain.affine(2.0 / (2.0 - lambda_low), _m0(lambda_low))
+    sends the stopband [lambda_low, 2] onto [-1, 1], and ``m0``, the image of
+    frequency 0 under it, as a Python float; ``m0 < -1`` always."""
+    m0 = float(-(2.0 + lambda_low) / (2.0 - lambda_low))
+    return chain.affine(2.0 / (2.0 - lambda_low), m0), m0
 
 
 def _last(steps):
@@ -110,8 +107,9 @@ def _errors(chain: markov.ChainModel, f, steps, name: str, k_max: int, *args) ->
     The outputs are stacked and reduced ``max(1, _ERROR_BLOCK // n)`` degrees
     at a time, the last block holding what is left; max is exact, so each
     value is the one a reduction of that output alone gives. A block holds
-    the arrays the sweep yielded, so a generator must never write to an
-    output after yielding it, which none of the four does.
+    the arrays the sweep yielded, and degree 0 is the input itself, so a
+    generator must never write to its input or to an output after yielding
+    it, which none of the four does.
     """
     values, exponent = markov.check_signal(f, chain.n)
     sweep = steps(chain, values, k_max, *args)
@@ -148,7 +146,7 @@ def _ergodic_steps(chain: markov.ChainModel, f, K: int):
     transition = chain.affine(-1.0, 1.0)
     acc = f.copy()
     power = f
-    yield f.copy()
+    yield f
     for k in range(1, K + 1):
         power = transition(power)
         acc += power
@@ -231,7 +229,7 @@ def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     """
     markov.check_integer(K, "filter degree", 0)
     markov.check_lambda_low(lambda_low)
-    yield f.copy()
+    yield f
     if K == 0:
         return
     lambda_low = float(lambda_low)
@@ -284,12 +282,11 @@ def _chebyshev_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     """
     markov.check_integer(K, "filter degree", 0)
     markov.check_lambda_low(lambda_low)
-    prev = f.copy()
+    prev = f
     yield prev
     if K == 0:
         return
-    mapped = _stopband_map(chain, lambda_low)
-    m0 = float(_m0(lambda_low))
+    mapped, m0 = _stopband_map(chain, lambda_low)
     omega = 1.0 / m0
     curr = mapped(f) / m0
     yield curr
@@ -344,10 +341,9 @@ def _legendre_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     """
     markov.check_integer(K, "filter degree", 0)
     markov.check_lambda_low(lambda_low)
-    result = f.copy()
+    result = f
     yield result
-    mapped = _stopband_map(chain, lambda_low)
-    m0 = float(_m0(lambda_low))
+    mapped, m0 = _stopband_map(chain, lambda_low)
     prev = curr = f
     ratio = sum_ratio = 1.0
     for n in range(K):

@@ -77,7 +77,7 @@ class ExperimentConfig:
             # before GlauberParams makes p couplings, however large p is
             chains.check_enumeration(self.p)
         if self.lambda_low_override is not None:
-            markov.check_lambda_low(float(self.lambda_low_override))
+            markov.check_lambda_low(self.lambda_low_override)
 
 
 @dataclass(frozen=True)

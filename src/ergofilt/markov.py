@@ -49,7 +49,10 @@ class NotANumber(ChainValidationError):
 
 
 def check_lambda_low(lambda_low: float):
-    """Refuse a gap bound outside (0, 2), the range every filter accepts."""
+    """Refuse a gap bound that is not a real number (a ``bool`` is not), then
+    one outside (0, 2), the range every filter accepts."""
+    if isinstance(lambda_low, bool) or not isinstance(lambda_low, (int, float, np.integer, np.floating)):
+        raise ValueError(f"lambda_low must be a real number, got {lambda_low!r}")
     if not 0.0 < lambda_low < 2.0:
         raise ValueError(f"lambda_low must lie in (0, 2), got {lambda_low}")
 
@@ -57,8 +60,8 @@ def check_lambda_low(lambda_low: float):
 def check_integer(value, name: str, least: int, below: int | None = None):
     """Refuse ``value`` unless it is an ``int`` or numpy integer in ``[least, below)``:
     the one rule for every integer input (a filter degree, an averaging horizon,
-    ``k_max``, a seed, a chain size). An integral float is refused by its type."""
-    if not isinstance(value, (int, np.integer)):
+    ``k_max``, a seed, a chain size). A ``bool`` or integral float is refused by type."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if below is not None and not least <= int(value) < below:
         raise ValueError(f"{name} must lie in [{least}, {below}), got {value}")
@@ -141,14 +144,10 @@ class ChainModel:
         The table ``-a weights``, with ``a + b`` added to column 0 (the state
         itself), is folded once here, so each application is one product with
         the table and nothing else. P is ``affine(-1, 1)``, L is
-        ``affine(1, 0)``. The table of P is ``weights`` itself (``-(-1) w`` is
-        ``w`` and adding 0 leaves it), so P is applied with no copy.
+        ``affine(1, 0)``.
         """
-        if a == -1.0 and b == 1.0:
-            table = self.weights
-        else:
-            table = -a * self.weights
-            table[:, 0] += a + b
+        table = -a * self.weights
+        table[:, 0] += a + b
         neighbors = self.neighbors
 
         def apply(v: np.ndarray) -> np.ndarray:

@@ -546,10 +546,12 @@ def test_context_validation(cycle_chain):
         filters.ergodic_scalar(3.0, 2)
     with pytest.raises(ValueError):
         filters.bernstein_apply(cycle_chain, np.ones(4), 3, 0.5)
-    # a degree or horizon is judged by its type too: an integral float is
-    # refused, and a numpy integer passes
+    # a degree or horizon is judged by its type too: an integral float or a
+    # bool is refused, and a numpy integer passes
     for call in (
         lambda: filters.chebyshev_apply(cycle_chain, np.ones(11), 2.0, 0.5),
+        lambda: filters.chebyshev_apply(cycle_chain, np.ones(11), True, 0.5),
+        lambda: filters.ergodic_scalar(0.5, True),
         lambda: filters.ergodic_apply(cycle_chain, np.ones(11), 3.0),
         lambda: filters.chebyshev_scalar(0.5, 2.0, 0.5),
         lambda: filters.ergodic_scalar(0.5, 3.0),

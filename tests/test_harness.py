@@ -104,6 +104,13 @@ def test_signal_source_required_and_length_checked():
         (dict(seed=None), "no signal source"),
         (dict(k_max=0), "k_max must be at least 1, got 0"),
         (dict(k_max=2.0), "k_max must be an integer, got 2.0"),
+        # a bool is an int to Python, not an integer input here
+        (dict(k_max=True), "k_max must be an integer, got True"),
+        (dict(seed=False), "seed must be an integer, got False"),
+        # a gap bound override is judged a real number before its range
+        (dict(lambda_low_override="0.5"), re.escape("lambda_low must be a real number, got '0.5'")),
+        (dict(lambda_low_override=True), "lambda_low must be a real number, got True"),
+        (dict(lambda_low_override=5.0), re.escape("lambda_low must lie in (0, 2), got 5.0")),
         # a ring size is judged an integer before it is compared with the cap
         (dict(experiment="glauber", p="4"), "ring size must be an integer, got '4'"),
         (dict(experiment="glauber", p=None), "ring size must be an integer, got None"),
@@ -112,7 +119,8 @@ def test_signal_source_required_and_length_checked():
         (dict(p=np.int64(11), k_max=np.int64(3), seed=np.uint64(2**64 - 1)), None),
     ],
     ids=[
-        "seed-1", "seed2^64", "seed5.5", "no-source", "k_max0", "k_max2.0",
+        "seed-1", "seed2^64", "seed5.5", "no-source", "k_max0", "k_max2.0", "k_maxTrue", "seedFalse",
+        "lambda_low-str", "lambda_low-True", "lambda_low5.0",
         "glauber-p-str", "glauber-p-None", "glauber-p4.0", "numpy-ints",
     ],
 )

@@ -1,7 +1,7 @@
 """Tests for chain validation, the stationary geometry, signal variation,
 and the eigenfunction transform."""
 
-import tracemalloc
+import re
 
 import exact_references
 import numpy as np
@@ -396,17 +396,11 @@ def test_affine_matches_dense(cycle_chain, glauber_chain):
             assert np.abs(chain.affine(a, b)(v) - want).max() <= 1e-13 * np.abs(v).max()
 
 
-def test_transition_operator_needs_no_copy():
-    # P is the chain's own weights, folded as -(-1) w with 0 added to column
-    # 0, which leaves every bit: no table-sized copy is made
+def test_transition_operator_is_the_folded_table():
+    # P is affine(-1, 1): the chain's weights folded as -(-1) w with 0 added
+    # to column 0, bit for bit
     chain = chains.build_glauber_cycle(chains.GlauberParams.uniform(12, 0.7, 1.0))
-    tracemalloc.start()
-    try:
-        transition = chain.affine(-1.0, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.01 * chain.weights.nbytes, peak
+    transition = chain.affine(-1.0, 1.0)
     folded = -(-1.0) * chain.weights
     folded[:, 0] += -1.0 + 1.0
     rng = np.random.default_rng(12)
@@ -761,6 +755,28 @@ def test_chain_lambda_low_range_is_the_filters(cycle_chain, lambda_low):
     # the range every filter accepts: a chain that builds can be filtered
     with pytest.raises(ValueError, match=r"lambda_low must lie in \(0, 2\), got"):
         markov.ChainModel(cycle_chain.neighbors, cycle_chain.weights, cycle_chain.pi, lambda_low)
+
+
+@pytest.mark.parametrize("lambda_low", ["0.5", None, 1 + 0j, True, np.bool_(True), np.array([0.5])])
+def test_lambda_low_must_be_a_real_number(cycle_chain, lambda_low):
+    # judged by its type before its range, by the chain and by every filter
+    message = re.escape(f"lambda_low must be a real number, got {lambda_low!r}")
+    with pytest.raises(ValueError, match=message):
+        markov.ChainModel(cycle_chain.neighbors, cycle_chain.weights, cycle_chain.pi, lambda_low)
+    for call in (filters.bernstein_apply, filters.chebyshev_apply, filters.legendre_errors):
+        with pytest.raises(ValueError, match=message):
+            call(cycle_chain, np.ones(11), 3, lambda_low)
+    with pytest.raises(ValueError, match=message):
+        filters.triangle(0.5, lambda_low)
+
+
+@pytest.mark.parametrize("lambda_low", [1, np.int64(1), np.float64(0.5)])
+def test_lambda_low_real_types_pass(cycle_chain, lambda_low):
+    chain = markov.ChainModel(cycle_chain.neighbors, cycle_chain.weights, cycle_chain.pi, lambda_low)
+    f = harness.CYCLE_REFERENCE_SIGNAL
+    assert np.array_equal(
+        filters.chebyshev_apply(chain, f, 3, lambda_low), filters.chebyshev_apply(chain, f, 3, float(lambda_low))
+    )
 
 
 def test_gft_of_eigenfunction_is_basis_vector(cycle_chain, cycle_spec):

@@ -181,6 +181,75 @@ def test_cycle_deep_errors_match_spectral_reference():
         assert np.all(np.abs(np.array(got) - want[:, j]) <= limit[:, j]), harness.FILTER_ORDER[j]
 
 
+def _random_reversible_chain(rng):
+    """A seeded reversible chain on a ring plus random chords (Levin, Peres
+    and Wilmer, section 9.1): conductances ``e^N(0, s^2)``, ``s <= 3``,
+    ``P(x, y) = (1 - a) c(x, y) / c(x)`` with laziness ``a`` in [0, 0.5],
+    ``pi(x) = c(x) / sum c``. Returns its dense P and pi, and a neighbour
+    table whose rows are padded with the state itself at weight 0 and where
+    some neighbours are split into two entries."""
+    n = int(rng.integers(3, 31))
+    spread = rng.uniform(0.0, 3.0)
+    conductance = np.zeros((n, n))
+    ends = [(x, (x + 1) % n) for x in range(n)]
+    ends += [tuple(rng.choice(n, 2, replace=False)) for _ in range(int(rng.integers(0, n)))]
+    for x, y in ends:
+        conductance[x, y] = conductance[y, x] = np.exp(spread * rng.standard_normal())
+    lazy = rng.uniform(0.0, 0.5)
+    total = conductance.sum(axis=1)
+    transition = (1.0 - lazy) * conductance / total[:, None] + lazy * np.eye(n)
+    rows = []
+    for x in range(n):
+        entries = [(int(y), transition[x, y]) for y in rng.permutation(np.flatnonzero(conductance[x]))]
+        for _ in range(int(rng.integers(0, 3))):
+            j = int(rng.integers(len(entries)))
+            y, w = entries[j]
+            part = w * rng.uniform()
+            entries[j : j + 1] = [(y, part), (y, w - part)]
+        entries += [(x, 0.0)] * int(rng.integers(0, 3))
+        rows.append([(x, lazy)] + [entries[j] for j in rng.permutation(len(entries))])
+    width = max(len(row) for row in rows)
+    rows = [row + [(x, 0.0)] * (width - len(row)) for x, row in enumerate(rows)]
+    table = np.array(rows)
+    return transition, total / total.sum(), table[:, :, 0].astype(int), table[:, :, 1]
+
+
+def test_random_reversible_chains_match_spectral_reference(monkeypatch):
+    # padded rows and repeated entries: the pair-by-pair check admits every
+    # chain, each column of a k_max = 20 run equals the eigendecomposition's,
+    # and Chebyshev meets its minimax bound at every degree
+    calls = []
+    pair_imbalance = markov._pair_imbalance
+
+    def counted(*args):
+        calls.append(True)
+        return pair_imbalance(*args)
+
+    monkeypatch.setattr(markov, "_pair_imbalance", counted)
+    rng = np.random.default_rng(20260)
+    for trial in range(100):
+        transition, pi, neighbors, weights = _random_reversible_chain(rng)
+        root = np.sqrt(pi)
+        laplacian = root[:, None] * (np.eye(pi.size) - transition) / root[None, :]
+        gap = np.linalg.eigvalsh(0.5 * (laplacian + laplacian.T))[1]
+        lam = gap * rng.uniform(0.5, 1.0)
+        chain = markov.ChainModel(neighbors, weights, pi, lam)
+        assert len(calls) == trial + 1
+        f = rng.standard_normal(chain.n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        want = exact_references.spectral_error_table(transition, pi, f, 20, lam)
+        columns = np.array([
+            filters.ergodic_errors(chain, f, 20),
+            filters.bernstein_errors(chain, f, 20, lam),
+            filters.chebyshev_errors(chain, f, 20, lam),
+            filters.legendre_errors(chain, f, 20, lam),
+        ]).T
+        centred = f - pi @ f
+        assert np.abs(columns - want).max() <= 1e-10 * np.abs(centred).max(), trial
+        bound = np.sqrt(pi @ (centred * centred) / pi.min())
+        for K in range(1, 21):
+            assert columns[K - 1, 2] <= abs(filters.chebyshev_scalar(2.0, K, lam)) * bound, (trial, K)
+
+
 # ---------------------------------------------------------------------------
 # products with the chain's operators
 # ---------------------------------------------------------------------------
