@@ -44,8 +44,7 @@ class GlauberParams:
 
     def __post_init__(self):
         markov.check_integer(self.p, "ring size", 3)
-        if not self.beta > 0.0:
-            raise ValueError(f"inverse temperature must be positive, got {self.beta}")
+        object.__setattr__(self, "beta", markov.check_real(self.beta, "inverse temperature", 0.0))
         couplings = np.array(
             np.ones(self.p) if self.couplings is None else self.couplings, dtype=float
         )
@@ -58,7 +57,7 @@ class GlauberParams:
     def uniform(p: int, beta: float, coupling: float = 1.0) -> "GlauberParams":
         # judged before the couplings array is made
         markov.check_integer(p, "ring size", 3)
-        return GlauberParams(p=p, beta=beta, couplings=np.full(p, float(coupling)))
+        return GlauberParams(p=p, beta=beta, couplings=np.full(p, markov.check_real(coupling, "coupling")))
 
 
 def build_cycle_walk(p: int) -> markov.ChainModel:
@@ -205,11 +204,11 @@ def glauber_lambda_low(params: GlauberParams) -> float:
     of ``M``, and the entries of ``M`` itself where ``M`` is symmetric.
     """
     p = params.p
-    coupling = float(params.couplings[0])
+    coupling = params.couplings[0]
     uniform = bool((params.couplings == coupling).all())
-    # one value of 2 beta |J| stands for a uniform ring
-    x = 2.0 * params.beta * (abs(coupling) if uniform else params.couplings)
     with np.errstate(over="ignore"):
+        # one value of 2 beta |J| stands for a uniform ring
+        x = 2.0 * params.beta * (abs(coupling) if uniform else params.couplings)
         c = np.cosh(x)
         # a uniform ring's 1 - t is 2 / (1 + growth), with no cancellation;
         # growth overflows to inf only where t rounds to 1, which passes the

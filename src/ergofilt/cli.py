@@ -12,16 +12,8 @@ import numpy as np
 from . import harness, markov
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits with status 1 on bad usage."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="ergofilt",
         description=(
             "Accelerate the running average of a reversible Markov chain with "
@@ -62,18 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     glauber = subparsers.add_parser("glauber", help="heat-bath dynamics on an Ising ring")
     add_common(glauber, default_p=4)
-    glauber.add_argument(
-        "--beta",
-        type=float,
-        default=harness.GLAUBER_BETA,
-        help=f"inverse temperature (default {harness.GLAUBER_BETA})",
-    )
-    glauber.add_argument(
-        "--coupling",
-        type=float,
-        default=harness.GLAUBER_COUPLING,
-        help=f"uniform edge coupling (default {harness.GLAUBER_COUPLING})",
-    )
+    # unset, they take harness's defaults
+    glauber.add_argument("--beta", type=float, help=f"inverse temperature (default {harness.GLAUBER_BETA})")
+    glauber.add_argument("--coupling", type=float, help=f"uniform edge coupling (default {harness.GLAUBER_COUPLING})")
 
     return parser
 
@@ -126,7 +109,8 @@ def cli_main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits 2 on bad usage and 0 after --help
+        return 1 if exc.code else 0
     try:
         config = _config_from_args(args)
         results, metadata = harness.run_experiment(config)

@@ -55,8 +55,9 @@ def _band_values(z) -> np.ndarray:
 def _stopband_map(chain: markov.ChainModel, lambda_low: float):
     """The operator ``M = (2L - (2 + lambda_low) I) / (2 - lambda_low)``, which
     sends the stopband [lambda_low, 2] onto [-1, 1], and ``m0``, the image of
-    frequency 0 under it, as a Python float; ``m0 < -1`` always."""
-    m0 = float(-(2.0 + lambda_low) / (2.0 - lambda_low))
+    frequency 0 under it, a Python float as the judged ``lambda_low`` is;
+    ``m0 < -1`` always."""
+    m0 = -(2.0 + lambda_low) / (2.0 - lambda_low)
     return chain.affine(2.0 / (2.0 - lambda_low), m0), m0
 
 
@@ -189,7 +190,7 @@ def ergodic_scalar(z, t: int):
 def triangle(z, lambda_low: float):
     """Ideal low-pass target: 1 at frequency 0, linear down to 0 at
     ``lambda_low``, 0 across the rest of the band."""
-    markov.check_lambda_low(lambda_low)
+    lambda_low = markov.check_lambda_low(lambda_low)
     values = _band_values(z)
     result = np.where(values < lambda_low, 1.0 - values / lambda_low, 0.0)
     return float(result[0]) if np.ndim(z) == 0 else result
@@ -228,11 +229,10 @@ def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     ``c = 0`` only ``b_{k,0}`` is carried, and no weights are computed.
     """
     markov.check_integer(K, "filter degree", 0)
-    markov.check_lambda_low(lambda_low)
+    lambda_low = markov.check_lambda_low(lambda_low)
     yield f
     if K == 0:
         return
-    lambda_low = float(lambda_low)
     cap = len(_control_weights(K, lambda_low)) - 1
     half_laplacian = chain.affine(0.5, 0.0)
     basis = [f]
@@ -281,7 +281,7 @@ def _chebyshev_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     ``omega_{k+1} = 1 / (2 m0 - omega_k)`` from ``omega_1 = 1 / m0``.
     """
     markov.check_integer(K, "filter degree", 0)
-    markov.check_lambda_low(lambda_low)
+    lambda_low = markov.check_lambda_low(lambda_low)
     prev = f
     yield prev
     if K == 0:
@@ -340,7 +340,7 @@ def _legendre_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     ``w_0 = f`` and ``r_0 = s_0 = 1``.
     """
     markov.check_integer(K, "filter degree", 0)
-    markov.check_lambda_low(lambda_low)
+    lambda_low = markov.check_lambda_low(lambda_low)
     result = f
     yield result
     mapped, m0 = _stopband_map(chain, lambda_low)

@@ -51,9 +51,9 @@ class ExperimentConfig:
     alone: a signal source is set, the seed and ``k_max`` pass
     ``markov.check_integer`` (in [0, 2^64), and ``>= 1``), the experiment is
     known, a Glauber ring is within the enumeration cap, and the
-    ``lambda_low`` override passes ``markov.check_lambda_low``. Values that
-    need the chain (cycle length, ring temperature, signal length) are judged
-    where they are used."""
+    ``lambda_low`` override passes ``markov.check_lambda_low`` and is kept as
+    the float it returns. Values that need the chain (cycle length, ring
+    temperature and coupling, signal length) are judged where they are used."""
 
     experiment: str
     p: int
@@ -77,7 +77,8 @@ class ExperimentConfig:
             # before GlauberParams makes p couplings, however large p is
             chains.check_enumeration(self.p)
         if self.lambda_low_override is not None:
-            markov.check_lambda_low(self.lambda_low_override)
+            override = markov.check_lambda_low(self.lambda_low_override)
+            object.__setattr__(self, "lambda_low_override", override)
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,7 @@ def generate_signal(seed: int, count: int) -> np.ndarray:
     refused by ``markov.check_integer``, not wrapped.
     """
     markov.check_integer(seed, "seed", 0, 2**64)
+    markov.check_integer(count, "signal length", 0)
     steps = np.arange(1, count + 1, dtype=np.uint64)
     z = steps * _GAMMA + np.uint64(seed)
     z = (z ^ (z >> 30)) * _MIX1
@@ -163,7 +165,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[np.ndarray, RunMetadata]:
     chain = _build_chain(config)
     signal = _resolve_signal(config, chain.n)
     override = config.lambda_low_override
-    lambda_low = chain.lambda_low if override is None else float(override)
+    lambda_low = chain.lambda_low if override is None else override
 
     columns = np.array([
         filters.ergodic_errors(chain, signal, config.k_max),

@@ -48,13 +48,25 @@ class NotANumber(ChainValidationError):
     """A NaN transition probability or stationary mass."""
 
 
-def check_lambda_low(lambda_low: float):
-    """Refuse a gap bound that is not a real number (a ``bool`` is not), then
-    one outside (0, 2), the range every filter accepts."""
-    if isinstance(lambda_low, bool) or not isinstance(lambda_low, (int, float, np.integer, np.floating)):
-        raise ValueError(f"lambda_low must be a real number, got {lambda_low!r}")
-    if not 0.0 < lambda_low < 2.0:
-        raise ValueError(f"lambda_low must lie in (0, 2), got {lambda_low}")
+def check_real(value, name: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a Python float, unless it is not an ``int``, a ``float`` or a
+    numpy integer or floating value (a ``bool`` is not), or lies outside
+    ``(low, high)``: the one rule for every real scalar input (a gap bound, an
+    inverse temperature, a coupling), so each reader computes in float64."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float64 range, refused below
+        number = math.inf if value > 0 else -math.inf
+    if not low < number < high:
+        raise ValueError(f"{name} must lie in ({low:g}, {high:g}), got {number}")
+    return number
+
+
+def check_lambda_low(lambda_low) -> float:
+    """A gap bound judged by ``check_real`` on (0, 2), the range every filter accepts."""
+    return check_real(lambda_low, "lambda_low", 0.0, 2.0)
 
 
 def check_integer(value, name: str, least: int, below: int | None = None):
@@ -82,15 +94,16 @@ def check_law(dist: np.ndarray) -> np.ndarray:
 
 
 def check_signal(f, n: int) -> tuple[np.ndarray, int]:
-    """``f``, ``n`` finite floats, at unit scale ``2^-e f`` in (-1, 1), and ``e``,
-    else a ``ValueError``; ``2^e`` is the power of two just above ``max |f(x)|``
-    (``e = 0`` for the zero signal). The one float64-range rule: each signal
-    reader works at this scale and scales its result back by ``2^e``, exactly
-    while the products stay normal. A bilinear reader (``pi_inner``) takes its
-    scale from the product instead, and calls this for the rule alone."""
+    """``f``, ``n`` finite values of a bool, integer or float dtype, as floats at
+    unit scale ``2^-e f`` in (-1, 1), and ``e``, else a ``ValueError``; ``2^e``
+    is the power of two just above ``max |f(x)|`` (``e = 0`` for the zero
+    signal). The one float64-range rule: each signal reader works at this
+    scale and scales its result back by ``2^e``, exactly while the products
+    stay normal. A bilinear reader (``pi_inner``) takes its scale from the
+    product instead, and calls this for the rule alone."""
     values = np.asarray(f)
-    # a cast to float would drop the imaginary part
-    if values.dtype.kind == "c":
+    # a cast to float would drop an imaginary part and parse a string
+    if values.dtype.kind not in "biuf":
         raise ValueError("signal values must be real")
     values = values.astype(float, copy=False)
     if values.shape != (n,):
@@ -129,7 +142,7 @@ class ChainModel:
 
     def __post_init__(self):
         arrays = validate_chain(self.neighbors, self.weights, self.pi)
-        check_lambda_low(self.lambda_low)
+        object.__setattr__(self, "lambda_low", check_lambda_low(self.lambda_low))
         for name, arr in zip(("neighbors", "weights", "pi"), arrays):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

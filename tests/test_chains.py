@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import exact_references
@@ -55,8 +56,22 @@ def test_glauber_params_validation():
     for p in (2, 0, -1):
         with pytest.raises(ValueError, match=f"ring size must be at least 3, got {p}"):
             chains.GlauberParams.uniform(p, 0.2)
-    with pytest.raises(ValueError):
-        chains.GlauberParams.uniform(4, 0.0)
+    # an int past the float64 range is refused as infinite, not by OverflowError
+    for beta, shown in ((0.0, "0.0"), (-1, "-1.0"), (math.inf, "inf"), (math.nan, "nan"), (10**400, "inf")):
+        message = f"inverse temperature must lie in (0, inf), got {shown}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            chains.GlauberParams.uniform(4, beta)
+    for coupling in (math.inf, math.nan):
+        message = f"coupling must lie in (-inf, inf), got {coupling}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            chains.GlauberParams.uniform(4, 0.2, coupling)
+    # beta and J are judged by type: a string is not parsed, nor a bool read as 1
+    for value in ("0.2", None, True):
+        message = f"must be a real number, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(f"inverse temperature {message}")):
+            chains.GlauberParams.uniform(4, value)
+        with pytest.raises(ValueError, match=re.escape(f"coupling {message}")):
+            chains.GlauberParams.uniform(4, 0.2, value)
     with pytest.raises(ValueError):
         chains.GlauberParams(p=4, beta=0.2, couplings=np.ones(3))
     for make in (
@@ -66,6 +81,12 @@ def test_glauber_params_validation():
         with pytest.raises(ValueError, match="ring size must be an integer, got 4.0"):
             make()
     assert chains.GlauberParams.uniform(np.int64(4), 0.2).couplings.shape == (4,)
+    # a float32 beta is kept as the Python float of its value, so the gap
+    # bound's closed form runs in float64, not in single precision
+    params = chains.GlauberParams.uniform(4, np.float32(0.25), np.int64(-1))
+    assert type(params.beta) is float and params.beta == 0.25
+    same = chains.GlauberParams.uniform(4, 0.25, -1.0)
+    assert chains.glauber_lambda_low(params) == chains.glauber_lambda_low(same)
 
 
 def _ring_pi():

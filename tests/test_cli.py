@@ -135,6 +135,27 @@ def test_unknown_flag_exits_one(capsys):
     assert "usage" in captured.err
 
 
+def test_usage_errors_exit_one_and_help_exits_zero(monkeypatch, capsys):
+    # argparse's own report of bad usage, its exit status 2 mapped to 1
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+    code = cli_main(["cycle-walk", "--p", "x"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "usage: ergofilt cycle-walk [-h] [--p P] [--k-max K_MAX] [--signal SIGNAL]\n"
+        "                           [--paper-defaults] [--seed SEED] [--out OUT]\n"
+        "                           [--lambda-low LAMBDA_LOW] [--json]\n"
+        "ergofilt cycle-walk: error: argument --p: invalid int value: 'x'\n"
+    )
+    code = cli_main(["glauber", "--help"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert captured.out.startswith("usage: ergofilt glauber [-h]")
+    assert "inverse temperature (default 0.2)" in captured.out
+
+
 def test_missing_signal_source(capsys):
     code = cli_main(["cycle-walk"])
     captured = capsys.readouterr()

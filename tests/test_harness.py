@@ -156,6 +156,11 @@ def test_lambda_low_override():
     )
     assert plain_meta.lambda_low == pytest.approx(88.0 / 1200.0, abs=1e-12)
     assert tuned_meta.lambda_low == 0.5
+    # a single-precision override is kept as the Python float of its value
+    single = _cycle_config(k_max=6, lambda_low_override=np.float32(0.5))
+    assert type(single.lambda_low_override) is float
+    single_results, single_meta = harness.run_experiment(single)
+    assert np.array_equal(single_results, tuned_results) and type(single_meta.lambda_low) is float
     assert np.array_equal(_column(plain_results, "ergodic"), _column(tuned_results, "ergodic"))
     assert np.any(_column(plain_results, "chebyshev") != _column(tuned_results, "chebyshev"))
 
@@ -212,6 +217,15 @@ def test_generate_signal_pinned_values():
     ):
         with pytest.raises(ValueError, match=message):
             harness.generate_signal(seed, 3)
+    # and a length that is not a nonnegative integer is refused, not rounded
+    for count, message in (
+        (2.5, "signal length must be an integer, got 2.5"),
+        (True, "signal length must be an integer, got True"),
+        (-1, "signal length must be at least 0, got -1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            harness.generate_signal(42, count)
+    assert harness.generate_signal(42, np.int64(0)).shape == (0,)
 
 
 def test_generate_signal_shape_and_rounding():

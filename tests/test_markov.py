@@ -481,13 +481,17 @@ _SIGNAL_READERS = {
         (np.full(11, np.nan), "signal values must be finite"),
         (np.full(11, np.inf), "signal values must be finite"),
         (np.r_[1 + 2j, np.ones(10)], "signal values must be real"),
+        (["1"] * 11, "signal values must be real"),
+        ([b"1"] * 11, "signal values must be real"),
+        ([None] + [1.0] * 10, "signal values must be real"),
     ],
-    ids=["length-3", "all-nan", "all-inf", "complex"],
+    ids=["length-3", "all-nan", "all-inf", "complex", "strings", "bytes", "object"],
 )
 def test_signal_readers_share_one_rule(cycle_chain, cycle_spec, reader, signal, message):
     # markov.check_signal judges every signal a public function reads, so a
     # wrong length or a non-finite value is refused with the CLI's message,
-    # and a complex value is refused, not cast to its real part
+    # and a value of no bool, integer or float dtype is refused, not cast:
+    # a complex value to its real part, a string or bytes parsed as a number
     with pytest.raises(ValueError, match=message):
         _SIGNAL_READERS[reader](cycle_chain, cycle_spec, signal)
 
@@ -770,13 +774,16 @@ def test_lambda_low_must_be_a_real_number(cycle_chain, lambda_low):
         filters.triangle(0.5, lambda_low)
 
 
-@pytest.mark.parametrize("lambda_low", [1, np.int64(1), np.float64(0.5)])
+@pytest.mark.parametrize("lambda_low", [1, np.int64(1), np.float64(0.5), np.float32(0.5)])
 def test_lambda_low_real_types_pass(cycle_chain, lambda_low):
+    # judged to a Python float, so every filter computes in float64 whatever
+    # the input's type, a single-precision value included
     chain = markov.ChainModel(cycle_chain.neighbors, cycle_chain.weights, cycle_chain.pi, lambda_low)
+    assert type(chain.lambda_low) is float and chain.lambda_low == lambda_low
     f = harness.CYCLE_REFERENCE_SIGNAL
-    assert np.array_equal(
-        filters.chebyshev_apply(chain, f, 3, lambda_low), filters.chebyshev_apply(chain, f, 3, float(lambda_low))
-    )
+    for apply in (filters.bernstein_apply, filters.chebyshev_apply, filters.legendre_apply):
+        got = apply(chain, f, 3, lambda_low)
+        assert np.array_equal(got, apply(chain, f, 3, float(lambda_low))), apply.__name__
 
 
 def test_gft_of_eigenfunction_is_basis_vector(cycle_chain, cycle_spec):

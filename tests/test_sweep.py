@@ -4,7 +4,7 @@ degree-100 sweep matches an independent spectral reference, and a sweep to
 ``k_max`` costs the stated number of applications of the chain's operators."""
 
 import dataclasses
-from math import ceil
+from math import ceil, sqrt
 
 import numpy as np
 import pytest
@@ -217,7 +217,8 @@ def _random_reversible_chain(rng):
 def test_random_reversible_chains_match_spectral_reference(monkeypatch):
     # padded rows and repeated entries: the pair-by-pair check admits every
     # chain, each column of a k_max = 20 run equals the eigendecomposition's,
-    # and Chebyshev meets its minimax bound at every degree
+    # and Chebyshev meets its minimax bound and Bernstein criterion 06's
+    # 1.5 min(1, 2 / (sqrt(K) lambda_low)) at every degree
     calls = []
     pair_imbalance = markov._pair_imbalance
 
@@ -248,6 +249,7 @@ def test_random_reversible_chains_match_spectral_reference(monkeypatch):
         bound = np.sqrt(pi @ (centred * centred) / pi.min())
         for K in range(1, 21):
             assert columns[K - 1, 2] <= abs(filters.chebyshev_scalar(2.0, K, lam)) * bound, (trial, K)
+            assert columns[K - 1, 1] <= 1.5 * min(1.0, 2.0 / (sqrt(K) * lam)) * bound, (trial, K)
 
 
 # ---------------------------------------------------------------------------
