@@ -45,11 +45,18 @@ class GlauberParams:
     def __post_init__(self):
         markov.check_integer(self.p, "ring size", 3)
         object.__setattr__(self, "beta", markov.check_real(self.beta, "inverse temperature", 0.0))
-        couplings = np.array(
-            np.ones(self.p) if self.couplings is None else self.couplings, dtype=float
-        )
-        if couplings.shape != (self.p,) or not np.isfinite(couplings).all():
+        given = np.ones(self.p) if self.couplings is None else self.couplings
+        values = np.asarray(given)
+        # judged by dtype, as check_signal judges a signal but with bools
+        # refused: a sequence entry by entry, as numpy reads [True, 1] as ints
+        entries = (values,) if isinstance(given, np.ndarray) else given
+        if (
+            values.shape != (self.p,)
+            or any(np.asarray(entry).dtype.kind not in "iuf" for entry in entries)
+            or not np.isfinite(values).all()
+        ):
             raise ValueError("couplings must be p finite reals")
+        couplings = values.astype(float)
         couplings.setflags(write=False)
         object.__setattr__(self, "couplings", couplings)
 

@@ -12,7 +12,10 @@ import numpy as np
 from . import harness, markov
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each experiment's subparser, by name; a
+    subparser's result names its experiment in ``command``, as the top-level
+    parser's does."""
     parser = argparse.ArgumentParser(
         prog="ergofilt",
         description=(
@@ -50,20 +53,37 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     cycle = subparsers.add_parser("cycle-walk", help="random walk on an odd cycle")
+    cycle.set_defaults(command="cycle-walk")
     add_common(cycle, default_p=11)
 
     glauber = subparsers.add_parser("glauber", help="heat-bath dynamics on an Ising ring")
+    glauber.set_defaults(command="glauber")
     add_common(glauber, default_p=4)
     # unset, they take harness's defaults
     glauber.add_argument("--beta", type=float, help=f"inverse temperature (default {harness.GLAUBER_BETA})")
     glauber.add_argument("--coupling", type=float, help=f"uniform edge coupling (default {harness.GLAUBER_COUPLING})")
 
-    return parser
+    return parser, {"cycle-walk": cycle, "glauber": glauber}
 
 
-# argparse parsers hold no state between calls: each parse_args returns a fresh
-# Namespace, so one parser serves every run in the process
-_PARSER = build_parser()
+# argparse parsers hold no state between calls: each parse returns a fresh
+# Namespace, so one set of parsers serves every run in the process
+_PARSER, _EXPERIMENTS = build_parsers()
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The parsed ``argv``. When it starts with an experiment's name, that
+    experiment's subparser alone reads the rest, so no argument is classified
+    twice, and the top-level parser reports any it leaves, as a top-level
+    parse does. Anything else (no arguments, ``-h``, an unknown experiment)
+    goes to the top-level parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _EXPERIMENTS:
+        args, extras = _EXPERIMENTS[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            _PARSER.error("unrecognized arguments: " + " ".join(extras))
+        return args
+    return _PARSER.parse_args(argv)
 
 
 def _parse_signal(raw: str) -> np.ndarray:
@@ -107,7 +127,7 @@ def _config_from_args(args: argparse.Namespace) -> harness.ExperimentConfig:
 def cli_main(argv=None) -> int:
     """Run the CLI; returns 0 on success, 1 on bad input, 2 on numerical failure."""
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage and 0 after --help
         return 1 if exc.code else 0

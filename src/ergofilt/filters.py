@@ -10,21 +10,23 @@ generator that yields its output at every degree up to K, one application of
 an affine Laplacian operator from ``ChainModel.affine`` per degree (per
 carried basis signal for Bernstein), its per-degree scalars computed in the
 loop as Python floats: the IEEE arithmetic of numpy scalars at a fraction of
-the cost. ``*_apply`` returns the last output, and ``*_errors`` the max-abs
-error at each degree of one sweep, reduced a block of degrees at a time as
-the sweep yields them (``_ERROR_BLOCK`` entries at most, or one output). The
+the cost. ``*_apply`` returns the last output, ``*_errors`` the max-abs
+error at each degree of one sweep, and ``error_table`` those of all four
+sweeps and the stationary mean, from one pass that judges the signal and
+takes its mean once. Each sweep's outputs are reduced a block of degrees at a
+time as it yields them (``_ERROR_BLOCK`` entries at most, or one output). The
 frequency responses ``*_scalar`` run the same generators on the diagonal
 operator of the frequencies, so each filter has one definition. An exact
 reference ships alongside: the frequency-zeroing projector
 ``lagrange_exact_apply``.
 
-The float64 range is ``markov.check_signal``'s rule: ``*_apply`` and
-``*_errors`` sweep the unit-scale signal ``2^-e f`` it hands back and scale
-the output or the errors back by ``2^e``; that is exact, so in range the
-results are bitwise those of an unscaled sweep. The sweep runs with numpy's
-overflow and invalid warnings off, and an output or a reduced block of errors
-that is not finite is a ``FloatingPointError`` naming the filter and its
-first non-finite degree. ``*_scalar`` runs unscaled.
+The float64 range is ``markov.check_signal``'s rule: ``*_apply``,
+``*_errors`` and ``error_table`` sweep the unit-scale signal ``2^-e f`` it
+hands back and scale the output or the errors back by ``2^e``; that is
+exact, so in range the results are bitwise those of an unscaled sweep. The
+sweep runs with numpy's overflow and invalid warnings off, and an output or
+an error that is not finite is a ``FloatingPointError`` naming the filter
+and its first non-finite degree. ``*_scalar`` runs unscaled.
 
 Polynomial coefficient vectors are in ascending monomial order.
 """
@@ -100,40 +102,63 @@ def _apply(chain: markov.ChainModel, f, steps, name: str, K: int, *args) -> np.n
     return out
 
 
-def _errors(chain: markov.ChainModel, f, steps, name: str, k_max: int, *args) -> list[float]:
-    """Max-abs errors from the stationary mean of ``f`` of the outputs of the
-    generator ``steps`` at degrees 1..k_max (degree 0 skipped), swept at unit
-    scale and scaled back.
+def _errors(chain: markov.ChainModel, f, k_max: int, sweeps) -> tuple[np.ndarray, float, int]:
+    """One pass over ``sweeps``, each ``(name, steps, args)`` run as
+    ``steps(chain, values, k_max, *args)``: the (len(sweeps), k_max) table of
+    max-abs errors from the stationary mean of ``f`` at degrees 1..k_max, and
+    that mean at unit scale with its exponent ``e``. The signal is judged and
+    its mean taken once; the table is scaled back by ``2^e`` and checked once.
 
-    The outputs are stacked and reduced ``max(1, _ERROR_BLOCK // n)`` degrees
-    at a time, the last block holding what is left; max is exact, so each
-    value is the one a reduction of that output alone gives. A block holds
-    the arrays the sweep yielded, and degree 0 is the input itself, so a
-    generator must never write to its input or to an output after yielding
-    it, which none of the four does.
+    Each sweep's outputs are stacked and reduced ``max(1, _ERROR_BLOCK // n)``
+    degrees at a time; max is exact, so each value is the one a reduction of
+    that output alone gives. A block holds the arrays one sweep yielded, so a
+    generator must never write to its input (degree 0) or to an output after
+    yielding it, which none of the four does. The first non-finite cell, in
+    sweep order, is a ``FloatingPointError`` naming its sweep and degree.
     """
     values, exponent = markov.check_signal(f, chain.n)
-    sweep = steps(chain, values, k_max, *args)
+    markov.check_integer(k_max, "filter degree", 0)
+    table = np.empty((len(sweeps), k_max))
+    rows = max(1, _ERROR_BLOCK // chain.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        next(sweep)
         target = float(np.dot(chain.pi, values))
-        rows = max(1, _ERROR_BLOCK // chain.n)
-        errors = []
-        while block := list(itertools.islice(sweep, rows)):
-            errors += _block_errors(np.array(block), target, exponent, name, len(errors))
-    return errors
-
-
-def _block_errors(block: np.ndarray, target: float, exponent: int, name: str, done: int) -> list[float]:
-    """``2^exponent max |row - target|`` of each row, reduced in place; the
-    rows follow ``done`` degrees. One that is not finite is an error."""
-    np.subtract(block, target, out=block)
-    errors = np.ldexp(np.abs(block, out=block).max(axis=1), exponent)
-    finite = np.isfinite(errors)
+        for errors, (_, steps, args) in zip(table, sweeps):
+            sweep = steps(chain, values, k_max, *args)
+            next(sweep)
+            done = 0
+            while block := list(itertools.islice(sweep, rows)):
+                _reduce_block(np.array(block), target, errors[done : done + len(block)])
+                done += len(block)
+        np.ldexp(table, exponent, out=table)
+    finite = np.isfinite(table)
     if not finite.all():
-        degree = done + int(finite.argmin()) + 1
-        raise FloatingPointError(f"non-finite {name} filter error at degree {degree}")
-    return errors.tolist()
+        row, degree = divmod(int(finite.argmin()), k_max)
+        raise FloatingPointError(f"non-finite {sweeps[row][0]} filter error at degree {degree + 1}")
+    return table, target, exponent
+
+
+def _reduce_block(block: np.ndarray, target: float, out: np.ndarray):
+    """``max |row - target|`` of each row into ``out``, reduced in place."""
+    np.subtract(block, target, out=block)
+    np.abs(block, out=block).max(axis=1, out=out)
+
+
+def error_table(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> tuple[np.ndarray, float]:
+    """Max-abs errors of the four filters at degrees ``1..k_max``, one row per
+    filter (running average, Bernstein, Chebyshev, Legendre), and ``pi(f)``,
+    from one pass: each row is bitwise its ``*_errors``, and ``pi(f)`` is
+    bitwise ``markov.pi_expectation``'s."""
+    table, target, exponent = _errors(chain, f, k_max, (
+        ("ergodic", _ergodic_steps, ()),
+        ("bernstein", _bernstein_steps, (lambda_low,)),
+        ("chebyshev", _chebyshev_steps, (lambda_low,)),
+        ("legendre", _legendre_steps, (lambda_low,)),
+    ))
+    return table, float(markov.scaled_back(target, exponent, "pi_expectation"))
+
+
+def _one_sweep_errors(chain: markov.ChainModel, f, k_max: int, name: str, steps, *args) -> list[float]:
+    return _errors(chain, f, k_max, ((name, steps, args),))[0][0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +198,7 @@ def ergodic_apply(chain: markov.ChainModel, f, t: int) -> np.ndarray:
 def ergodic_errors(chain: markov.ChainModel, f, k_max: int) -> list[float]:
     """Max-abs errors of the running average at degrees ``1..k_max``, where
     degree K is horizon ``t = K + 1``; ``k_max`` products with P in all."""
-    return _errors(chain, f, _ergodic_steps, "ergodic", k_max)
+    return _one_sweep_errors(chain, f, k_max, "ergodic", _ergodic_steps)
 
 
 def ergodic_scalar(z, t: int):
@@ -260,7 +285,7 @@ def bernstein_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> n
 def bernstein_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> list[float]:
     """Max-abs errors of the Bernstein filter at degrees ``1..k_max`` from one
     sweep of ``sum_{k<=k_max} (min(k, c) + 1)`` products with L."""
-    return _errors(chain, f, _bernstein_steps, "bernstein", k_max, lambda_low)
+    return _one_sweep_errors(chain, f, k_max, "bernstein", _bernstein_steps, lambda_low)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +337,7 @@ def chebyshev_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> n
 def chebyshev_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> list[float]:
     """Max-abs errors of the Chebyshev filter at degrees ``1..k_max`` from one
     run of the recursion: ``k_max`` products with L."""
-    return _errors(chain, f, _chebyshev_steps, "chebyshev", k_max, lambda_low)
+    return _one_sweep_errors(chain, f, k_max, "chebyshev", _chebyshev_steps, lambda_low)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +396,7 @@ def legendre_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> np
 def legendre_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> list[float]:
     """Max-abs errors of the Legendre filter at degrees ``1..k_max`` from one
     run of the recursion: ``k_max`` products with L."""
-    return _errors(chain, f, _legendre_steps, "legendre", k_max, lambda_low)
+    return _one_sweep_errors(chain, f, k_max, "legendre", _legendre_steps, lambda_low)
 
 
 # ---------------------------------------------------------------------------

@@ -167,20 +167,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[np.ndarray, RunMetadata]:
     override = config.lambda_low_override
     lambda_low = chain.lambda_low if override is None else override
 
-    columns = np.array([
-        filters.ergodic_errors(chain, signal, config.k_max),
-        filters.bernstein_errors(chain, signal, config.k_max, lambda_low),
-        filters.chebyshev_errors(chain, signal, config.k_max, lambda_low),
-        filters.legendre_errors(chain, signal, config.k_max, lambda_low),
-    ])
+    table, pi_f = filters.error_table(chain, signal, config.k_max, lambda_low)
     metadata = RunMetadata(
         experiment=config.experiment,
         p=config.p,
         k_max=config.k_max,
         lambda_low=lambda_low,
-        pi_f=markov.pi_expectation(signal, chain),
+        pi_f=pi_f,
     )
-    return columns.T, metadata
+    return table.T, metadata
 
 
 # one %-format per table row; every value, the metadata's too, is "%.12g"

@@ -115,7 +115,7 @@ def check_signal(f, n: int) -> tuple[np.ndarray, int]:
     return np.ldexp(values, -exponent), exponent
 
 
-def _scaled_back(values, exponent: int, name: str):
+def scaled_back(values, exponent: int, name: str):
     """``2^exponent values``, or a ``FloatingPointError`` naming the reader if not finite."""
     with np.errstate(over="ignore"):
         out = np.ldexp(values, exponent)
@@ -350,20 +350,20 @@ def pi_inner(f, g, chain: ChainModel | SpectralDecomposition) -> float:
     gm, ge = np.frexp(np.asarray(g, dtype=float))
     top = int((fe + ge).max())
     products = np.ldexp(fm * gm, fe + ge - top)
-    return float(_scaled_back(np.sum(products * chain.pi), top, "pi_inner"))
+    return float(scaled_back(np.sum(products * chain.pi), top, "pi_inner"))
 
 
 def pi_expectation(f, chain: ChainModel | SpectralDecomposition) -> float:
     """Mean ``sum_x f(x) pi(x)`` under the chain's validated law ``chain.pi``."""
     values, exponent = check_signal(f, len(chain.pi))
-    return float(_scaled_back(np.dot(chain.pi, values), exponent, "pi_expectation"))
+    return float(scaled_back(np.dot(chain.pi, values), exponent, "pi_expectation"))
 
 
 def pi_norm(f, chain: ChainModel | SpectralDecomposition) -> float:
     """2-norm of a signal under the chain's validated law, its square root taken at
     unit scale, where ``sqrt`` of ``2^-2e`` times a sum is exactly ``2^-e`` times its root."""
     values, exponent = check_signal(f, len(chain.pi))
-    return float(_scaled_back(np.sqrt(np.sum(values * values * chain.pi)), exponent, "pi_norm"))
+    return float(scaled_back(np.sqrt(np.sum(values * values * chain.pi)), exponent, "pi_norm"))
 
 
 def total_variation(f, chain: ChainModel) -> float:
@@ -417,10 +417,10 @@ def gft(f, spec: SpectralDecomposition) -> np.ndarray:
     """Forward transform: coefficient of each eigenfunction under ``pi_inner``
     with the decomposed chain's ``spec.pi``."""
     values, exponent = check_signal(f, len(spec.pi))
-    return _scaled_back(spec.eigenfunctions.T @ (spec.pi * values), exponent, "gft")
+    return scaled_back(spec.eigenfunctions.T @ (spec.pi * values), exponent, "gft")
 
 
 def igft(fhat, spec: SpectralDecomposition) -> np.ndarray:
     """Inverse transform: the eigenfunction columns weighted by ``n`` coefficients."""
     values, exponent = check_signal(fhat, len(spec.pi))
-    return _scaled_back(spec.eigenfunctions @ values, exponent, "igft")
+    return scaled_back(spec.eigenfunctions @ values, exponent, "igft")

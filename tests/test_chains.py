@@ -74,6 +74,15 @@ def test_glauber_params_validation():
             chains.GlauberParams.uniform(4, 0.2, value)
     with pytest.raises(ValueError):
         chains.GlauberParams(p=4, beta=0.2, couplings=np.ones(3))
+    # explicit couplings are judged by dtype, a list entry by entry: a string
+    # is not parsed, a bool not read as 1 (numpy reads [True, 1, 1] as ints),
+    # and a complex value does not lose its imaginary part
+    for couplings in (["1", "0.5", "2"], [True, 1, 1], [1.0, 0.5, True], np.ones(3, dtype=bool), np.array([1j, 1, 1])):
+        with pytest.raises(ValueError, match=re.escape("couplings must be p finite reals")):
+            chains.GlauberParams(p=3, beta=0.2, couplings=couplings)
+    for couplings in ([1, 0.5, np.float32(2.0)], np.array([1, 0, 2], dtype=np.uint8)):
+        params = chains.GlauberParams(p=3, beta=0.2, couplings=couplings)
+        assert params.couplings.dtype == float and params.couplings.tolist() == [1.0, float(couplings[1]), 2.0]
     for make in (
         lambda: chains.GlauberParams.uniform(4.0, 0.2),
         lambda: chains.GlauberParams(p=4.0, beta=0.2),

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergofilt import chains
+from ergofilt import chains, cli
 from ergofilt.cli import cli_main
 
 
@@ -154,6 +154,64 @@ def test_usage_errors_exit_one_and_help_exits_zero(monkeypatch, capsys):
     assert captured.err == ""
     assert captured.out.startswith("usage: ergofilt glauber [-h]")
     assert "inverse temperature (default 0.2)" in captured.out
+
+
+# argv whose first entry names an experiment is parsed by that experiment's
+# parser alone; the rest go to the top-level parser. {signal} and {out} are
+# files under the test's temporary directory
+DISPATCH_ARGV = [
+    ["cycle-walk", "--seed", "3", "--k-max", "4"],
+    ["glauber", "--beta", "0.7", "--coupling", "-0.5", "--seed", "3", "--k-max", "3", "--json"],
+    ["cycle-walk", "--signal", "@{signal}", "--k-max", "2", "--json"],
+    ["cycle-walk", "--signal", "1,2,3,4,5,6,7,8,9,10,11", "--k-max", "2"],
+    ["cycle-walk", "--paper-defaults", "--lambda-low", "0.5", "--k-max", "2", "--out", "{out}"],
+    ["glauber", "--paper-defaults", "--k-max", "2", "--seed", "4"],
+    ["cycle-walk", "--p=x"],
+    ["cycle-walk", "--p=5", "--k", "5", "--seed", "1"],
+    ["cycle-walk", "--seed", "1", "--seed", "2", "--k-max", "2"],
+    ["cycle-walk", "--k-max"],
+    ["glauber", "--lambda-low", "5", "--seed", "1"],
+    ["cycle-walk", "-h"],
+    ["glauber", "--help"],
+    ["-h"],
+    ["--help"],
+    [],
+    ["ring", "--seed", "1"],
+    ["cycle-walk", "--seed", "1", "--frobnicate"],
+    ["glauber", "--frobnicate", "x", "--seed", "1", "-q"],
+    ["cycle-walk", "--seed", "1", "--", "--k-max", "2"],
+    ["--seed", "1", "cycle-walk"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=" ".join)
+def test_dispatch_matches_top_level_parse(monkeypatch, capsys, tmp_path, argv):
+    # exit code, stdout, stderr, any --out file and the Namespace are those of
+    # a run whose argv goes through the top-level parser
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+    (tmp_path / "signal.txt").write_text("8.53 6.22 3.50 5.13 4.01 0.75\n2.39 1.23 1.83 2.39 4.17\n")
+    out = tmp_path / "out.csv"
+    argv = [arg.format(signal=tmp_path / "signal.txt", out=out) for arg in argv]
+
+    def run(parse, given):
+        monkeypatch.setattr(cli, "_parse_args", parse)
+        code = cli_main(given)
+        captured = capsys.readouterr()
+        written = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        try:
+            namespace = vars(parse(given))
+        except SystemExit as exc:
+            namespace = exc.code
+        capsys.readouterr()
+        return code, captured.out, captured.err, written, namespace
+
+    dispatch = cli._parse_args
+    dispatched = run(dispatch, argv)
+    assert dispatched == run(cli._PARSER.parse_args, argv)
+    # argv=None reads sys.argv[1:]
+    monkeypatch.setattr(sys, "argv", ["ergofilt", *argv])
+    assert run(dispatch, None) == dispatched
 
 
 def test_missing_signal_source(capsys):

@@ -3,16 +3,18 @@
 The Bernstein sweep computes the triangle weights of each degree as Python
 floats; they must equal ``triangle``'s bitwise, and its per-degree loop with
 ``triangle`` weights is kept here as a reference, which every output must
-match bitwise. The ``*_errors`` sweeps reduce their outputs a block of
-degrees at a time; the per-degree reduction is kept here as a reference, and
-every error must equal it whatever the block size. The Chebyshev and Legendre
-sweeps carry only bounded ratios as Python floats; the recursions they
-replaced, which first build the geometrically growing tables ``T_k(m0)`` and
-``S_k = sum L~_k(0)^2``, are kept here as references. A ratio recurrence
-rounds differently, so those outputs must match to 1e-13 wherever the
-reference tables are finite, and stay finite far past the degree where the
-tables overflow. The CLI builds its argument parser once per process; runs in
-one process must print what fresh processes print.
+match bitwise. A run's one error pass, of which each ``*_errors`` is a
+one-sweep call, judges the signal once for all four filters and reduces each
+filter's outputs a block of degrees at a time; the per-degree reduction is
+kept here as a reference, and every error must equal it whatever the block
+size. The Chebyshev and Legendre sweeps carry only bounded ratios as Python
+floats; the recursions they replaced, which first build the geometrically
+growing tables ``T_k(m0)`` and ``S_k = sum L~_k(0)^2``, are kept here as
+references. A ratio recurrence rounds differently, so those outputs must
+match to 1e-13 wherever the reference tables are finite, and stay finite far
+past the degree where the tables overflow. The CLI builds its argument
+parsers once per process; runs in one process must print what fresh
+processes print.
 """
 
 import os
@@ -241,15 +243,15 @@ ERROR_BLOCKS = {
 def test_error_blocks_equal_per_degree_reduction(monkeypatch, cycle_chain, glauber_chain, entries):
     # one row per block (1 to 2n - 1 entries), blocks of 2 and 10 rows, and
     # more rows than a sweep has degrees (10n at k_max = 1); k_max = 37
-    # leaves a part-filled last block. The blocks are seen through _block_errors
+    # leaves a part-filled last block. The blocks are seen through _reduce_block
     shapes = []
-    reduce = filters._block_errors
+    reduce = filters._reduce_block
 
     def spy(block, *args):
         shapes.append(block.shape)
         return reduce(block, *args)
 
-    monkeypatch.setattr(filters, "_block_errors", spy)
+    monkeypatch.setattr(filters, "_reduce_block", spy)
     for chain in (cycle_chain, glauber_chain):
         n = chain.n
         block = ERROR_BLOCKS[entries](n)
@@ -314,16 +316,16 @@ def _fresh_process(argv):
 
 def test_sweeps_reduce_no_empty_block(monkeypatch):
     # k_max is at most the error block's _ERROR_BLOCK // n rows on the
-    # paper's sizes, so each sweep reduces its outputs once, at the end, and
-    # never an empty block
+    # paper's sizes, so in a run's one pass each filter's sweep reduces its
+    # outputs once, at the end, in a block of its own, and never an empty block
     blocks = []
-    reduce = filters._block_errors
+    reduce = filters._reduce_block
 
     def recorded(block, *args):
         blocks.append(block.shape[0])
         return reduce(block, *args)
 
-    monkeypatch.setattr(filters, "_block_errors", recorded)
+    monkeypatch.setattr(filters, "_reduce_block", recorded)
     for experiment, p in (("cycle-walk", 11), ("glauber", 4)):
         del blocks[:]
         config = harness.ExperimentConfig(
@@ -331,6 +333,24 @@ def test_sweeps_reduce_no_empty_block(monkeypatch):
         )
         harness.run_experiment(config)
         assert blocks == [20] * len(harness.FILTER_ORDER), (experiment, blocks)
+
+
+def test_run_judges_its_signal_once(monkeypatch):
+    # the run's one pass judges the signal once, for all four filters and
+    # for pi(f)
+    calls = []
+    check_signal = markov.check_signal
+
+    def counted(f, n):
+        calls.append(n)
+        return check_signal(f, n)
+
+    monkeypatch.setattr(markov, "check_signal", counted)
+    for experiment, p, n in (("cycle-walk", 11, 11), ("glauber", 4, 16)):
+        for source in ({"use_reference_signal": True}, {"seed": 5}, {"signal": np.arange(n)}):
+            del calls[:]
+            harness.run_experiment(harness.ExperimentConfig(experiment=experiment, p=p, k_max=20, **source))
+            assert calls == [n], (experiment, source)
 
 
 def test_runs_in_one_process_match_fresh_processes(monkeypatch, capsys):
@@ -354,4 +374,4 @@ def test_parser_returns_fresh_namespace():
     assert glauber is not cycle
     assert glauber.beta == 0.7
     assert not hasattr(cycle, "beta")
-    assert vars(cycle) == vars(cli.build_parser().parse_args(["cycle-walk", "--seed", "3"]))
+    assert vars(cycle) == vars(cli.build_parsers()[0].parse_args(["cycle-walk", "--seed", "3"]))

@@ -154,8 +154,18 @@ def test_sweep_failure_names_the_degree(cycle_chain):
         ([zeros] * 5960 + [low], 5961),
     ):
         with pytest.raises(FloatingPointError) as info:
-            filters._errors(cycle_chain, f, steps, "test", len(outputs), outputs)
+            filters._errors(cycle_chain, f, len(outputs), [("test", steps, (outputs,))])
         assert str(info.value) == f"non-finite test filter error at degree {degree}"
+    # in one pass over several sweeps the first failing sweep is named, at its
+    # first failing degree, though a later sweep fails at a lower degree
+    sweeps = [
+        ("first", steps, ([zeros, zeros],)),
+        ("second", steps, ([zeros, None],)),
+        ("third", steps, ([nan, nan],)),
+    ]
+    with pytest.raises(FloatingPointError) as info:
+        filters._errors(cycle_chain, f, 2, sweeps)
+    assert str(info.value) == "non-finite second filter error at degree 2"
     for last in (low, None, nan):
         with pytest.raises(FloatingPointError) as info:
             filters._apply(cycle_chain, f, steps, "test", 3, [zeros, zeros, last])
@@ -214,6 +224,19 @@ def _random_reversible_chain(rng):
     return transition, total / total.sum(), table[:, :, 0].astype(int), table[:, :, 1]
 
 
+def _random_runs():
+    """100 seeded random reversible chains, each with its dense P, a gap
+    bound ``lambda_low`` between half the gap and the gap, and a signal."""
+    rng = np.random.default_rng(20260)
+    for _ in range(100):
+        transition, pi, neighbors, weights = _random_reversible_chain(rng)
+        root = np.sqrt(pi)
+        laplacian = root[:, None] * (np.eye(pi.size) - transition) / root[None, :]
+        gap = np.linalg.eigvalsh(0.5 * (laplacian + laplacian.T))[1]
+        chain = markov.ChainModel(neighbors, weights, pi, gap * rng.uniform(0.5, 1.0))
+        yield transition, chain, rng.standard_normal(chain.n) * 10.0 ** rng.uniform(-3.0, 3.0)
+
+
 def test_random_reversible_chains_match_spectral_reference(monkeypatch):
     # padded rows and repeated entries: the pair-by-pair check admits every
     # chain, each column of a k_max = 20 run equals the eigendecomposition's,
@@ -227,16 +250,9 @@ def test_random_reversible_chains_match_spectral_reference(monkeypatch):
         return pair_imbalance(*args)
 
     monkeypatch.setattr(markov, "_pair_imbalance", counted)
-    rng = np.random.default_rng(20260)
-    for trial in range(100):
-        transition, pi, neighbors, weights = _random_reversible_chain(rng)
-        root = np.sqrt(pi)
-        laplacian = root[:, None] * (np.eye(pi.size) - transition) / root[None, :]
-        gap = np.linalg.eigvalsh(0.5 * (laplacian + laplacian.T))[1]
-        lam = gap * rng.uniform(0.5, 1.0)
-        chain = markov.ChainModel(neighbors, weights, pi, lam)
+    for trial, (transition, chain, f) in enumerate(_random_runs()):
+        pi, lam = chain.pi, chain.lambda_low
         assert len(calls) == trial + 1
-        f = rng.standard_normal(chain.n) * 10.0 ** rng.uniform(-3.0, 3.0)
         want = exact_references.spectral_error_table(transition, pi, f, 20, lam)
         columns = np.array([
             filters.ergodic_errors(chain, f, 20),
@@ -250,6 +266,50 @@ def test_random_reversible_chains_match_spectral_reference(monkeypatch):
         for K in range(1, 21):
             assert columns[K - 1, 2] <= abs(filters.chebyshev_scalar(2.0, K, lam)) * bound, (trial, K)
             assert columns[K - 1, 1] <= 1.5 * min(1.0, 2.0 / (sqrt(K) * lam)) * bound, (trial, K)
+
+
+def _run_columns(config):
+    """The run's table and pi(f), and each ``*_errors`` column of the chain
+    and signal the run reads, with ``markov.pi_expectation``."""
+    table, metadata = harness.run_experiment(config)
+    chain = harness._build_chain(config)
+    f = harness._resolve_signal(config, chain.n)
+    lam = metadata.lambda_low
+    columns = np.array([
+        filters.ergodic_errors(chain, f, config.k_max),
+        filters.bernstein_errors(chain, f, config.k_max, lam),
+        filters.chebyshev_errors(chain, f, config.k_max, lam),
+        filters.legendre_errors(chain, f, config.k_max, lam),
+    ]).T
+    return table, metadata.pi_f, columns, markov.pi_expectation(f, chain)
+
+
+def _bitwise(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def test_run_table_is_the_error_columns(monkeypatch):
+    # the run's one pass gives each filter's *_errors column and pi_expectation
+    # bitwise: the bundled chains at several signals, degrees and bounds, and
+    # the 100 random reversible chains
+    configs = [
+        harness.ExperimentConfig(experiment=experiment, p=p, k_max=k_max, **source)
+        for experiment, p in (("cycle-walk", 11), ("glauber", 4), ("cycle-walk", 101))
+        for k_max in (1, 20, 100)
+        for source in ({"seed": 7}, {"seed": 2, "lambda_low_override": 1.9})
+    ]
+    configs += [
+        harness.ExperimentConfig(experiment=e, p=p, k_max=20, use_reference_signal=True)
+        for e, p in (("cycle-walk", 11), ("glauber", 4))
+    ]
+    for config in configs:
+        table, pi_f, columns, mean = _run_columns(config)
+        assert _bitwise(table, columns) and _bitwise(pi_f, mean), config
+    for trial, (_, chain, f) in enumerate(_random_runs()):
+        monkeypatch.setattr(harness, "_build_chain", lambda config: chain)
+        config = harness.ExperimentConfig(experiment="cycle-walk", p=chain.n, k_max=20, signal=f)
+        table, pi_f, columns, mean = _run_columns(config)
+        assert _bitwise(table, columns) and _bitwise(pi_f, mean), trial
 
 
 # ---------------------------------------------------------------------------
