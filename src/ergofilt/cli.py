@@ -142,7 +142,9 @@ def cli_main(argv=None) -> int:
         with target as handle:
             handle.write(text)
         return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names a request too large to allocate, such as
+        # the error table of a huge --k-max
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (markov.ChainValidationError, FloatingPointError) as exc:

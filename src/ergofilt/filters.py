@@ -10,23 +10,23 @@ generator that yields its output at every degree up to K, one application of
 an affine Laplacian operator from ``ChainModel.affine`` per degree (per
 carried basis signal for Bernstein), its per-degree scalars computed in the
 loop as Python floats: the IEEE arithmetic of numpy scalars at a fraction of
-the cost. ``*_apply`` returns the last output, ``*_errors`` the max-abs
-error at each degree of one sweep, and ``error_table`` those of all four
-sweeps and the stationary mean, from one pass that judges the signal and
-takes its mean once. Each sweep's outputs are reduced a block of degrees at a
-time as it yields them (``_ERROR_BLOCK`` entries at most, or one output). The
+the cost. ``*_apply`` returns the last output, and ``error_table``, the one
+error reader, the max-abs error of all four sweeps at each degree and the
+stationary mean, from one pass that judges the signal and takes its mean
+once. Each sweep's outputs are reduced a block of degrees at a time as it
+yields them (``_ERROR_BLOCK`` entries at most, or one output). The
 frequency responses ``*_scalar`` run the same generators on the diagonal
 operator of the frequencies, so each filter has one definition. An exact
 reference ships alongside: the frequency-zeroing projector
 ``lagrange_exact_apply``.
 
-The float64 range is ``markov.check_signal``'s rule: ``*_apply``,
-``*_errors`` and ``error_table`` sweep the unit-scale signal ``2^-e f`` it
-hands back and scale the output or the errors back by ``2^e``; that is
-exact, so in range the results are bitwise those of an unscaled sweep. The
-sweep runs with numpy's overflow and invalid warnings off, and an output or
-an error that is not finite is a ``FloatingPointError`` naming the filter
-and its first non-finite degree. ``*_scalar`` runs unscaled.
+The float64 range is ``markov.check_signal``'s rule: ``*_apply`` and
+``error_table`` sweep the unit-scale signal ``2^-e f`` it hands back and
+scale the output or the errors back by ``2^e``; that is exact, so in range
+the results are bitwise those of an unscaled sweep. The sweep runs with
+numpy's overflow and invalid warnings off, and an output or an error that is
+not finite is a ``FloatingPointError`` naming the filter and its first
+non-finite degree. ``*_scalar`` runs unscaled.
 
 Polynomial coefficient vectors are in ascending monomial order.
 """
@@ -102,12 +102,12 @@ def _apply(chain: markov.ChainModel, f, steps, name: str, K: int, *args) -> np.n
     return out
 
 
-def _errors(chain: markov.ChainModel, f, k_max: int, sweeps) -> tuple[np.ndarray, float, int]:
+def _errors(chain: markov.ChainModel, f, k_max: int, sweeps) -> tuple[np.ndarray, float]:
     """One pass over ``sweeps``, each ``(name, steps, args)`` run as
     ``steps(chain, values, k_max, *args)``: the (len(sweeps), k_max) table of
     max-abs errors from the stationary mean of ``f`` at degrees 1..k_max, and
-    that mean at unit scale with its exponent ``e``. The signal is judged and
-    its mean taken once; the table is scaled back by ``2^e`` and checked once.
+    that mean. The signal is judged and its mean taken once; the table and
+    the mean are scaled back by ``2^e`` and checked once.
 
     Each sweep's outputs are stacked and reduced ``max(1, _ERROR_BLOCK // n)``
     degrees at a time; max is exact, so each value is the one a reduction of
@@ -134,7 +134,7 @@ def _errors(chain: markov.ChainModel, f, k_max: int, sweeps) -> tuple[np.ndarray
     if not finite.all():
         row, degree = divmod(int(finite.argmin()), k_max)
         raise FloatingPointError(f"non-finite {sweeps[row][0]} filter error at degree {degree + 1}")
-    return table, target, exponent
+    return table, float(markov.scaled_back(target, exponent, "pi_expectation"))
 
 
 def _reduce_block(block: np.ndarray, target: float, out: np.ndarray):
@@ -146,19 +146,16 @@ def _reduce_block(block: np.ndarray, target: float, out: np.ndarray):
 def error_table(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> tuple[np.ndarray, float]:
     """Max-abs errors of the four filters at degrees ``1..k_max``, one row per
     filter (running average, Bernstein, Chebyshev, Legendre), and ``pi(f)``,
-    from one pass: each row is bitwise its ``*_errors``, and ``pi(f)`` is
-    bitwise ``markov.pi_expectation``'s."""
-    table, target, exponent = _errors(chain, f, k_max, (
+    from one pass: each row is bitwise its sweep run alone by ``_errors``,
+    and ``pi(f)`` is bitwise ``markov.pi_expectation``'s. The running
+    average's row does not read ``lambda_low``; degree K of it is horizon
+    ``t = K + 1``."""
+    return _errors(chain, f, k_max, (
         ("ergodic", _ergodic_steps, ()),
         ("bernstein", _bernstein_steps, (lambda_low,)),
         ("chebyshev", _chebyshev_steps, (lambda_low,)),
         ("legendre", _legendre_steps, (lambda_low,)),
     ))
-    return table, float(markov.scaled_back(target, exponent, "pi_expectation"))
-
-
-def _one_sweep_errors(chain: markov.ChainModel, f, k_max: int, name: str, steps, *args) -> list[float]:
-    return _errors(chain, f, k_max, ((name, steps, args),))[0][0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +190,6 @@ def ergodic_apply(chain: markov.ChainModel, f, t: int) -> np.ndarray:
     """
     markov.check_integer(t, "averaging horizon", 1)
     return _apply(chain, f, _ergodic_steps, "ergodic", t - 1)
-
-
-def ergodic_errors(chain: markov.ChainModel, f, k_max: int) -> list[float]:
-    """Max-abs errors of the running average at degrees ``1..k_max``, where
-    degree K is horizon ``t = K + 1``; ``k_max`` products with P in all."""
-    return _one_sweep_errors(chain, f, k_max, "ergodic", _ergodic_steps)
 
 
 def ergodic_scalar(z, t: int):
@@ -282,12 +273,6 @@ def bernstein_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> n
     return _apply(chain, f, _bernstein_steps, "bernstein", K, lambda_low)
 
 
-def bernstein_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> list[float]:
-    """Max-abs errors of the Bernstein filter at degrees ``1..k_max`` from one
-    sweep of ``sum_{k<=k_max} (min(k, c) + 1)`` products with L."""
-    return _one_sweep_errors(chain, f, k_max, "bernstein", _bernstein_steps, lambda_low)
-
-
 # ---------------------------------------------------------------------------
 # Chebyshev filter
 # ---------------------------------------------------------------------------
@@ -332,12 +317,6 @@ def chebyshev_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> n
     also the degree-k output, and none of them grows with k.
     """
     return _apply(chain, f, _chebyshev_steps, "chebyshev", K, lambda_low)
-
-
-def chebyshev_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> list[float]:
-    """Max-abs errors of the Chebyshev filter at degrees ``1..k_max`` from one
-    run of the recursion: ``k_max`` products with L."""
-    return _one_sweep_errors(chain, f, k_max, "chebyshev", _chebyshev_steps, lambda_low)
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +370,6 @@ def legendre_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> np
     degree-k output.
     """
     return _apply(chain, f, _legendre_steps, "legendre", K, lambda_low)
-
-
-def legendre_errors(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> list[float]:
-    """Max-abs errors of the Legendre filter at degrees ``1..k_max`` from one
-    run of the recursion: ``k_max`` products with L."""
-    return _one_sweep_errors(chain, f, k_max, "legendre", _legendre_steps, lambda_low)
 
 
 # ---------------------------------------------------------------------------

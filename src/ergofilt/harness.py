@@ -153,7 +153,8 @@ def _resolve_signal(config: ExperimentConfig, n: int) -> np.ndarray:
                 f"the bundled {config.experiment} reference signal has {reference.size} values; "
                 f"this chain has {n} states — pass --signal or --seed instead"
             )
-        return reference.copy()
+        # read-only; check_signal hands the sweeps a unit-scale copy
+        return reference
     return generate_signal(config.seed, n)
 
 

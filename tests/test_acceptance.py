@@ -215,7 +215,8 @@ def test_criterion_08b_running_average_t500(acceptance, cycle_chain):
 
     def error_at(t):
         # the running average at horizon t is the ergodic filter of degree t - 1
-        return filters.ergodic_errors(cycle_chain, f, t - 1)[-1]
+        sweep = (("ergodic", filters._ergodic_steps, ()),)
+        return filters._errors(cycle_chain, f, t - 1, sweep)[0][0, -1]
 
     t, tol = 500, 1e-2
     err = error_at(t)

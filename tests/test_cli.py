@@ -96,6 +96,20 @@ def test_oversized_ring_refused_before_allocating(capsys):
     assert peak < 1 << 20, peak
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k_max", [10**15, 2**61], ids=["1e15", "2^61"])
+def test_unallocatable_k_max_exits_one(capsys, k_max):
+    # the (4, k_max) error table is refused before any sweep: at 10^15 numpy
+    # raises a MemoryError (28.4 PiB, beyond a 47-bit address space, so
+    # nothing is allocated even under memory overcommit), at 2^61 a
+    # ValueError (the byte count overflows); each is one error: line, exit 1
+    code = cli_main(["cycle-walk", "--k-max", str(k_max), "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
 def test_bad_override_refused_before_building(capsys):
     # the override is judged with the config, before the 2^20-state chain
     # (344 MiB) is built and validated

@@ -555,7 +555,7 @@ def test_context_validation(cycle_chain):
         lambda: filters.ergodic_apply(cycle_chain, np.ones(11), 3.0),
         lambda: filters.chebyshev_scalar(0.5, 2.0, 0.5),
         lambda: filters.ergodic_scalar(0.5, 3.0),
-        lambda: filters.legendre_errors(cycle_chain, np.ones(11), 2.0, 0.5),
+        lambda: filters.error_table(cycle_chain, np.ones(11), 2.0, 0.5),
     ):
         with pytest.raises(ValueError, match="(filter degree|averaging horizon) must be an integer, got"):
             call()

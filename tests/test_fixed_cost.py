@@ -3,18 +3,18 @@
 The Bernstein sweep computes the triangle weights of each degree as Python
 floats; they must equal ``triangle``'s bitwise, and its per-degree loop with
 ``triangle`` weights is kept here as a reference, which every output must
-match bitwise. A run's one error pass, of which each ``*_errors`` is a
-one-sweep call, judges the signal once for all four filters and reduces each
-filter's outputs a block of degrees at a time; the per-degree reduction is
-kept here as a reference, and every error must equal it whatever the block
-size. The Chebyshev and Legendre sweeps carry only bounded ratios as Python
-floats; the recursions they replaced, which first build the geometrically
-growing tables ``T_k(m0)`` and ``S_k = sum L~_k(0)^2``, are kept here as
-references. A ratio recurrence rounds differently, so those outputs must
-match to 1e-13 wherever the reference tables are finite, and stay finite far
-past the degree where the tables overflow. The CLI builds its argument
-parsers once per process; runs in one process must print what fresh
-processes print.
+match bitwise. A run's one error pass, ``filters.error_table``, judges the
+signal once for all four filters and reduces each filter's outputs a block of
+degrees at a time; the per-degree reduction is kept here as a reference, and
+every error of a sweep run alone by the same pass, ``filters._errors``, must
+equal it whatever the block size. The Chebyshev and Legendre sweeps carry
+only bounded ratios as Python floats; the recursions they replaced, which
+first build the geometrically growing tables ``T_k(m0)`` and
+``S_k = sum L~_k(0)^2``, are kept here as references. A ratio recurrence
+rounds differently, so those outputs must match to 1e-13 wherever the
+reference tables are finite, and stay finite far past the degree where the
+tables overflow. The CLI builds its argument parsers once per process; runs
+in one process must print what fresh processes print.
 """
 
 import os
@@ -41,6 +41,12 @@ def _errors(chain, f, steps):
     next(steps)
     target = markov.pi_expectation(f, chain)
     return [float(np.abs(out - target).max()) for out in steps]
+
+
+def _sweep(chain, f, k_max, name, *args):
+    """Filter ``name``'s errors at degrees 1..k_max, its sweep run alone by
+    the run's error pass."""
+    return filters._errors(chain, f, k_max, ((name, getattr(filters, f"_{name}_steps"), args),))[0][0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +172,13 @@ def test_sweep_errors_bitwise_equal_reference(cycle_chain, glauber_chain, name):
     # whose entries l > k lie outside the band and are masked; the Chebyshev
     # and Legendre ratio recurrences round differently from the references,
     # so they are held to 1e-13 max|f - pi(f)| instead of bitwise
-    errors = getattr(filters, f"{name}_errors")
     for chain in (cycle_chain, glauber_chain):
         f = _signal(chain)
         tol = 0.0 if name == "bernstein" else 1e-13 * np.abs(f - markov.pi_expectation(f, chain)).max()
         for lam in (chain.lambda_low, 0.5, 1.9):
             for k_max in range(1, K_MAX + 1):
                 want = _errors(chain, f, REFERENCES[name](chain, f, k_max, lam))
-                got = errors(chain, f, k_max, lam)
+                got = _sweep(chain, f, k_max, name, lam)
                 assert np.abs(np.subtract(got, want)).max() <= tol, (chain.n, lam, k_max)
 
 
@@ -197,7 +202,7 @@ def test_bernstein_control_weights_bitwise_equal_triangle(cycle_chain, glauber_c
     for chain, k_max in ((cycle_chain, 200), (glauber_chain, K_MAX)):
         f = _signal(chain)
         want = _errors(chain, f, reference_bernstein_steps(chain, f, k_max, lam))
-        assert filters.bernstein_errors(chain, f, k_max, lam) == want, (chain.n, lam)
+        assert _sweep(chain, f, k_max, "bernstein", lam) == want, (chain.n, lam)
 
 
 def test_bernstein_one_basis_signal_computes_no_weights(monkeypatch, capsys):
@@ -220,12 +225,12 @@ FILTER_NAMES = ("ergodic", "bernstein", "chebyshev", "legendre")
 
 
 def _sweeps(chain, f, k_max, lam):
-    """Each filter's ``*_errors`` result and the per-degree reference errors
-    of the same sweep generator."""
+    """Each filter's errors, its sweep run alone, and the per-degree reference
+    errors of the same sweep generator."""
     for name in FILTER_NAMES:
-        args = (k_max,) if name == "ergodic" else (k_max, lam)
-        got = getattr(filters, f"{name}_errors")(chain, f, *args)
-        want = _errors(chain, f, getattr(filters, f"_{name}_steps")(chain, f, *args))
+        args = () if name == "ergodic" else (lam,)
+        got = _sweep(chain, f, k_max, name, *args)
+        want = _errors(chain, f, getattr(filters, f"_{name}_steps")(chain, f, k_max, *args))
         yield name, got, want
 
 
@@ -285,11 +290,10 @@ def test_long_sweeps_finite_and_match_reference(cycle_chain, glauber_chain):
     # stay finite to degree 10^4 and match the references below the overflow
     for name in sorted(TABLES):
         steps = getattr(filters, f"_{name}_steps")
-        errors = getattr(filters, f"{name}_errors")
         for chain in (cycle_chain, glauber_chain):
             f = _signal(chain)
             for lam in (chain.lambda_low, 1.9):
-                assert np.all(np.isfinite(errors(chain, f, LONG_SWEEP, lam))), (name, chain.n, lam)
+                assert np.all(np.isfinite(_sweep(chain, f, LONG_SWEEP, name, lam))), (name, chain.n, lam)
                 with np.errstate(over="ignore", invalid="ignore"):
                     overflow = np.flatnonzero(~np.isfinite(TABLES[name](LONG_SWEEP, lam)))
                 assert overflow.size, (name, chain.n, lam)

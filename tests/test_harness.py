@@ -186,10 +186,7 @@ def test_near_maximum_signal_is_swept_scaled(cycle_chain):
 
         lam = cycle_chain.lambda_low if override is None else override
         for run in (
-            lambda f: filters.ergodic_errors(cycle_chain, f, k_max),
-            lambda f: filters.bernstein_errors(cycle_chain, f, k_max, lam),
-            lambda f: filters.chebyshev_errors(cycle_chain, f, k_max, lam),
-            lambda f: filters.legendre_errors(cycle_chain, f, k_max, lam),
+            lambda f: filters.error_table(cycle_chain, f, k_max, lam)[0],
             lambda f: filters.ergodic_apply(cycle_chain, f, k_max + 1),
             lambda f: filters.bernstein_apply(cycle_chain, f, k_max, lam),
             lambda f: filters.chebyshev_apply(cycle_chain, f, k_max, lam),
@@ -422,8 +419,8 @@ def test_seeded_run_deterministic():
 
 
 def _poisoned(monkeypatch, name, degrees):
-    """Make the generator behind ``filters.<name>_errors`` yield NaN at the
-    given degrees."""
+    """Make the generator behind filter ``name``'s row of
+    ``filters.error_table`` yield NaN at the given degrees."""
     real = getattr(filters, f"_{name}_steps")
 
     def steps(*args):

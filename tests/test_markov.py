@@ -465,11 +465,21 @@ _SIGNAL_READERS = {
     "bernstein_apply": lambda chain, spec, f: filters.bernstein_apply(chain, f, 3, 0.5),
     "chebyshev_apply": lambda chain, spec, f: filters.chebyshev_apply(chain, f, 3, 0.5),
     "legendre_apply": lambda chain, spec, f: filters.legendre_apply(chain, f, 3, 0.5),
-    "ergodic_errors": lambda chain, spec, f: filters.ergodic_errors(chain, f, 3),
-    "bernstein_errors": lambda chain, spec, f: filters.bernstein_errors(chain, f, 3, 0.5),
-    "chebyshev_errors": lambda chain, spec, f: filters.chebyshev_errors(chain, f, 3, 0.5),
-    "legendre_errors": lambda chain, spec, f: filters.legendre_errors(chain, f, 3, 0.5),
+    "error_table": lambda chain, spec, f: filters.error_table(chain, f, 3, 0.5)[0],
 }
+
+
+def _one_sweep_reader(name):
+    """Filter ``name``'s errors at degrees 1..3, its sweep run alone by the
+    run's error pass."""
+    args = () if name == "ergodic" else (0.5,)
+    sweep = ((name, getattr(filters, f"_{name}_steps"), args),)
+    return lambda chain, spec, f: filters._errors(chain, f, 3, sweep)[0]
+
+
+_SIGNAL_READERS.update(
+    {f"{name}_sweep": _one_sweep_reader(name) for name in ("ergodic", "bernstein", "chebyshev", "legendre")}
+)
 
 
 @pytest.mark.filterwarnings("error")
@@ -767,7 +777,7 @@ def test_lambda_low_must_be_a_real_number(cycle_chain, lambda_low):
     message = re.escape(f"lambda_low must be a real number, got {lambda_low!r}")
     with pytest.raises(ValueError, match=message):
         markov.ChainModel(cycle_chain.neighbors, cycle_chain.weights, cycle_chain.pi, lambda_low)
-    for call in (filters.bernstein_apply, filters.chebyshev_apply, filters.legendre_errors):
+    for call in (filters.bernstein_apply, filters.chebyshev_apply, filters.error_table):
         with pytest.raises(ValueError, match=message):
             call(cycle_chain, np.ones(11), 3, lambda_low)
     with pytest.raises(ValueError, match=message):

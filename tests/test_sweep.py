@@ -1,7 +1,9 @@
-"""Tests for the one-pass degree sweep: every filter's ``*_errors`` equals its
-per-degree ``*_apply``, Bernstein matches the dense de Casteljau recursion, a
-degree-100 sweep matches an independent spectral reference, and a sweep to
-``k_max`` costs the stated number of applications of the chain's operators."""
+"""Tests for the one-pass degree sweep: every filter's sweep, run alone by
+``filters._errors``, equals its per-degree ``*_apply``, Bernstein matches the
+dense de Casteljau recursion, a degree-100 ``error_table`` matches an
+independent spectral reference, each of its rows is bitwise its sweep run
+alone, and a sweep to ``k_max`` costs the stated number of applications of
+the chain's operators."""
 
 import dataclasses
 from math import ceil, sqrt
@@ -24,6 +26,13 @@ def _signal(chain):
 
 def _lambdas(chain):
     return (chain.lambda_low, 0.5, 1.9)
+
+
+def _sweep(chain, f, k_max, name, lambda_low=None):
+    """The errors of filter ``name`` at degrees 1..k_max, its sweep run alone;
+    the running average takes no ``lambda_low``."""
+    args = () if name == "ergodic" else (lambda_low,)
+    return filters._errors(chain, f, k_max, ((name, getattr(filters, f"_{name}_steps"), args),))[0][0]
 
 
 def _spread(chain, f):
@@ -83,7 +92,7 @@ def _bernstein_products(k_max, lambda_low):
 def test_ergodic_sweep_equals_apply(cycle_chain, glauber_chain):
     for chain in (cycle_chain, glauber_chain):
         f = _signal(chain)
-        errors = filters.ergodic_errors(chain, f, K_SWEEP)
+        errors = _sweep(chain, f, K_SWEEP, "ergodic")
         assert len(errors) == K_SWEEP
         for k in range(1, K_SWEEP + 1):
             out = filters.ergodic_apply(chain, f, k + 1)
@@ -92,12 +101,11 @@ def test_ergodic_sweep_equals_apply(cycle_chain, glauber_chain):
 
 @pytest.mark.parametrize("name", ["bernstein", "chebyshev", "legendre"])
 def test_polynomial_sweep_equals_apply(name, cycle_chain, glauber_chain):
-    sweep = getattr(filters, f"{name}_errors")
     apply = getattr(filters, f"{name}_apply")
     for chain in (cycle_chain, glauber_chain):
         f = _signal(chain)
         for lam in _lambdas(chain):
-            errors = sweep(chain, f, K_SWEEP, lam)
+            errors = _sweep(chain, f, K_SWEEP, name, lam)
             assert len(errors) == K_SWEEP
             for k in range(1, K_SWEEP + 1):
                 out = apply(chain, f, k, lam)
@@ -109,7 +117,7 @@ def test_bernstein_matches_de_casteljau(cycle_chain, glauber_chain):
         f = _signal(chain)
         tol = 1e-13 * _spread(chain, f)
         for lam in _lambdas(chain):
-            errors = filters.bernstein_errors(chain, f, K_BERNSTEIN, lam)
+            errors = _sweep(chain, f, K_BERNSTEIN, "bernstein", lam)
             for K in range(1, K_BERNSTEIN + 1):
                 want = exact_references.max_abs_error(de_casteljau_bernstein(chain, f, K, lam), f, chain.pi)
                 assert abs(errors[K - 1] - want) <= tol, (lam, K)
@@ -121,13 +129,15 @@ def test_bernstein_matches_de_casteljau(cycle_chain, glauber_chain):
 def test_sweeps_reject_bad_input(cycle_chain):
     f = harness.CYCLE_REFERENCE_SIGNAL
     with pytest.raises(ValueError):
-        filters.ergodic_errors(cycle_chain, f, -1)
-    for sweep in (filters.bernstein_errors, filters.chebyshev_errors, filters.legendre_errors):
+        filters.error_table(cycle_chain, f, -1, 0.5)
+    with pytest.raises(ValueError):
+        filters.error_table(cycle_chain, np.ones(4), 3, 0.5)
+    table, _ = filters.error_table(cycle_chain, f, 0, 0.5)
+    assert table.shape == (4, 0)
+    # each polynomial sweep judges its own gap bound
+    for name in harness.FILTER_ORDER[1:]:
         with pytest.raises(ValueError):
-            sweep(cycle_chain, f, 3, 2.0)
-        with pytest.raises(ValueError):
-            sweep(cycle_chain, np.ones(4), 3, 0.5)
-        assert sweep(cycle_chain, f, 0, 0.5) == []
+            _sweep(cycle_chain, f, 3, name, 2.0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -180,15 +190,10 @@ def test_cycle_deep_errors_match_spectral_reference():
     lam = chain.lambda_low
     transition = exact_references.dense_transition(chain)
     want = exact_references.spectral_error_table(transition, chain.pi, f, 100, lam)
-    columns = (
-        filters.ergodic_errors(chain, f, 100),
-        filters.bernstein_errors(chain, f, 100, lam),
-        filters.chebyshev_errors(chain, f, 100, lam),
-        filters.legendre_errors(chain, f, 100, lam),
-    )
+    table, _ = filters.error_table(chain, f, 100, lam)
     limit = 1e-9 * np.abs(want) + 1e-10 * _spread(chain, f)
-    for j, got in enumerate(columns):
-        assert np.all(np.abs(np.array(got) - want[:, j]) <= limit[:, j]), harness.FILTER_ORDER[j]
+    for j, got in enumerate(table):
+        assert np.all(np.abs(got - want[:, j]) <= limit[:, j]), harness.FILTER_ORDER[j]
 
 
 def _random_reversible_chain(rng):
@@ -254,12 +259,7 @@ def test_random_reversible_chains_match_spectral_reference(monkeypatch):
         pi, lam = chain.pi, chain.lambda_low
         assert len(calls) == trial + 1
         want = exact_references.spectral_error_table(transition, pi, f, 20, lam)
-        columns = np.array([
-            filters.ergodic_errors(chain, f, 20),
-            filters.bernstein_errors(chain, f, 20, lam),
-            filters.chebyshev_errors(chain, f, 20, lam),
-            filters.legendre_errors(chain, f, 20, lam),
-        ]).T
+        columns = filters.error_table(chain, f, 20, lam)[0].T
         centred = f - pi @ f
         assert np.abs(columns - want).max() <= 1e-10 * np.abs(centred).max(), trial
         bound = np.sqrt(pi @ (centred * centred) / pi.min())
@@ -269,17 +269,15 @@ def test_random_reversible_chains_match_spectral_reference(monkeypatch):
 
 
 def _run_columns(config):
-    """The run's table and pi(f), and each ``*_errors`` column of the chain
-    and signal the run reads, with ``markov.pi_expectation``."""
+    """The run's table and pi(f), and each filter's sweep, run alone on the
+    chain and signal the run reads, as a column, with ``markov.pi_expectation``."""
     table, metadata = harness.run_experiment(config)
     chain = harness._build_chain(config)
     f = harness._resolve_signal(config, chain.n)
     lam = metadata.lambda_low
     columns = np.array([
-        filters.ergodic_errors(chain, f, config.k_max),
-        filters.bernstein_errors(chain, f, config.k_max, lam),
-        filters.chebyshev_errors(chain, f, config.k_max, lam),
-        filters.legendre_errors(chain, f, config.k_max, lam),
+        _sweep(chain, f, config.k_max, name, lam)
+        for name in harness.FILTER_ORDER
     ]).T
     return table, metadata.pi_f, columns, markov.pi_expectation(f, chain)
 
@@ -289,7 +287,7 @@ def _bitwise(a, b):
 
 
 def test_run_table_is_the_error_columns(monkeypatch):
-    # the run's one pass gives each filter's *_errors column and pi_expectation
+    # the run's one pass gives each filter's sweep run alone and pi_expectation
     # bitwise: the bundled chains at several signals, degrees and bounds, and
     # the 100 random reversible chains
     configs = [
@@ -312,6 +310,17 @@ def test_run_table_is_the_error_columns(monkeypatch):
         assert _bitwise(table, columns) and _bitwise(pi_f, mean), trial
 
 
+def test_ergodic_row_ignores_lambda_low(cycle_chain, glauber_chain):
+    # error_table is the one reader of the running average's errors, and it
+    # always takes a gap bound; the running average reads none
+    for chain in (cycle_chain, glauber_chain):
+        f = _signal(chain)
+        low, _ = filters.error_table(chain, f, K_SWEEP, 0.5)
+        high, _ = filters.error_table(chain, f, K_SWEEP, 1.9)
+        assert _bitwise(low[0], high[0]), chain.n
+        assert not np.array_equal(low[1:], high[1:]), chain.n
+
+
 # ---------------------------------------------------------------------------
 # products with the chain's operators
 # ---------------------------------------------------------------------------
@@ -321,17 +330,17 @@ def test_sweep_matvec_counts(cycle_chain, glauber_chain):
     for fixture in (cycle_chain, glauber_chain):
         chain, tally = _counting(fixture)
         f = _signal(chain)
-        filters.ergodic_errors(chain, f, K_SWEEP)
+        _sweep(chain, f, K_SWEEP, "ergodic")
         assert tally[0] == K_SWEEP
         for lam in _lambdas(chain):
-            for sweep, products in (
-                (filters.chebyshev_errors, K_SWEEP),
-                (filters.legendre_errors, K_SWEEP),
-                (filters.bernstein_errors, _bernstein_products(K_SWEEP, lam)),
+            for name, products in (
+                ("chebyshev", K_SWEEP),
+                ("legendre", K_SWEEP),
+                ("bernstein", _bernstein_products(K_SWEEP, lam)),
             ):
                 tally[0] = 0
-                sweep(chain, f, K_SWEEP, lam)
-                assert tally[0] == products, (sweep.__name__, lam)
+                _sweep(chain, f, K_SWEEP, name, lam)
+                assert tally[0] == products, (name, lam)
 
 
 def test_apply_matvec_counts(cycle_chain):
@@ -355,15 +364,10 @@ def test_cycle_deep_run_takes_k_max_products_per_filter(monkeypatch):
     f = harness.generate_signal(1, chain.n)
     lam = chain.lambda_low
     assert _bernstein_products(100, lam) == 100
-    for run in (
-        lambda: filters.ergodic_errors(chain, f, 100),
-        lambda: filters.bernstein_errors(chain, f, 100, lam),
-        lambda: filters.chebyshev_errors(chain, f, 100, lam),
-        lambda: filters.legendre_errors(chain, f, 100, lam),
-    ):
+    for name in harness.FILTER_ORDER:
         tally[0] = 0
-        run()
-        assert tally[0] == 100
+        _sweep(chain, f, 100, name, lam)
+        assert tally[0] == 100, name
 
     monkeypatch.setattr(harness, "_build_chain", lambda config: chain)
     tally[0] = 0
