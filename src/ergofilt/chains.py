@@ -88,8 +88,11 @@ def build_cycle_walk(p: int) -> markov.ChainModel:
 
 
 def cycle_lambda_low(p: int) -> float:
-    """Closed-form gap bound ``8p / ((p-1)^2 (p+1))`` for the odd cycle walk."""
+    """Closed-form gap bound ``8p / ((p-1)^2 (p+1))`` for the odd cycle walk,
+    whose length must lie below 2^53, where ``np.arange`` still counts exactly."""
     markov.check_integer(p, "cycle length", 3)
+    if p >= 2**53:
+        raise ValueError(f"cycle length must be below 2^53, got {p}")
     if p % 2 == 0:
         raise ValueError(f"cycle length must be odd, got {p}")
     return 8.0 * p / ((p - 1) ** 2 * (p + 1))

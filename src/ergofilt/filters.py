@@ -26,7 +26,9 @@ scale the output or the errors back by ``2^e``; that is exact, so in range
 the results are bitwise those of an unscaled sweep. The sweep runs with
 numpy's overflow and invalid warnings off, and an output or an error that is
 not finite is a ``FloatingPointError`` naming the filter and its first
-non-finite degree. ``*_scalar`` runs unscaled.
+non-finite degree. ``*_scalar`` runs unscaled. Each input is judged once,
+before any sweep runs: a degree by ``_apply``, ``_response`` or ``_errors``,
+``lambda_low`` by the public entry; the ``_*_steps`` generators trust theirs.
 
 Polynomial coefficient vectors are in ascending monomial order.
 """
@@ -83,11 +85,12 @@ class _Spectrum:
         return lambda v: scale * v
 
 
-def _response(steps, z, *args):
+def _response(steps, z, K: int, *args):
     """Frequency response at ``z`` of the filter whose generator is ``steps``:
-    its last output on the all-ones signal over ``_Spectrum(z)``."""
+    its degree-``K`` output on the all-ones signal over ``_Spectrum(z)``."""
     values = _band_values(z)
-    out = _last(steps(_Spectrum(values), np.ones_like(values), *args))
+    markov.check_integer(K, "filter degree", 0)
+    out = _last(steps(_Spectrum(values), np.ones_like(values), K, *args))
     return float(out[0]) if np.ndim(z) == 0 else out
 
 
@@ -95,6 +98,7 @@ def _apply(chain: markov.ChainModel, f, steps, name: str, K: int, *args) -> np.n
     """The degree-``K`` output of the generator ``steps`` on ``f``, swept at
     unit scale and scaled back; a non-finite output is a ``FloatingPointError``."""
     values, exponent = markov.check_signal(f, chain.n)
+    markov.check_integer(K, "filter degree", 0)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.ldexp(_last(steps(chain, values, K, *args)), exponent)
     if not np.isfinite(out).all():
@@ -150,6 +154,7 @@ def error_table(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> t
     and ``pi(f)`` is bitwise ``markov.pi_expectation``'s. The running
     average's row does not read ``lambda_low``; degree K of it is horizon
     ``t = K + 1``."""
+    lambda_low = markov.check_lambda_low(lambda_low)
     return _errors(chain, f, k_max, (
         ("ergodic", _ergodic_steps, ()),
         ("bernstein", _bernstein_steps, (lambda_low,)),
@@ -165,7 +170,6 @@ def error_table(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> t
 
 def _ergodic_steps(chain: markov.ChainModel, f, K: int):
     """Running averages at degrees 0..K (horizons 1..K+1), one product with P each."""
-    markov.check_integer(K, "filter degree", 0)
     transition = chain.affine(-1.0, 1.0)
     acc = f.copy()
     power = f
@@ -214,7 +218,7 @@ def triangle(z, lambda_low: float):
 
 def bernstein_scalar(z, K: int, lambda_low: float):
     """Degree-``K`` Bernstein polynomial of the triangle target on [0, 2]."""
-    return _response(_bernstein_steps, z, K, lambda_low)
+    return _response(_bernstein_steps, z, K, markov.check_lambda_low(lambda_low))
 
 
 def _control_weights(k: int, lambda_low: float) -> list[float]:
@@ -244,8 +248,6 @@ def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     whose only weight is ``w_0 = 1`` yields ``b_{k,0}`` itself. With
     ``c = 0`` only ``b_{k,0}`` is carried, and no weights are computed.
     """
-    markov.check_integer(K, "filter degree", 0)
-    lambda_low = markov.check_lambda_low(lambda_low)
     yield f
     if K == 0:
         return
@@ -270,7 +272,7 @@ def bernstein_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> n
     ``sum_l g(2l/K) b_{K,l}`` over the basis signals of ``_bernstein_steps``.
     Takes ``sum_{k<=K} (min(k, c) + 1)`` products with L, where
     ``c < K lambda_low / 2`` is the last nonzero control point."""
-    return _apply(chain, f, _bernstein_steps, "bernstein", K, lambda_low)
+    return _apply(chain, f, _bernstein_steps, "bernstein", K, markov.check_lambda_low(lambda_low))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +282,7 @@ def bernstein_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> n
 
 def chebyshev_scalar(z, K: int, lambda_low: float):
     """Normalized mapped Chebyshev response ``T_K(m(z)) / T_K(m(0))``."""
-    return _response(_chebyshev_steps, z, K, lambda_low)
+    return _response(_chebyshev_steps, z, K, markov.check_lambda_low(lambda_low))
 
 
 def _chebyshev_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
@@ -290,8 +292,6 @@ def _chebyshev_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     (-1, 0), rather than ``T_k(m0)``, which grows geometrically in k:
     ``omega_{k+1} = 1 / (2 m0 - omega_k)`` from ``omega_1 = 1 / m0``.
     """
-    markov.check_integer(K, "filter degree", 0)
-    lambda_low = markov.check_lambda_low(lambda_low)
     prev = f
     yield prev
     if K == 0:
@@ -316,7 +316,7 @@ def chebyshev_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> n
     (Chebyshev semi-iteration). The ratios do not depend on K, so ``u_k`` is
     also the degree-k output, and none of them grows with k.
     """
-    return _apply(chain, f, _chebyshev_steps, "chebyshev", K, lambda_low)
+    return _apply(chain, f, _chebyshev_steps, "chebyshev", K, markov.check_lambda_low(lambda_low))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +328,7 @@ def legendre_scalar(z, K: int, lambda_low: float):
     """L2-optimal response: the mean of ``P_k(m(z)) / P_k(m0)``, k = 0..K,
     weighted by ``(2k + 1) P_k(m0)^2``, with ``P_k`` the classical Legendre
     polynomials; equals 1 at frequency 0."""
-    return _response(_legendre_steps, z, K, lambda_low)
+    return _response(_legendre_steps, z, K, markov.check_lambda_low(lambda_low))
 
 
 def _legendre_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
@@ -343,8 +343,6 @@ def _legendre_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     ``s_{n+1} = 1 + s_n (2n + 1) / ((2n + 3) r_{n+1}^2)``, starting from
     ``w_0 = f`` and ``r_0 = s_0 = 1``.
     """
-    markov.check_integer(K, "filter degree", 0)
-    lambda_low = markov.check_lambda_low(lambda_low)
     result = f
     yield result
     mapped, m0 = _stopband_map(chain, lambda_low)
@@ -369,7 +367,7 @@ def legendre_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> np
     The ratios use only degrees up to ``n + 1``, so ``q_k`` is also the
     degree-k output.
     """
-    return _apply(chain, f, _legendre_steps, "legendre", K, lambda_low)
+    return _apply(chain, f, _legendre_steps, "legendre", K, markov.check_lambda_low(lambda_low))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ configurations produce byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,14 +185,17 @@ _CSV_ROW = "%d" + ",%.12g" * len(FILTER_ORDER)
 _JSON_ROW = '    {"degree": %d, ' + ", ".join(f'"{name}": %.12g' for name in FILTER_ORDER) + "}"
 
 
-def _rows(table) -> list[list[float]]:
-    """The table's rows as Python floats; an empty table, or one that is not
-    one column per filter, is an error."""
+def _rows(table, metadata: RunMetadata) -> list[list[float]]:
+    """The table's rows as Python floats; an empty table, one that is not
+    one column per filter, or a table cell or metadata float that is not
+    finite (JSON has no NaN or infinity), is an error."""
     values = np.asarray(table, dtype=float)
     if values.size == 0:
         raise ValueError("no results to serialize")
     if values.ndim != 2 or values.shape[1] != len(FILTER_ORDER):
         raise ValueError(f"table has shape {values.shape}, expected (k_max, {len(FILTER_ORDER)})")
+    if not (np.isfinite(values).all() and math.isfinite(metadata.lambda_low) and math.isfinite(metadata.pi_f)):
+        raise ValueError("values to serialize must be finite")
     return values.tolist()
 
 
@@ -207,7 +211,7 @@ def emit_csv(table, metadata: RunMetadata) -> str:
         "# lambda_low=%.12g, pi_f=%.12g" % (metadata.lambda_low, metadata.pi_f),
         "degree," + ",".join(FILTER_ORDER),
     ]
-    lines += [_CSV_ROW % (degree, *row) for degree, row in enumerate(_rows(table), start=1)]
+    lines += [_CSV_ROW % (degree, *row) for degree, row in enumerate(_rows(table, metadata), start=1)]
     return "\n".join(lines) + "\n"
 
 
@@ -217,7 +221,7 @@ def emit_json(table, metadata: RunMetadata) -> str:
     Numbers are embedded with the same 12-significant-digit formatting as the
     CSV, so the two outputs always agree and stay byte-reproducible.
     """
-    rows = _rows(table)
+    rows = _rows(table, metadata)
     head = (
         '{\n  "metadata": {"experiment": %s, "p": %s, "k_max": %s, '
         '"lambda_low": %.12g, "pi_f": %.12g},\n  "rows": [\n'

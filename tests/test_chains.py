@@ -40,6 +40,11 @@ def test_cycle_rejects_bad_lengths():
     with pytest.raises(ValueError, match="cycle length must be an integer, got 11.0"):
         chains.build_cycle_walk(11.0)
     assert chains.build_cycle_walk(np.int64(11)).n == 11
+    # from 2^53 on np.arange no longer counts exactly (from 2^63 - 1 it
+    # returns an empty array), so a length there is refused before any array
+    for p in (2**53 + 1, 2**63 + 1, np.uint64(2**63 + 1), 10**103 + 1):
+        with pytest.raises(ValueError, match="cycle length must be below 2\\^53, got"):
+            chains.build_cycle_walk(p)
 
 
 def test_cycle_lambda_low_values():

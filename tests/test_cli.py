@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergofilt import chains, cli
+from ergofilt import chains, cli, markov
 from ergofilt.cli import cli_main
 
 
@@ -108,6 +108,47 @@ def test_unallocatable_k_max_exits_one(capsys, k_max):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [2**63 + 1, 10**103 + 1], ids=["2^63+1", "1e103+1"])
+def test_huge_cycle_length_exits_one(capsys, p):
+    # refused before any array is made: at 2^63 + 1 np.arange would return an
+    # empty array, and 10^103 + 1 is past the float64 range of the gap bound
+    code = cli_main(["cycle-walk", "--p", str(p), "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: cycle length must be below 2^53, got {p}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, degrees, gap_bounds",
+    [
+        (["cycle-walk", "--paper-defaults"], 1, 2),
+        (["glauber", "--p", "10", "--k-max", "6", "--seed", "1", "--lambda-low", "0.1"], 1, 3),
+    ],
+)
+def test_run_judges_each_filter_input_once(monkeypatch, capsys, argv, degrees, gap_bounds):
+    # the degree is judged once, by error_table; the gap bound by the chain,
+    # by error_table for its three polynomial sweeps, and by the config when
+    # it is an override
+    calls = {"filter degree": 0, "lambda_low": 0}
+    check_integer, check_lambda_low = markov.check_integer, markov.check_lambda_low
+
+    def counted_integer(value, name, *bounds):
+        calls[name] = calls.get(name, 0) + 1
+        return check_integer(value, name, *bounds)
+
+    def counted_lambda_low(value):
+        calls["lambda_low"] += 1
+        return check_lambda_low(value)
+
+    monkeypatch.setattr(markov, "check_integer", counted_integer)
+    monkeypatch.setattr(markov, "check_lambda_low", counted_lambda_low)
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    assert (calls["filter degree"], calls["lambda_low"]) == (degrees, gap_bounds)
 
 
 def test_bad_override_refused_before_building(capsys):

@@ -319,6 +319,26 @@ def test_emit_rejects_table_without_one_column_per_filter(shape):
         harness.emit_json(np.ones(shape), metadata)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_emit_refuses_non_finite_values(bad):
+    # JSON has no NaN or infinity, so neither emitter writes one: a table
+    # cell or a metadata float that is not finite is refused
+    table = np.ones((2, 4))
+    metadata = harness.RunMetadata("cycle-walk", 11, 2, 0.5, 1.0)
+    bad_cell = table.copy()
+    bad_cell[1, 2] = bad
+    cases = [
+        (bad_cell, metadata),
+        (table, harness.RunMetadata("cycle-walk", 11, 2, bad, 1.0)),
+        (table, harness.RunMetadata("cycle-walk", 11, 2, 0.5, bad)),
+    ]
+    for bad_table, bad_metadata in cases:
+        for emitter in (harness.emit_csv, harness.emit_json):
+            with pytest.raises(ValueError, match="values to serialize must be finite"):
+                emitter(bad_table, bad_metadata)
+    assert json.loads(harness.emit_json(table, metadata))["rows"][1]["chebyshev"] == 1.0
+
+
 def test_metadata_comment_format():
     comment = harness.emit_csv(*harness.run_experiment(_cycle_config(k_max=2))).split("\n")[0]
     assert comment.startswith("# lambda_low=")

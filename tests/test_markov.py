@@ -773,15 +773,24 @@ def test_chain_lambda_low_range_is_the_filters(cycle_chain, lambda_low):
 
 @pytest.mark.parametrize("lambda_low", ["0.5", None, 1 + 0j, True, np.bool_(True), np.array([0.5])])
 def test_lambda_low_must_be_a_real_number(cycle_chain, lambda_low):
-    # judged by its type before its range, by the chain and by every filter
+    # judged by its type before its range, by the chain and by every entry
+    # that takes a gap bound
     message = re.escape(f"lambda_low must be a real number, got {lambda_low!r}")
     with pytest.raises(ValueError, match=message):
         markov.ChainModel(cycle_chain.neighbors, cycle_chain.weights, cycle_chain.pi, lambda_low)
-    for call in (filters.bernstein_apply, filters.chebyshev_apply, filters.error_table):
+    f = np.ones(11)
+    for call in (
+        lambda: filters.bernstein_apply(cycle_chain, f, 3, lambda_low),
+        lambda: filters.chebyshev_apply(cycle_chain, f, 3, lambda_low),
+        lambda: filters.legendre_apply(cycle_chain, f, 3, lambda_low),
+        lambda: filters.bernstein_scalar(0.5, 3, lambda_low),
+        lambda: filters.chebyshev_scalar(0.5, 3, lambda_low),
+        lambda: filters.legendre_scalar(0.5, 3, lambda_low),
+        lambda: filters.error_table(cycle_chain, f, 3, lambda_low),
+        lambda: filters.triangle(0.5, lambda_low),
+    ):
         with pytest.raises(ValueError, match=message):
-            call(cycle_chain, np.ones(11), 3, lambda_low)
-    with pytest.raises(ValueError, match=message):
-        filters.triangle(0.5, lambda_low)
+            call()
 
 
 @pytest.mark.parametrize("lambda_low", [1, np.int64(1), np.float64(0.5), np.float32(0.5)])

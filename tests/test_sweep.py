@@ -134,10 +134,15 @@ def test_sweeps_reject_bad_input(cycle_chain):
         filters.error_table(cycle_chain, np.ones(4), 3, 0.5)
     table, _ = filters.error_table(cycle_chain, f, 0, 0.5)
     assert table.shape == (4, 0)
-    # each polynomial sweep judges its own gap bound
-    for name in harness.FILTER_ORDER[1:]:
-        with pytest.raises(ValueError):
-            _sweep(cycle_chain, f, 3, name, 2.0)
+
+
+def test_error_table_judges_gap_bound_before_any_product(cycle_chain):
+    # the gap bound is judged once, before the running average's k_max
+    # products as well as the three polynomial sweeps'
+    chain, tally = _counting(cycle_chain)
+    with pytest.raises(ValueError, match=r"lambda_low must lie in \(0, 2\), got 5.0"):
+        filters.error_table(chain, harness.CYCLE_REFERENCE_SIGNAL, 20, 5.0)
+    assert tally[0] == 0
 
 
 @pytest.mark.filterwarnings("error")
