@@ -6,29 +6,29 @@ pass the zero frequency with unit gain while damping everything above a known
 positive frequency bound ``lambda_low`` — Bernstein smoothing of an ideal
 triangular low-pass response, a sup-norm-optimal normalized Chebyshev design,
 and an L2-optimal Legendre design. Each filter's vector recursion is one
-generator that yields its output at every degree up to K, one application of
+generator that yields its output at every degree 1..K, one application of
 an affine Laplacian operator from ``ChainModel.affine`` per degree (per
 carried basis signal for Bernstein), its per-degree scalars computed in the
 loop as Python floats: the IEEE arithmetic of numpy scalars at a fraction of
-the cost. ``*_apply`` returns the last output, and ``error_table``, the one
-error reader, the max-abs error of all four sweeps at each degree and the
-stationary mean, from one pass that judges the signal and takes its mean
-once. Each sweep's outputs are reduced a block of degrees at a time as it
-yields them (``_ERROR_BLOCK`` entries at most, or one output). The
-frequency responses ``*_scalar`` run the same generators on the diagonal
-operator of the frequencies, so each filter has one definition. An exact
-reference ships alongside: the frequency-zeroing projector
-``lagrange_exact_apply``.
+the cost. ``*_apply`` returns the last output (its input at K = 0), and
+``error_table``, the one error reader, the max-abs error of all four sweeps
+at each degree and the stationary mean, from one pass that judges the signal
+and takes its mean once and reads the four sweeps as one stream, reduced a
+block at a time (``_ERROR_BLOCK`` entries at most, or one output, and no
+more outputs than one sweep yields). Each frequency response ``*_scalar`` is
+its ``*_apply`` on the all-ones signal over the diagonal operator of the
+frequencies, so each filter has one definition. An exact reference ships
+alongside: the frequency-zeroing projector ``lagrange_exact_apply``.
 
-The float64 range is ``markov.check_signal``'s rule: ``*_apply`` and
-``error_table`` sweep the unit-scale signal ``2^-e f`` it hands back and
-scale the output or the errors back by ``2^e``; that is exact, so in range
-the results are bitwise those of an unscaled sweep. The sweep runs with
-numpy's overflow and invalid warnings off, and an output or an error that is
-not finite is a ``FloatingPointError`` naming the filter and its first
-non-finite degree. ``*_scalar`` runs unscaled. Each input is judged once,
-before any sweep runs: a degree by ``_apply``, ``_response`` or ``_errors``,
-``lambda_low`` by the public entry; the ``_*_steps`` generators trust theirs.
+The float64 range is ``markov.check_signal``'s rule: ``*_apply`` (so
+``*_scalar`` too) and ``error_table`` sweep the unit-scale signal ``2^-e f``
+it hands back and scale the output or the errors back by ``2^e``; that is
+exact, so in range the results are bitwise those of an unscaled sweep. The
+sweep runs with numpy's overflow and invalid warnings off, and an output or
+an error that is not finite is a ``FloatingPointError`` naming the filter
+and its first non-finite degree. Each input is judged once, before any sweep
+runs: a degree by ``_apply`` or ``_errors``, ``lambda_low`` by the public
+entry; the ``_*_steps`` generators trust theirs.
 
 Polynomial coefficient vectors are in ascending monomial order.
 """
@@ -65,7 +65,7 @@ def _stopband_map(chain: markov.ChainModel, lambda_low: float):
     return chain.affine(2.0 / (2.0 - lambda_low), m0), m0
 
 
-def _last(steps):
+def _last(steps, out):
     for out in steps:
         pass
     return out
@@ -73,8 +73,8 @@ def _last(steps):
 
 class _Spectrum:
     """The diagonal operator over frequencies ``z``: a stand-in for a chain
-    offering the two things a ``_*_steps`` generator uses, ``n`` and
-    ``affine(a, b)``, here ``v -> (a z + b) v``."""
+    offering the two things a ``*_apply`` uses, ``n`` and ``affine(a, b)``,
+    here ``v -> (a z + b) v``."""
 
     def __init__(self, z: np.ndarray):
         self.z = z
@@ -85,12 +85,11 @@ class _Spectrum:
         return lambda v: scale * v
 
 
-def _response(steps, z, K: int, *args):
-    """Frequency response at ``z`` of the filter whose generator is ``steps``:
-    its degree-``K`` output on the all-ones signal over ``_Spectrum(z)``."""
+def _response(apply, z, *args):
+    """Frequency response at ``z`` of the filter ``apply``: its output on the
+    all-ones signal over ``_Spectrum(z)``."""
     values = _band_values(z)
-    markov.check_integer(K, "filter degree", 0)
-    out = _last(steps(_Spectrum(values), np.ones_like(values), K, *args))
+    out = apply(_Spectrum(values), np.ones_like(values), *args)
     return float(out[0]) if np.ndim(z) == 0 else out
 
 
@@ -100,7 +99,7 @@ def _apply(chain: markov.ChainModel, f, steps, name: str, K: int, *args) -> np.n
     values, exponent = markov.check_signal(f, chain.n)
     markov.check_integer(K, "filter degree", 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.ldexp(_last(steps(chain, values, K, *args)), exponent)
+        out = np.ldexp(_last(steps(chain, values, K, *args), values), exponent)
     if not np.isfinite(out).all():
         raise FloatingPointError(f"non-finite {name} filter output at degree {K}")
     return out
@@ -113,26 +112,27 @@ def _errors(chain: markov.ChainModel, f, k_max: int, sweeps) -> tuple[np.ndarray
     that mean. The signal is judged and its mean taken once; the table and
     the mean are scaled back by ``2^e`` and checked once.
 
-    Each sweep's outputs are stacked and reduced ``max(1, _ERROR_BLOCK // n)``
-    degrees at a time; max is exact, so each value is the one a reduction of
-    that output alone gives. A block holds the arrays one sweep yielded, so a
-    generator must never write to its input (degree 0) or to an output after
-    yielding it, which none of the four does. The first non-finite cell, in
-    sweep order, is a ``FloatingPointError`` naming its sweep and degree.
+    The sweeps' outputs are read as one stream, the flat table in order, and
+    reduced ``max(1, min(k_max, _ERROR_BLOCK // n))`` at a time, so a block
+    may straddle two sweeps but holds no more outputs than one sweep yields;
+    max is exact, so each value is the one a reduction of that output alone
+    gives. A block holds the arrays the sweeps yielded, so a generator must
+    never write to an output after yielding it, which none of the four does.
+    The first non-finite cell, in sweep order, is a ``FloatingPointError``
+    naming its sweep and degree.
     """
     values, exponent = markov.check_signal(f, chain.n)
     markov.check_integer(k_max, "filter degree", 0)
     table = np.empty((len(sweeps), k_max))
-    rows = max(1, _ERROR_BLOCK // chain.n)
+    errors = table.reshape(-1)
+    rows = max(1, min(k_max, _ERROR_BLOCK // chain.n))
+    stream = itertools.chain.from_iterable(steps(chain, values, k_max, *args) for _, steps, args in sweeps)
     with np.errstate(over="ignore", invalid="ignore"):
         target = float(np.dot(chain.pi, values))
-        for errors, (_, steps, args) in zip(table, sweeps):
-            sweep = steps(chain, values, k_max, *args)
-            next(sweep)
-            done = 0
-            while block := list(itertools.islice(sweep, rows)):
-                _reduce_block(np.array(block), target, errors[done : done + len(block)])
-                done += len(block)
+        done = 0
+        while block := list(itertools.islice(stream, rows)):
+            _reduce_block(np.array(block), target, errors[done : done + len(block)])
+            done += len(block)
         np.ldexp(table, exponent, out=table)
     finite = np.isfinite(table)
     if not finite.all():
@@ -169,11 +169,10 @@ def error_table(chain: markov.ChainModel, f, k_max: int, lambda_low: float) -> t
 
 
 def _ergodic_steps(chain: markov.ChainModel, f, K: int):
-    """Running averages at degrees 0..K (horizons 1..K+1), one product with P each."""
+    """Running averages at degrees 1..K (horizons 2..K+1), one product with P each."""
     transition = chain.affine(-1.0, 1.0)
     acc = f.copy()
     power = f
-    yield f
     for k in range(1, K + 1):
         power = transition(power)
         acc += power
@@ -198,8 +197,7 @@ def ergodic_apply(chain: markov.ChainModel, f, t: int) -> np.ndarray:
 
 def ergodic_scalar(z, t: int):
     """Frequency response of the running average: ``(1/t) sum_k (1-z)^k``."""
-    markov.check_integer(t, "averaging horizon", 1)
-    return _response(_ergodic_steps, z, t - 1)
+    return _response(ergodic_apply, z, t)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +216,7 @@ def triangle(z, lambda_low: float):
 
 def bernstein_scalar(z, K: int, lambda_low: float):
     """Degree-``K`` Bernstein polynomial of the triangle target on [0, 2]."""
-    return _response(_bernstein_steps, z, K, markov.check_lambda_low(lambda_low))
+    return _response(bernstein_apply, z, K, lambda_low)
 
 
 def _control_weights(k: int, lambda_low: float) -> list[float]:
@@ -234,7 +232,7 @@ def _control_weights(k: int, lambda_low: float) -> list[float]:
 
 
 def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
-    """Bernstein outputs at degrees 0..K from the Pascal recurrence.
+    """Bernstein outputs at degrees 1..K from the Pascal recurrence.
 
     Carries the basis signals ``b_{k,l} = C(k,l) (L/2)^l (I - L/2)^(k-l) f``
     up in degree by ``b_{k,l} = b_{k-1,l} - (L/2)(b_{k-1,l} - b_{k-1,l-1})``,
@@ -248,7 +246,6 @@ def _bernstein_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     whose only weight is ``w_0 = 1`` yields ``b_{k,0}`` itself. With
     ``c = 0`` only ``b_{k,0}`` is carried, and no weights are computed.
     """
-    yield f
     if K == 0:
         return
     cap = len(_control_weights(K, lambda_low)) - 1
@@ -282,23 +279,21 @@ def bernstein_apply(chain: markov.ChainModel, f, K: int, lambda_low: float) -> n
 
 def chebyshev_scalar(z, K: int, lambda_low: float):
     """Normalized mapped Chebyshev response ``T_K(m(z)) / T_K(m(0))``."""
-    return _response(_chebyshev_steps, z, K, markov.check_lambda_low(lambda_low))
+    return _response(chebyshev_apply, z, K, lambda_low)
 
 
 def _chebyshev_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
-    """Chebyshev outputs at degrees 0..K, one product with L each.
+    """Chebyshev outputs at degrees 1..K, one product with L each.
 
     Carries the ratio ``omega_k = T_{k-1}(m0) / T_k(m0)``, which stays in
     (-1, 0), rather than ``T_k(m0)``, which grows geometrically in k:
     ``omega_{k+1} = 1 / (2 m0 - omega_k)`` from ``omega_1 = 1 / m0``.
     """
-    prev = f
-    yield prev
     if K == 0:
         return
     mapped, m0 = _stopband_map(chain, lambda_low)
     omega = 1.0 / m0
-    curr = mapped(f) / m0
+    prev, curr = f, mapped(f) / m0
     yield curr
     for _ in range(1, K):
         next_omega = 1.0 / (2.0 * m0 - omega)
@@ -328,11 +323,11 @@ def legendre_scalar(z, K: int, lambda_low: float):
     """L2-optimal response: the mean of ``P_k(m(z)) / P_k(m0)``, k = 0..K,
     weighted by ``(2k + 1) P_k(m0)^2``, with ``P_k`` the classical Legendre
     polynomials; equals 1 at frequency 0."""
-    return _response(_legendre_steps, z, K, markov.check_lambda_low(lambda_low))
+    return _response(legendre_apply, z, K, lambda_low)
 
 
 def _legendre_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
-    """Legendre outputs at degrees 0..K, one product with L each.
+    """Legendre outputs at degrees 1..K, one product with L each.
 
     Carries the basis signals ``w_n = P_n(M) f / P_n(m0)`` with the ratios
     ``r_n = P_n(m0) / P_{n-1}(m0)`` and ``s_n = sum_{k<=n} a_k / a_n``,
@@ -344,7 +339,6 @@ def _legendre_steps(chain: markov.ChainModel, f, K: int, lambda_low: float):
     ``w_0 = f`` and ``r_0 = s_0 = 1``.
     """
     result = f
-    yield result
     mapped, m0 = _stopband_map(chain, lambda_low)
     prev = curr = f
     ratio = sum_ratio = 1.0

@@ -96,8 +96,8 @@ def check_law(dist: np.ndarray) -> np.ndarray:
 def check_signal(f, n: int) -> tuple[np.ndarray, int]:
     """``f``, ``n`` finite values of a bool, integer or float dtype, as floats at
     unit scale ``2^-e f`` in (-1, 1), and ``e``, else a ``ValueError``; ``2^e``
-    is the power of two just above ``max |f(x)|`` (``e = 0`` for the zero
-    signal). The one float64-range rule: each signal reader works at this
+    is the power of two just above ``max |f(x)|`` (``e = 0`` for the zero or
+    empty signal). The one float64-range rule: each signal reader works at this
     scale and scales its result back by ``2^e``, exactly while the products
     stay normal. A bilinear reader (``pi_inner``) takes its scale from the
     product instead, and calls this for the rule alone."""
@@ -108,7 +108,7 @@ def check_signal(f, n: int) -> tuple[np.ndarray, int]:
     values = values.astype(float, copy=False)
     if values.shape != (n,):
         raise ValueError(f"signal has shape {values.shape}, expected ({n},)")
-    peak = float(np.abs(values).max())
+    peak = float(np.abs(values).max(initial=0.0))
     if not math.isfinite(peak):
         raise ValueError("signal values must be finite")
     exponent = math.frexp(peak)[1]

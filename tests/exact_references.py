@@ -6,7 +6,8 @@ polynomial in the Laplacian, the coefficients of the annihilating
 polynomial of a spectrum, an exact-rational solver for the constrained L2
 design problem, Gauss-Legendre quadrature on the stopband, and the whole
 error table of a run rebuilt from the eigendecomposition of the chain with textbook forms of the
-four frequency responses. The Glauber chain is rebuilt from whole-state
+four frequency responses, and its running-average and Chebyshev columns in
+60-digit ``decimal`` arithmetic. The Glauber chain is rebuilt from whole-state
 (2^p, p) arrays, the construction the per-site lookup build replaced, and
 its gap bound from the band matrix ``M`` itself, the eigenvalue oracle for
 ``chains.glauber_lambda_low``.
@@ -18,6 +19,7 @@ Polynomial coefficient vectors are in ascending monomial order.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -202,6 +204,54 @@ def spectral_error_table(transition, pi, f, k_max: int, lambda_low: float) -> np
     responses = filter_responses(eigenvalues[1:], k_max, lambda_low)
     deviation = vectors[:, 1:] @ (responses.reshape(pi.size - 1, -1) * coefficients[:, None])
     return np.abs(deviation / d[:, None]).max(axis=0).reshape(k_max, 4)
+
+
+def decimal_error_columns(chain, f, k_max: int, lambda_low: float):
+    """The max-abs errors of the running average and of the Chebyshev filter
+    at degrees ``1..k_max``, two lists of ``Decimal``, computed in 60-digit
+    ``decimal`` arithmetic from the chain's float P and pi,
+    the float signal and the float ``lambda_low``, each read exactly.
+
+    Textbook forms, not the sweeps' ratio forms: the running average at
+    horizon ``K + 1`` as the sum of the powers ``P^k f``, ``k <= K``, over
+    ``K + 1``; Chebyshev as ``T_K(M) f / T_K(m0)``, with ``T_k(M) f`` and
+    ``T_k(m0)`` from the three-term recurrence, ``M = a L + m0 I`` the
+    stopband map, ``a = 2 / (2 - lambda_low)`` and
+    ``m0 = -(2 + lambda_low) / (2 - lambda_low)``. The error is measured
+    against ``sum_x pi(x) f(x)``.
+    """
+    with decimal.localcontext(decimal.Context(prec=60)):
+        exact = decimal.Decimal
+        rows = [
+            [(int(y), exact(float(w))) for y, w in zip(columns, weights) if w]
+            for columns, weights in zip(chain.neighbors, chain.weights)
+        ]
+        values = [exact(float(x)) for x in f]
+        mean = sum(exact(float(p)) * x for p, x in zip(chain.pi, values))
+        lam = exact(float(lambda_low))
+        a, m0 = 2 / (2 - lam), -(2 + lam) / (2 - lam)
+
+        def transition(v):
+            return [sum(w * v[y] for y, w in row) for row in rows]
+
+        def mapped(v):
+            return [a * (x - px) + m0 * x for x, px in zip(v, transition(v))]
+
+        def error(v, scale):
+            return max(abs(x / scale - mean) for x in v)
+
+        ergodic, power, total = [], values, values
+        for k in range(1, k_max + 1):
+            power = transition(power)
+            total = [t + x for t, x in zip(total, power)]
+            ergodic.append(error(total, k + 1))
+        prev, curr, at_prev, at_zero = values, mapped(values), exact(1), m0
+        chebyshev = [error(curr, at_zero)]
+        for _ in range(1, k_max):
+            prev, curr = curr, [2 * y - x for x, y in zip(prev, mapped(curr))]
+            at_prev, at_zero = at_zero, 2 * m0 * at_zero - at_prev
+            chebyshev.append(error(curr, at_zero))
+    return ergodic, chebyshev
 
 
 def reference_glauber_table(params):

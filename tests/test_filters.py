@@ -126,6 +126,54 @@ def test_nan_frequency_is_outside_the_band(response, z):
         response(z)
 
 
+SCALARS = {
+    "ergodic": (filters.ergodic_scalar, filters.ergodic_apply),
+    "bernstein": (filters.bernstein_scalar, filters.bernstein_apply),
+    "chebyshev": (filters.chebyshev_scalar, filters.chebyshev_apply),
+    "legendre": (filters.legendre_scalar, filters.legendre_apply),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALARS))
+def test_scalar_is_the_unscaled_sweep_on_the_diagonal_operator(name):
+    # *_scalar is its *_apply on the all-ones signal over the diagonal
+    # operator, swept at unit scale 2^-1; in the float64 range that is
+    # bitwise the sweep run unscaled, -0.0 and every grid point included
+    scalar = SCALARS[name][0]
+    steps = getattr(filters, f"_{name}_steps")
+    z = np.linspace(0.0, 2.0, 401)
+    ones = np.ones_like(z)
+    for lam in (CYCLE_LAM, GLAUBER_LAM):
+        for K in (0, 1, 20, 100):
+            sweep_args = (K,) if name == "ergodic" else (K, lam)
+            args = (K + 1,) if name == "ergodic" else sweep_args
+            want = filters._last(steps(filters._Spectrum(z), ones, *sweep_args), ones)
+            got = scalar(z, *args)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), (lam, K)
+            at = [scalar(float(x), *args) for x in z[::40]]
+            assert all(type(value) is float for value in at)
+            assert at == got[::40].tolist(), (lam, K)
+    assert scalar([], *args).shape == (0,)
+
+
+@pytest.mark.parametrize("name", sorted(SCALARS))
+def test_scalar_refuses_what_apply_refuses(cycle_chain, name):
+    # a bad degree, horizon or gap bound is judged where *_apply judges it,
+    # with *_apply's text; a frequency outside the band is judged first
+    scalar, apply = SCALARS[name]
+    bad = [(0,), (-1,), (2.0,), (True,)] if name == "ergodic" else [
+        (-1, 0.5), (2.0, 0.5), (True, 0.5), (3, 0.0), (3, 2.0), (3, "0.5"), (3, np.nan),
+    ]
+    for args in bad:
+        with pytest.raises(ValueError) as applied:
+            apply(cycle_chain, np.ones(11), *args)
+        with pytest.raises(ValueError) as responded:
+            scalar(0.5, *args)
+        assert str(responded.value) == str(applied.value), args
+        with pytest.raises(ValueError, match=r"frequency outside the Laplacian band \[0, 2\]"):
+            scalar(2.5, *args)
+
+
 def test_bernstein_scalar_endpoints():
     for K in (1, 2, 7, 40, 400):
         assert filters.bernstein_scalar(0.0, K, CYCLE_LAM) == pytest.approx(1.0, abs=1e-12)

@@ -4,10 +4,11 @@ The Bernstein sweep computes the triangle weights of each degree as Python
 floats; they must equal ``triangle``'s bitwise, and its per-degree loop with
 ``triangle`` weights is kept here as a reference, which every output must
 match bitwise. A run's one error pass, ``filters.error_table``, judges the
-signal once for all four filters and reduces each filter's outputs a block of
-degrees at a time; the per-degree reduction is kept here as a reference, and
-every error of a sweep run alone by the same pass, ``filters._errors``, must
-equal it whatever the block size. The Chebyshev and Legendre sweeps carry
+signal once for all four filters, reads their sweeps as one stream and
+reduces the outputs a block at a time; the per-degree reduction is kept here
+as a reference, and every error of a sweep run alone by the same pass,
+``filters._errors``, or of the four run together, must equal it whatever the
+block size. The Chebyshev and Legendre sweeps carry
 only bounded ratios as Python floats; the recursions they replaced, which
 first build the geometrically growing tables ``T_k(m0)`` and
 ``S_k = sum L~_k(0)^2``, are kept here as references. A ratio recurrence
@@ -38,7 +39,6 @@ def _signal(chain):
 
 def _errors(chain, f, steps):
     """Max-abs errors at degrees 1, 2, ..., one output at a time."""
-    next(steps)
     target = markov.pi_expectation(f, chain)
     return [float(np.abs(out - target).max()) for out in steps]
 
@@ -57,7 +57,6 @@ def _sweep(chain, f, k_max, name, *args):
 def reference_bernstein_steps(chain, f, K, lambda_low):
     """Pascal recurrence with the triangle weights recomputed at every degree."""
     values = np.asarray(f, dtype=float)
-    yield values.copy()
     if K == 0:
         return
     cap = np.count_nonzero(filters.triangle(2.0 * np.arange(K + 1) / K, lambda_low)) - 1
@@ -118,7 +117,6 @@ def reference_chebyshev_steps(chain, f, K, lambda_low):
     values = np.asarray(f, dtype=float)
     at_zero = reference_chebyshev_at_zero(K, lambda_low)
     prev = values.copy()
-    yield prev
     if K == 0:
         return
     mapped = chain.affine(2.0 / (2.0 - lambda_low), _m0(lambda_low))
@@ -139,7 +137,6 @@ def reference_legendre_steps(chain, f, K, lambda_low):
     scale = np.sqrt(2.0 / (2.0 - lambda_low))
     prev = scale * np.sqrt(0.5) * values
     result = (at_zero[0] / partial[0]) * prev
-    yield result
     if K == 0:
         return
     mapped = chain.affine(2.0 / (2.0 - lambda_low), _m0(lambda_low))
@@ -276,6 +273,35 @@ def test_error_blocks_equal_per_degree_reduction(monkeypatch, cycle_chain, glaub
             shapes.clear()
 
 
+@pytest.mark.parametrize("rows", [3, 7, 10, 30])
+def test_four_sweep_blocks_straddle_sweeps(monkeypatch, cycle_chain, glauber_chain, rows):
+    # error_table reads its four sweeps as one stream: blocks of 3 or 7 rows
+    # at k_max = 20 end inside a sweep and take the next sweep's first
+    # outputs. Each row is still bitwise its sweep's one-sweep pass and the
+    # per-degree reduction, and no block holds more outputs than one sweep
+    # yields (30 rows are cut to k_max)
+    sizes = []
+    reduce = filters._reduce_block
+
+    def spy(block, *args):
+        sizes.append(block.shape[0])
+        return reduce(block, *args)
+
+    monkeypatch.setattr(filters, "_reduce_block", spy)
+    for chain in (cycle_chain, glauber_chain):
+        f = _signal(chain)
+        monkeypatch.setattr(filters, "_ERROR_BLOCK", rows * chain.n)
+        for k_max in (20, 7):
+            for lam in (chain.lambda_low, 1.9):
+                sizes.clear()
+                table, _ = filters.error_table(chain, f, k_max, lam)
+                full = min(k_max, rows)
+                assert sizes[:-1] == [full] * (len(sizes) - 1) and 0 < sizes[-1] <= full, (chain.n, rows, k_max)
+                assert sum(sizes) == len(FILTER_NAMES) * k_max
+                for row, (name, got, want) in zip(table.tolist(), _sweeps(chain, f, k_max, lam)):
+                    assert row == got == want, (name, chain.n, rows, k_max, lam)
+
+
 LONG_SWEEP = 10**4
 TABLES = {
     "chebyshev": reference_chebyshev_at_zero,
@@ -299,7 +325,7 @@ def test_long_sweeps_finite_and_match_reference(cycle_chain, glauber_chain):
                 assert overflow.size, (name, chain.n, lam)
                 k_ref = int(overflow[0]) - 1
                 pairs = zip(steps(chain, f, k_ref, lam), REFERENCES[name](chain, f, k_ref, lam))
-                for k, (got, want) in enumerate(pairs):
+                for k, (got, want) in enumerate(pairs, start=1):
                     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (name, chain.n, lam, k)
 
 

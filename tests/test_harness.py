@@ -444,7 +444,7 @@ def _poisoned(monkeypatch, name, degrees):
     real = getattr(filters, f"_{name}_steps")
 
     def steps(*args):
-        for degree, out in enumerate(real(*args)):
+        for degree, out in enumerate(real(*args), start=1):
             yield np.full_like(out, np.nan) if degree in degrees else out
 
     monkeypatch.setattr(filters, f"_{name}_steps", steps)

@@ -6,12 +6,13 @@ alone, and a sweep to ``k_max`` costs the stated number of applications of
 the chain's operators."""
 
 import dataclasses
+from decimal import Decimal
 from math import ceil, sqrt
 
 import numpy as np
 import pytest
 
-from ergofilt import chains, filters, harness, markov
+from ergofilt import chains, cli, filters, harness, markov
 
 import exact_references
 
@@ -157,7 +158,6 @@ def test_sweep_failure_names_the_degree(cycle_chain):
 
     def steps(chain, values, k_max, outputs):
         assert np.array_equal(values, np.ldexp(f, -1024))
-        yield values
         for out in outputs:
             yield np.full(11, 1e308) * 10.0 if out is None else out
 
@@ -199,6 +199,42 @@ def test_cycle_deep_errors_match_spectral_reference():
     limit = 1e-9 * np.abs(want) + 1e-10 * _spread(chain, f)
     for j, got in enumerate(table):
         assert np.all(np.abs(got - want[:, j]) <= limit[:, j]), harness.FILTER_ORDER[j]
+
+
+# C of the round-off floor C eps max|f| for the two long 11-cycle golden
+# lines: the worst Chebyshev cell measured 20.11 eps max|f| at k_max 2000 and
+# 81.10 eps max|f| at lambda_low 1.9, so C = 40 and 160 leave a margin of
+# 2x. The worst running-average cell is 1.7e-11 and 6.6e-14 from its truth,
+# relative: 60x and more inside 1e-9.
+DECIMAL_LINES = {
+    "cycle-walk --p 11 --k-max 2000 --paper-defaults": 40.0,
+    "cycle-walk --p 11 --k-max 400 --lambda-low 1.9 --paper-defaults": 160.0,
+}
+
+
+@pytest.mark.parametrize("line", sorted(DECIMAL_LINES))
+def test_long_cycle_lines_match_decimal_truth(line):
+    # the running-average and Chebyshev rows of the line's error table, each
+    # bitwise its sweep run alone, against 60-digit sums of powers and
+    # three-term recurrences on the program's own float chain, signal and
+    # lambda_low: every cell within max(1e-9 truth, C eps max|f|). Past
+    # K = 40 the Chebyshev truth lies below the floor (1e-56 at K = 2000), so
+    # those cells are round-off, held to the floor
+    config = cli._config_from_args(cli._parse_args(line.split()))
+    chain, f = chains.build_cycle_walk(config.p), harness.CYCLE_REFERENCE_SIGNAL
+    lam = chain.lambda_low if config.lambda_low_override is None else config.lambda_low_override
+    sweeps = (("ergodic", filters._ergodic_steps, ()), ("chebyshev", filters._chebyshev_steps, (lam,)))
+    table, _ = filters._errors(chain, f, config.k_max, sweeps)
+    truths = exact_references.decimal_error_columns(chain, f, config.k_max, lam)
+    floor = DECIMAL_LINES[line] * np.finfo(float).eps * np.abs(f).max()
+    for (name, _, _), row, truth in zip(sweeps, table.tolist(), truths):
+        for K, (cell, exact) in enumerate(zip(row, truth), start=1):
+            assert float(abs(Decimal(cell) - exact)) <= max(1e-9 * float(exact), floor), (name, K)
+    # the truth is the float64 spectral reference's, within the same bound
+    spectral = exact_references.spectral_error_table(exact_references.dense_transition(chain), chain.pi, f, 20, lam)
+    for column, truth in zip((0, 2), truths):
+        exact = np.array(truth[:20], dtype=float)
+        assert np.all(np.abs(spectral[:, column] - exact) <= np.maximum(1e-9 * exact, floor)), column
 
 
 def _random_reversible_chain(rng):
