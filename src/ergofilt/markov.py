@@ -191,46 +191,26 @@ def _pair_imbalance(neighbors: np.ndarray, sym: np.ndarray) -> np.ndarray:
     and is 0 if there is none; ``sym[x, j]`` is ``S(x, y)`` of that one
     entry, ``weights[x, j] sqrt(pi(x)) / sqrt(pi(y))``.
 
-    The exact check for any table, in O(n d log(n d)): one stable sort by
-    ``2 (min(x, y) n + max(x, y)) + [x > y]`` puts each pair's entries
-    together, in row order, with its reverse pair's right after, so the sums
-    and the reverse lookup share one order; each table-sized array, ``sym``
-    too, is freed once used. On a table that lists each neighbour once, the
-    largest entry has the bits of ``_entry_imbalance``'s worst value.
+    The exact check for any table, in O(n d^2), ``_BLOCK_ROWS`` rows at a
+    time: both sums are taken from 0.0 in column order, over row ``x`` and
+    over row ``y``, so a self-entry ``(x, x)`` reads exactly 0 and a pair
+    with no reverse keeps its sum. On a table that lists each neighbour
+    once, the largest entry has the bits of ``_entry_imbalance``'s worst value.
     """
     n, d = neighbors.shape
-    states = np.arange(n)[:, None]
-    key = (np.minimum(neighbors, states) * n + np.maximum(neighbors, states)) * 2
-    key += neighbors < states
-    order = np.argsort(key, axis=None, kind="stable")
-    key = key.ravel()[order]
-    first = np.concatenate(([True], key[1:] != key[:-1]))
-    # a run of equal keys is one pair; the next run is its reverse pair when
-    # their keys differ in the last bit only
-    runs = key[first]
-    runs >>= 1
-    paired = runs[1:] == runs[:-1]
-    del runs
-    # each sorted entry's run, written over its key
-    np.cumsum(first, out=key)
-    key -= 1
-    sym = sym.ravel()[order]
-    sums = np.bincount(key, weights=sym)
-    del sym
-    # a pair and its reverse get |sum - reverse sum|; a pair with no reverse
-    # keeps its sum, which is not negative
-    gap = np.diff(sums)
-    np.abs(gap, out=gap)
-    np.copyto(sums[:-1], gap, where=paired)
-    np.copyto(sums[1:], gap, where=paired)
-    del gap, paired
-    imbalance = sums.take(key)
-    del sums, key
-    out = np.empty(n * d)
-    out[order] = imbalance
-    # a self-entry (x, x) is its own reverse
-    out[(neighbors == states).ravel()] = 0.0
-    return out.reshape(n, d)
+    out = np.empty((n, d))
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        rows = slice(start, stop)
+        nbr = neighbors[rows]
+        states = np.arange(start, stop)[:, None]
+        forward = np.zeros(nbr.shape)
+        backward = np.zeros(nbr.shape)
+        for k in range(d):
+            forward += np.where(nbr[:, k : k + 1] == nbr, sym[rows, k : k + 1], 0.0)
+            backward += np.where(neighbors[nbr, k] == states, sym[nbr, k], 0.0)
+        np.abs(np.subtract(forward, backward, out=forward), out=out[rows])
+    return out
 
 
 def _symmetrized(nbr: np.ndarray, w: np.ndarray, root: np.ndarray) -> np.ndarray:
@@ -325,12 +305,11 @@ def validate_chain(neighbors, weights, pi) -> tuple[np.ndarray, np.ndarray, np.n
 
     check_law(dist)
 
-    root = np.sqrt(dist)
-    # each check gets S as a temporary: the pair-by-pair one frees it once sorted
-    worst = _entry_imbalance(nbr, _symmetrized(nbr, w, root))
+    sym = _symmetrized(nbr, w, np.sqrt(dist))
+    worst = _entry_imbalance(nbr, sym)
     if worst is not None and worst <= DETAILED_BALANCE_TOL:
         return nbr, w, dist
-    imbalance = _pair_imbalance(nbr, _symmetrized(nbr, w, root))
+    imbalance = _pair_imbalance(nbr, sym)
     worst = int(np.argmax(imbalance))
     if imbalance.flat[worst] > DETAILED_BALANCE_TOL:
         x, j = divmod(worst, d)

@@ -6,8 +6,8 @@ polynomial in the Laplacian, the coefficients of the annihilating
 polynomial of a spectrum, an exact-rational solver for the constrained L2
 design problem, Gauss-Legendre quadrature on the stopband, and the whole
 error table of a run rebuilt from the eigendecomposition of the chain with textbook forms of the
-four frequency responses, and its running-average and Chebyshev columns in
-60-digit ``decimal`` arithmetic. The Glauber chain is rebuilt from whole-state
+four frequency responses, and each of its columns in 60-digit ``decimal``
+arithmetic. The Glauber chain is rebuilt from whole-state
 (2^p, p) arrays, the construction the per-site lookup build replaced, and
 its gap bound from the band matrix ``M`` itself, the eigenvalue oracle for
 ``chains.glauber_lambda_low``.
@@ -206,19 +206,25 @@ def spectral_error_table(transition, pi, f, k_max: int, lambda_low: float) -> np
     return np.abs(deviation / d[:, None]).max(axis=0).reshape(k_max, 4)
 
 
-def decimal_error_columns(chain, f, k_max: int, lambda_low: float):
-    """The max-abs errors of the running average and of the Chebyshev filter
-    at degrees ``1..k_max``, two lists of ``Decimal``, computed in 60-digit
-    ``decimal`` arithmetic from the chain's float P and pi,
-    the float signal and the float ``lambda_low``, each read exactly.
+def decimal_error_columns(chain, f, k_max: int, lambda_low: float, names) -> list[list[decimal.Decimal]]:
+    """The max-abs errors of the named filters (of ``ergodic``, ``bernstein``,
+    ``chebyshev`` and ``legendre``) at degrees ``1..k_max``, one list of
+    ``Decimal`` per name, computed in 60-digit ``decimal`` arithmetic from the
+    chain's float P and pi, the float signal and the float ``lambda_low``,
+    each read exactly.
 
     Textbook forms, not the sweeps' ratio forms: the running average at
     horizon ``K + 1`` as the sum of the powers ``P^k f``, ``k <= K``, over
-    ``K + 1``; Chebyshev as ``T_K(M) f / T_K(m0)``, with ``T_k(M) f`` and
-    ``T_k(m0)`` from the three-term recurrence, ``M = a L + m0 I`` the
-    stopband map, ``a = 2 / (2 - lambda_low)`` and
-    ``m0 = -(2 + lambda_low) / (2 - lambda_low)``. The error is measured
-    against ``sum_x pi(x) f(x)``.
+    ``K + 1``; Bernstein as the binomial sum
+    ``sum_l g(2l/K) C(K, l) (L/2)^l (I - L/2)^(K - l) f`` of the triangle
+    target ``g(x) = max(0, 1 - x / lambda_low)``, its products carried up in
+    degree (``K + 1`` matvecs at degree ``K``); Chebyshev as
+    ``T_K(M) f / T_K(m0)``; Legendre as
+    ``sum_k (2k + 1) P_k(m0) P_k(M) f / sum_k (2k + 1) P_k(m0)^2``, ``k <= K``.
+    ``T_k`` and ``P_k`` come from their three-term recurrences, at the
+    operator ``M = a L + m0 I``, the stopband map, and at ``m0``, with
+    ``a = 2 / (2 - lambda_low)`` and ``m0 = -(2 + lambda_low) / (2 - lambda_low)``.
+    The error is measured against ``sum_x pi(x) f(x)``.
     """
     with decimal.localcontext(decimal.Context(prec=60)):
         exact = decimal.Decimal
@@ -234,24 +240,59 @@ def decimal_error_columns(chain, f, k_max: int, lambda_low: float):
         def transition(v):
             return [sum(w * v[y] for y, w in row) for row in rows]
 
+        def half_laplacian(v):
+            return [(x - px) / 2 for x, px in zip(v, transition(v))]
+
         def mapped(v):
             return [a * (x - px) + m0 * x for x, px in zip(v, transition(v))]
 
         def error(v, scale):
             return max(abs(x / scale - mean) for x in v)
 
-        ergodic, power, total = [], values, values
-        for k in range(1, k_max + 1):
-            power = transition(power)
-            total = [t + x for t, x in zip(total, power)]
-            ergodic.append(error(total, k + 1))
-        prev, curr, at_prev, at_zero = values, mapped(values), exact(1), m0
-        chebyshev = [error(curr, at_zero)]
-        for _ in range(1, k_max):
-            prev, curr = curr, [2 * y - x for x, y in zip(prev, mapped(curr))]
-            at_prev, at_zero = at_zero, 2 * m0 * at_zero - at_prev
-            chebyshev.append(error(curr, at_zero))
-    return ergodic, chebyshev
+        def ergodic():
+            power, total = values, values
+            for k in range(1, k_max + 1):
+                power = transition(power)
+                total = [t + x for t, x in zip(total, power)]
+                yield error(total, k + 1)
+
+        def bernstein():
+            # products[l] = (L/2)^l (I - L/2)^(k - l) f
+            products = [values]
+            for k in range(1, k_max + 1):
+                halves = [half_laplacian(v) for v in products]
+                products = [[x - h for x, h in zip(v, half)] for v, half in zip(products, halves)]
+                products.append(halves[-1])
+                total = [exact(0)] * len(values)
+                for l, v in enumerate(products):
+                    weight = 1 - 2 * l / (k * lam)
+                    if weight > 0:
+                        total = [t + weight * comb(k, l) * x for t, x in zip(total, v)]
+                yield error(total, 1)
+
+        def chebyshev():
+            prev, curr, at_prev, at_zero = values, mapped(values), exact(1), m0
+            yield error(curr, at_zero)
+            for _ in range(1, k_max):
+                prev, curr = curr, [2 * y - x for x, y in zip(prev, mapped(curr))]
+                at_prev, at_zero = at_zero, 2 * m0 * at_zero - at_prev
+                yield error(curr, at_zero)
+
+        def legendre():
+            prev, curr, at_prev, at_zero = values, mapped(values), exact(1), m0
+            total = [x + 3 * m0 * y for x, y in zip(values, curr)]
+            norm = 1 + 3 * m0 * m0
+            yield error(total, norm)
+            for k in range(1, k_max):
+                prev, curr = curr, [((2 * k + 1) * y - k * x) / (k + 1) for x, y in zip(prev, mapped(curr))]
+                at_prev, at_zero = at_zero, ((2 * k + 1) * m0 * at_zero - k * at_prev) / (k + 1)
+                weight = (2 * k + 3) * at_zero
+                total = [t + weight * y for t, y in zip(total, curr)]
+                norm += weight * at_zero
+                yield error(total, norm)
+
+        columns = {"ergodic": ergodic, "bernstein": bernstein, "chebyshev": chebyshev, "legendre": legendre}
+        return [list(columns[name]()) for name in names]
 
 
 def reference_glauber_table(params):

@@ -2,6 +2,7 @@
 and the eigenfunction transform."""
 
 import re
+import tracemalloc
 
 import exact_references
 import numpy as np
@@ -299,13 +300,17 @@ def test_pair_check_has_the_bits_of_the_entry_check():
     assert checked == 10
 
 
-def test_pair_check_matches_a_pair_loop():
+def test_pair_check_matches_a_pair_loop(monkeypatch):
     # tables that list neighbours two or more times, and a state itself past
     # column 0: each entry gets |S(x, y) - S(y, x)| with both sums taken in
-    # column order, bit for bit
+    # column order, bit for bit. The last 100 tables are 7 to 24 columns
+    # wide, so a row can list one neighbour more than numpy's 8-lane sums
+    # add in order, and each table runs in blocks of 1, 3 and the default
+    # number of rows, so rows and their reverses span several blocks
     rng = np.random.default_rng(5)
-    for trial in range(300):
-        n, d = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    for trial in range(400):
+        n = int(rng.integers(1, 7 if trial < 300 else 13))
+        d = int(rng.integers(1, 7) if trial < 300 else rng.integers(7, 25))
         neighbors = rng.integers(0, min(n, 2 + trial % 3), (n, d))
         neighbors[:, 0] = np.arange(n)
         sym = rng.uniform(0.0, 1.0, (n, d)) * (rng.uniform(0.0, 1.0, (n, d)) > 0.2)
@@ -318,8 +323,32 @@ def test_pair_check_matches_a_pair_loop():
                 for value in sym[y, neighbors[y] == x].tolist():
                     backward += value
                 want[x, j] = abs(forward - backward)
-        got = markov._pair_imbalance(neighbors.astype(np.intp), sym.copy())
-        assert np.array_equal(got, want), (neighbors, sym)
+        for rows in (1, 3, markov._BLOCK_ROWS) if trial >= 300 else (markov._BLOCK_ROWS,):
+            monkeypatch.setattr(markov, "_BLOCK_ROWS", rows)
+            got = markov._pair_imbalance(neighbors.astype(np.intp), sym.copy())
+            assert np.array_equal(got, want), (rows, neighbors, sym)
+
+
+def test_pair_check_memory(monkeypatch):
+    # the 2^16 + 1 cycle with every odd row rotated misses row 0's column
+    # pairing, so it is validated pair by pair, over the one table of S: with
+    # the (n, d) result and a block's temporaries, about 1.03 times the
+    # bytes the chain keeps
+    general = _count_fallbacks(monkeypatch)
+    chain = chains.build_cycle_walk((1 << 16) + 1)
+    rows = slice(1, None, 2)
+    neighbors = _rotate_rows(chain.neighbors, rows)
+    weights = _rotate_rows(chain.weights, rows)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        markov.validate_chain(neighbors, weights, chain.pi)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert general
+    kept = chain.neighbors.nbytes + chain.weights.nbytes + chain.pi.nbytes
+    assert peak <= 1.5 * kept, peak / kept
 
 
 def _bundled_glauber_params(p):

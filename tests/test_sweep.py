@@ -201,40 +201,60 @@ def test_cycle_deep_errors_match_spectral_reference():
         assert np.all(np.abs(got - want[:, j]) <= limit[:, j]), harness.FILTER_ORDER[j]
 
 
-# C of the round-off floor C eps max|f| for the two long 11-cycle golden
-# lines: the worst Chebyshev cell measured 20.11 eps max|f| at k_max 2000 and
-# 81.10 eps max|f| at lambda_low 1.9, so C = 40 and 160 leave a margin of
-# 2x. The worst running-average cell is 1.7e-11 and 6.6e-14 from its truth,
-# relative: 60x and more inside 1e-9.
+# C of the round-off floor C eps max|f| for each line held to the decimal
+# truth, with a margin of 2x over the worst cell measured. On the two long
+# 11-cycle golden lines the worst Chebyshev cell measured 20.11 eps max|f| at
+# k_max 2000 and 81.10 eps max|f| at lambda_low 1.9, so C = 40 and 160; their
+# worst Legendre cells are 11.67 and 5.49. The worst running-average cell is
+# 1.7e-11 and 6.6e-14 from its truth, relative: 60x and more inside 1e-9.
+# On the K = 20 reference-signal runs of the 11-cycle and the 16-state ring
+# every cell lies within 3e-11 of its truth, relative; the worst is 2.03 and
+# 2.79 eps max|f| (Legendre), so C = 6. Bernstein's binomial sum takes k + 1
+# decimal matvecs at degree k, seconds at k_max 400 and 2000, so the long
+# lines leave that column out; at K = 20 its worst cell is 0.87 eps max|f|.
 DECIMAL_LINES = {
+    "cycle-walk --paper-defaults": 6.0,
+    "glauber --paper-defaults": 6.0,
     "cycle-walk --p 11 --k-max 2000 --paper-defaults": 40.0,
     "cycle-walk --p 11 --k-max 400 --lambda-low 1.9 --paper-defaults": 160.0,
 }
 
 
 @pytest.mark.parametrize("line", sorted(DECIMAL_LINES))
-def test_long_cycle_lines_match_decimal_truth(line):
-    # the running-average and Chebyshev rows of the line's error table, each
-    # bitwise its sweep run alone, against 60-digit sums of powers and
-    # three-term recurrences on the program's own float chain, signal and
-    # lambda_low: every cell within max(1e-9 truth, C eps max|f|). Past
-    # K = 40 the Chebyshev truth lies below the floor (1e-56 at K = 2000), so
-    # those cells are round-off, held to the floor
+def test_lines_match_decimal_truth(line):
+    # the rows of the line's error table, each bitwise its sweep run alone,
+    # against 60-digit textbook sums and recurrences on the program's own
+    # float chain, signal and lambda_low: every cell within
+    # max(1e-9 truth, C eps max|f|). On the long lines, past K = 40 the
+    # Chebyshev and Legendre truths fall below the floor, to 1.01e-16 from
+    # K = 100 on (the float pi sums to 1 - 2.8e-17, so its mean is that far
+    # from the float P's stationary mean), and those cells are round-off,
+    # held to the floor
     config = cli._config_from_args(cli._parse_args(line.split()))
-    chain, f = chains.build_cycle_walk(config.p), harness.CYCLE_REFERENCE_SIGNAL
+    chain = harness._build_chain(config)
+    f = harness._resolve_signal(config, chain.n)
     lam = chain.lambda_low if config.lambda_low_override is None else config.lambda_low_override
-    sweeps = (("ergodic", filters._ergodic_steps, ()), ("chebyshev", filters._chebyshev_steps, (lam,)))
+    sweeps = [
+        ("ergodic", filters._ergodic_steps, ()),
+        ("bernstein", filters._bernstein_steps, (lam,)),
+        ("chebyshev", filters._chebyshev_steps, (lam,)),
+        ("legendre", filters._legendre_steps, (lam,)),
+    ]
+    if config.k_max > 20:
+        del sweeps[1]
+    names = [name for name, _, _ in sweeps]
     table, _ = filters._errors(chain, f, config.k_max, sweeps)
-    truths = exact_references.decimal_error_columns(chain, f, config.k_max, lam)
+    truths = exact_references.decimal_error_columns(chain, f, config.k_max, lam, names)
     floor = DECIMAL_LINES[line] * np.finfo(float).eps * np.abs(f).max()
-    for (name, _, _), row, truth in zip(sweeps, table.tolist(), truths):
+    for name, row, truth in zip(names, table.tolist(), truths):
         for K, (cell, exact) in enumerate(zip(row, truth), start=1):
             assert float(abs(Decimal(cell) - exact)) <= max(1e-9 * float(exact), floor), (name, K)
     # the truth is the float64 spectral reference's, within the same bound
     spectral = exact_references.spectral_error_table(exact_references.dense_transition(chain), chain.pi, f, 20, lam)
-    for column, truth in zip((0, 2), truths):
+    for name, truth in zip(names, truths):
         exact = np.array(truth[:20], dtype=float)
-        assert np.all(np.abs(spectral[:, column] - exact) <= np.maximum(1e-9 * exact, floor)), column
+        column = spectral[:, harness.FILTER_ORDER.index(name)]
+        assert np.all(np.abs(column - exact) <= np.maximum(1e-9 * exact, floor)), name
 
 
 def _random_reversible_chain(rng):
